@@ -98,16 +98,20 @@ def _emit_rows(rows: list[dict], output: str) -> None:
 
 
 def _read_config(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read config {path}: {exc}") from None
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key = value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key = value")
+        key, val = (part.strip() for part in line.split("=", 1))
+        values[key.replace("-", "_")] = val
     return values
 
 
@@ -141,7 +145,12 @@ def _resolve(args: argparse.Namespace, required: tuple[str, ...]) -> dict:
         for key, val in raw.items():
             if key not in _FLAG_TYPES:
                 raise ValidationError(f"unknown config key {key!r}")
-            merged[key] = _FLAG_TYPES[key](val)
+            try:
+                merged[key] = _FLAG_TYPES[key](val)
+            except ValueError:
+                raise ValidationError(
+                    f"config key {key!r}: expected {_FLAG_TYPES[key].__name__}, got {val!r}"
+                ) from None
     for key in _FLAG_TYPES:
         val = getattr(args, key, None)
         if val is not None:
@@ -158,8 +167,16 @@ def _market(v: dict) -> MarketParams:
     return MarketParams(spot=v["spot"], rate=v["rate"], vol=v["vol"])
 
 
+def _kind(enum, value: str):
+    try:
+        return enum(value)
+    except ValueError:
+        choices = ", ".join(e.value for e in enum)
+        raise ValidationError(f"kind must be one of {choices}, got {value!r}") from None
+
+
 def _contract(v: dict) -> ContractParams:
-    return ContractParams(strike=v["strike"], amort=v["amort"], kind=OptionKind(v["kind"]))
+    return ContractParams(strike=v["strike"], amort=v["amort"], kind=_kind(OptionKind, v["kind"]))
 
 
 def _inputs(v: dict, keys: tuple[str, ...]) -> dict:
@@ -267,7 +284,7 @@ def _cmd_examples(args) -> int:
 def _cmd_optimize(args) -> int:
     v = _resolve(args, ("kind",))
     m = _market(v)
-    spec = StrategySpec(kind=StrategyKind(v["kind"]), budget=v["budget"])
+    spec = StrategySpec(kind=_kind(StrategyKind, v["kind"]), budget=v["budget"])
     q_lo = v.get("q_min", 0.001)
     q_hi = v.get("q_max", 1.0)
     res = optimize_q(m, v["strike"], spec, (q_lo, q_hi), grid_points=v.get("q_steps", 201))

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import ContractParams, MarketParams, OptionKind, Regime, ValidationError
-from .pricing import compute_exponents, price
+from .params import ContractParams, MarketParams, Regime, ValidationError
+from .pricing import _closed_form, price
 
 
 @dataclass(frozen=True)
@@ -41,79 +41,52 @@ def _norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def delta(m: MarketParams, c: ContractParams) -> float:
-    """dV/dS. Piecewise: closed form in continuation, +-1 once exercised.
+def greeks_report(m: MarketParams, c: ContractParams) -> GreeksReport:
+    """Delta, Gamma, both Thetas and Vega from one closed-form evaluation.
 
-    Call: ((alpha_c-1)S/(alpha_c K))^(alpha_c-1)
-    Put:  -((1+alpha_p)S/(alpha_p K))^(-(1+alpha_p))
+    The premium is a power law V = c*S^(s*alpha) in the spot, with s = +1
+    (alpha = alpha_c) for a call and s = -1 (alpha = alpha_p) for a put,
+    so each Greek is V times a factor; L is the log-moneyness of
+    pricing._ClosedForm. Once exercised Delta = s and Gamma = Vega = 0.
+    """
+    f = _closed_form(m, c.kind, c.strike, c.amort)
+    theta_econ = -c.amort * f.premium
+    if f.regime == Regime.EXERCISE_NOW:
+        return GreeksReport(
+            delta=f.sign, gamma=0.0, theta_explicit=0.0, theta_economic=theta_econ, vega=0.0
+        )
+    v, s, a = f.premium, f.sign, f.alpha
+    # n = (alpha_c - 2)r - q for a call, (2 + alpha_p)r + q for a put
+    n = (a - 2.0 * s) * m.rate - s * c.amort
+    return GreeksReport(
+        delta=s * a * v / m.spot,
+        gamma=a * (a - s) * v / m.spot**2,
+        theta_explicit=0.0,
+        theta_economic=theta_econ,
+        vega=2.0 * v * f.log_m * n / (m.vol**3 * f.alpha_bar),
+    )
+
+
+def delta(m: MarketParams, c: ContractParams) -> float:
+    """dV/dS = s*alpha*V/S in continuation, s = +1 once exercised (call), -1 (put).
+
     Smooth pasting makes both branches meet at the boundary.
     """
-    q = price(m, c)
-    if c.kind == OptionKind.CALL:
-        if q.regime == Regime.EXERCISE_NOW:
-            return 1.0
-        ex = compute_exponents(m, c.amort)
-        a = (ex.alpha_c - 1.0) * m.spot / (ex.alpha_c * c.strike)
-        return math.exp((ex.alpha_c - 1.0) * math.log(a))
-    if q.regime == Regime.EXERCISE_NOW:
-        return -1.0
-    ex = compute_exponents(m, c.amort)
-    b = (1.0 + ex.alpha_p) * m.spot / (ex.alpha_p * c.strike)
-    return -math.exp(-(1.0 + ex.alpha_p) * math.log(b))
+    return greeks_report(m, c).delta
 
 
 def gamma(m: MarketParams, c: ContractParams) -> float:
-    """d2V/dS2; zero in the exercise region (payoff is linear there)."""
-    q = price(m, c)
-    if q.regime == Regime.EXERCISE_NOW:
-        return 0.0
-    ex = compute_exponents(m, c.amort)
-    if c.kind == OptionKind.CALL:
-        a = (ex.alpha_c - 1.0) * m.spot / (ex.alpha_c * c.strike)
-        return (
-            (ex.alpha_c - 1.0) ** 2
-            / (ex.alpha_c * c.strike)
-            * math.exp((ex.alpha_c - 2.0) * math.log(a))
-        )
-    b = (1.0 + ex.alpha_p) * m.spot / (ex.alpha_p * c.strike)
-    return (
-        ex.alpha_p
-        * c.strike
-        / m.spot**2
-        * math.exp(-ex.alpha_p * math.log(b))
-    )
+    """d2V/dS2 = alpha*(alpha - s)*V/S^2; zero in the exercise region (payoff is linear there)."""
+    return greeks_report(m, c).gamma
 
 
 def vega(m: MarketParams, c: ContractParams) -> float:
     """dV/dsigma per unit of sigma; zero in the exercise region.
 
-    Call: (4 C0/sigma) * log((alpha_c-1)S/(alpha_c K))
-                       * ((alpha_c-2)r - q) / ((2 alpha_c - 1) sigma^2 + 2r)
-    Put:  (4 P0/sigma) * log((1+alpha_p)S/(alpha_p K))
-                       * ((2+alpha_p)r + q) / ((2 alpha_p + 1) sigma^2 - 2r)
-
-    Both denominators equal 2 sigma^2 alpha_bar algebraically and are
-    therefore strictly positive for valid parameters; the zero check is
-    kept as a guard against unforeseen degenerate input.
+    2*V*L*n/(sigma^3*alpha_bar), with L the log-moneyness,
+    n = (alpha_c-2)r - q for a call and (2+alpha_p)r + q for a put.
     """
-    q = price(m, c)
-    if q.regime == Regime.EXERCISE_NOW:
-        return 0.0
-    ex = compute_exponents(m, c.amort)
-    s2 = m.vol**2
-    if c.kind == OptionKind.CALL:
-        den = (2.0 * ex.alpha_c - 1.0) * s2 + 2.0 * m.rate
-        if den == 0.0:
-            raise ValidationError("call vega denominator vanished")
-        log_a = math.log((ex.alpha_c - 1.0) * m.spot / (ex.alpha_c * c.strike))
-        num = (ex.alpha_c - 2.0) * m.rate - c.amort
-        return 4.0 * q.premium / m.vol * log_a * num / den
-    den = (2.0 * ex.alpha_p + 1.0) * s2 - 2.0 * m.rate
-    if den == 0.0:
-        raise ValidationError("put vega denominator vanished")
-    log_b = math.log((1.0 + ex.alpha_p) * m.spot / (ex.alpha_p * c.strike))
-    num = (2.0 + ex.alpha_p) * m.rate + c.amort
-    return 4.0 * q.premium / m.vol * log_b * num / den
+    return greeks_report(m, c).vega
 
 
 def theta_explicit(m: MarketParams, c: ContractParams) -> float:
@@ -124,16 +97,6 @@ def theta_explicit(m: MarketParams, c: ContractParams) -> float:
 def theta_economic(m: MarketParams, c: ContractParams) -> float:
     """Position decay from amortization: -q * premium."""
     return -c.amort * price(m, c).premium
-
-
-def greeks_report(m: MarketParams, c: ContractParams) -> GreeksReport:
-    return GreeksReport(
-        delta=delta(m, c),
-        gamma=gamma(m, c),
-        theta_explicit=theta_explicit(m, c),
-        theta_economic=theta_economic(m, c),
-        vega=vega(m, c),
-    )
 
 
 def dated_bs_call(m: MarketParams, strike: float, maturity: float) -> DatedGreeksReport:

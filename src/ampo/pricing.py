@@ -13,6 +13,7 @@ years, and premia are per unit of current notional.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .params import (
     AmortizationSchedule,
@@ -34,29 +35,95 @@ def compute_exponents(m: MarketParams, q: float) -> Exponents:
     alpha_c = sqrt((r/sigma^2 + 1/2)^2 + 2(r+q)/sigma^2) - r/sigma^2 + 1/2
     alpha_p = sqrt((r/sigma^2 + 1/2)^2 + 2(r+q)/sigma^2) + r/sigma^2 - 1/2
 
+    alpha_c and -alpha_p are the roots of
+    (1/2)sigma^2 b^2 + (r - sigma^2/2) b - (2r+q) = 0, so their product is
+    alpha_c*alpha_p = 2(2r+q)/sigma^2 (Vieta). The exponent whose radical
+    form adds like-signed terms is taken from the radical and the other
+    from the product: r/sigma^2 - 1/2 cancels against the radical in
+    alpha_c when r >= sigma^2/2 (small vol) and in alpha_p otherwise.
+
     q = 0 is accepted here (it is needed by the limit diagnostics) even
     though pricing itself requires q > 0; the q = r = 0 case degenerates
     to alpha_c = 1, alpha_p = 0 and is not valid for pricing.
     """
     if q < 0:
         raise ValidationError(f"amort must be >= 0, got {q}")
-    x = m.rate / m.vol**2
-    radical = math.sqrt((x + 0.5) ** 2 + 2.0 * (m.rate + q) / m.vol**2)
-    alpha_c = radical - x + 0.5
-    alpha_p = radical + x - 0.5
+    s2 = m.vol**2
+    x = m.rate / s2
+    radical = math.sqrt((x + 0.5) ** 2 + 2.0 * (m.rate + q) / s2)
+    product = 2.0 * (2.0 * m.rate + q) / s2
+    if x >= 0.5:
+        alpha_p = radical + x - 0.5
+        alpha_c = product / alpha_p
+    else:
+        alpha_c = radical - x + 0.5
+        alpha_p = product / alpha_c
     return Exponents(alpha_c, alpha_p, 0.5 * (alpha_c + alpha_p))
+
+
+class _ClosedForm(NamedTuple):
+    """One evaluation of the closed form; every Greek and q-derivative is
+    the premium times a factor built from (alpha, alpha_bar, log_m).
+
+    With sign s = +1 for a call and -1 for a put and alpha the kind's own
+    exponent (alpha_c or alpha_p), the continuation premium is the power
+    law V = K/(alpha - s) * exp(s*alpha*L), where L = log_m is the
+    log-moneyness log((alpha - s)S/(alpha K)); L = 0 on the boundary.
+    """
+
+    alpha_bar: float
+    sign: float
+    alpha: float
+    boundary: float
+    regime: Regime
+    premium: float
+    log_m: float
+
+
+def _kind_sign(kind: OptionKind, alpha: float) -> float:
+    """Sign s of the kind, after checking alpha > 1 (call) or alpha > 0 (put)."""
+    sign, floor = (1.0, 1.0) if kind == OptionKind.CALL else (-1.0, 0.0)
+    if alpha <= floor:
+        raise ValidationError(
+            f"{kind.value} closed form undefined: alpha = {alpha} <= {floor:g} "
+            "(rate + amort is 0 or too small to resolve)"
+        )
+    return sign
+
+
+def _log_moneyness(sign: float, spot: float, strike: float, alpha: float) -> float:
+    return math.log((alpha - sign) * spot / (alpha * strike))
+
+
+def _power_law(sign: float, strike: float, alpha: float, log_m: float) -> float:
+    return strike / (alpha - sign) * math.exp(sign * alpha * log_m)
+
+
+def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float) -> _ClosedForm:
+    """alpha_bar, sign, own exponent, boundary, regime, premium and L at rate q >= 0.
+
+    The power law is evaluated only in the continuation region, where
+    s*L <= 0 keeps it bounded by K/(alpha - s); beyond the boundary the
+    premium is the intrinsic value.
+    """
+    ex = compute_exponents(m, q)
+    alpha = ex.alpha_c if kind == OptionKind.CALL else ex.alpha_p
+    sign = _kind_sign(kind, alpha)
+    boundary = alpha * strike / (alpha - sign)
+    log_m = _log_moneyness(sign, m.spot, strike, alpha)
+    exercised = m.spot > boundary if kind == OptionKind.CALL else m.spot < boundary
+    if exercised:
+        regime = Regime.EXERCISE_NOW
+        premium = intrinsic_value(kind, m.spot, strike)
+    else:
+        regime = Regime.CONTINUATION
+        premium = _power_law(sign, strike, alpha, log_m)
+    return _ClosedForm(ex.alpha_bar, sign, alpha, boundary, regime, premium, log_m)
 
 
 def exercise_boundary(m: MarketParams, c: ContractParams) -> float:
     """Optimal exercise boundary: alpha_c*K/(alpha_c-1) call, alpha_p*K/(1+alpha_p) put."""
-    ex = compute_exponents(m, c.amort)
-    if c.kind == OptionKind.CALL:
-        if ex.alpha_c <= 1.0:
-            raise ValidationError(
-                f"call boundary undefined: alpha_c = {ex.alpha_c} <= 1"
-            )
-        return ex.alpha_c * c.strike / (ex.alpha_c - 1.0)
-    return ex.alpha_p * c.strike / (1.0 + ex.alpha_p)
+    return _closed_form(m, c.kind, c.strike, c.amort).boundary
 
 
 def premium_from_exponent(
@@ -69,15 +136,8 @@ def premium_from_exponent(
     Powers go through exp(alpha*log(.)) so non-integer exponents of
     positive arguments are handled without sign pitfalls.
     """
-    if kind == OptionKind.CALL:
-        if alpha <= 1.0:
-            raise ValidationError(f"call premium undefined: alpha = {alpha} <= 1")
-        a = (alpha - 1.0) * spot / (alpha * strike)
-        return strike / (alpha - 1.0) * math.exp(alpha * math.log(a))
-    if alpha <= 0.0:
-        raise ValidationError(f"put premium undefined: alpha = {alpha} <= 0")
-    b = alpha * strike / ((1.0 + alpha) * spot)
-    return strike / (1.0 + alpha) * math.exp(alpha * math.log(b))
+    sign = _kind_sign(kind, alpha)
+    return _power_law(sign, strike, alpha, _log_moneyness(sign, spot, strike, alpha))
 
 
 def price(m: MarketParams, c: ContractParams) -> Quote:
@@ -88,22 +148,8 @@ def price(m: MarketParams, c: ContractParams) -> Quote:
     the intrinsic value. A spot exactly on the boundary is classified
     Continuation (the two branches agree there by value matching).
     """
-    boundary = exercise_boundary(m, c)
-    ex = compute_exponents(m, c.amort)
-    if c.kind == OptionKind.CALL:
-        exercised = m.spot > boundary
-        alpha = ex.alpha_c
-    else:
-        exercised = m.spot < boundary
-        alpha = ex.alpha_p
-    if exercised:
-        return Quote(
-            premium=intrinsic_value(c.kind, m.spot, c.strike),
-            boundary=boundary,
-            regime=Regime.EXERCISE_NOW,
-        )
-    prem = premium_from_exponent(c.kind, m.spot, c.strike, alpha)
-    return Quote(premium=prem, boundary=boundary, regime=Regime.CONTINUATION)
+    f = _closed_form(m, c.kind, c.strike, c.amort)
+    return Quote(premium=f.premium, boundary=f.boundary, regime=f.regime)
 
 
 def to_equivalent_perpetual(c: ContractParams, m: MarketParams) -> EquivalentPerpetual:

@@ -32,10 +32,9 @@ from .params import (
     OptionKind,
     Regime,
     RegionError,
-    ValidationError,
     intrinsic_value,
 )
-from .pricing import compute_exponents, exercise_boundary, premium_from_exponent, price
+from .pricing import _ClosedForm, _closed_form
 
 
 @dataclass(frozen=True)
@@ -91,119 +90,67 @@ LARGE_Q = 1e4
 SMALL_Q_RTOL = 1e-6
 
 
-def _require_continuation(m: MarketParams, c: ContractParams) -> None:
-    boundary = exercise_boundary(m, c)
-    if c.kind == OptionKind.CALL and m.spot > boundary:
+def _d_boundary_dq(f: _ClosedForm, m: MarketParams, strike: float) -> float:
+    return -f.sign * strike / (m.vol**2 * (f.alpha - f.sign) ** 2 * f.alpha_bar)
+
+
+def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
+    """dV/dq, dS_bar/dq and d2V/(dsigma dq) from one closed-form evaluation.
+
+    With s = +1 (call) / -1 (put), alpha the kind's own exponent and L the
+    log-moneyness of pricing._ClosedForm: dV/dq = s*V*L/(sigma^2 alpha_bar),
+    f3 = -(dV/dq)/alpha_bar and explicit = -(2/sigma) dV/dq.
+    """
+    f = _closed_form(m, c.kind, c.strike, c.amort)
+    if f.regime == Regime.EXERCISE_NOW:
         raise RegionError(
-            f"spot {m.spot} beyond call boundary {boundary}: q-derivatives "
-            "are defined on the continuation region only"
+            f"spot {m.spot} beyond {c.kind.value} boundary {f.boundary}: "
+            "q-derivatives are defined on the continuation region only"
         )
-    if c.kind == OptionKind.PUT and m.spot < boundary:
-        raise RegionError(
-            f"spot {m.spot} below put boundary {boundary}: q-derivatives "
-            "are defined on the continuation region only"
-        )
+    r, sig, q = m.rate, m.vol, c.amort
+    v, s, a, ab, log_m = f.premium, f.sign, f.alpha, f.alpha_bar, f.log_m
+    s2ab = sig**2 * ab
+    dv_dq = s * v * log_m / s2ab
+    # dalpha_bar/dsigma and the shared numerator 2r^2 + sigma^2 (3r + 2q)
+    num = 2.0 * r**2 + sig**2 * (3.0 * r + 2.0 * q)
+    factors = MixedPartialFactors(
+        d_dq_premium_dalpha=v / s2ab * (log_m**2 + 1.0 / (a * (a - s))),
+        dalpha_dsigma=(2.0 * s * r - num / s2ab) / sig**3,
+        d_dq_premium_dalphabar=-dv_dq / ab,
+        dalphabar_dsigma=-num / (sig**5 * ab),
+        explicit_sigma_term=-2.0 / sig * dv_dq,
+    )
+    mixed = (
+        factors.d_dq_premium_dalpha * factors.dalpha_dsigma
+        + factors.d_dq_premium_dalphabar * factors.dalphabar_dsigma
+        + factors.explicit_sigma_term
+    )
+    return StaticsReport(
+        d_premium_dq=dv_dq,
+        d_boundary_dq=_d_boundary_dq(f, m, c.strike),
+        d2_premium_dsigma_dq=mixed,
+        intermediates=factors,
+    )
 
 
 def d_premium_dq(m: MarketParams, c: ContractParams) -> float:
-    """dV/dq in the continuation region; <= 0 for both kinds."""
-    _require_continuation(m, c)
-    ex = compute_exponents(m, c.amort)
-    prem = price(m, c).premium
-    s2ab = m.vol**2 * ex.alpha_bar
-    if c.kind == OptionKind.CALL:
-        log_a = math.log((ex.alpha_c - 1.0) * m.spot / (ex.alpha_c * c.strike))
-        return prem / s2ab * log_a
-    log_b = math.log((1.0 + ex.alpha_p) * m.spot / (ex.alpha_p * c.strike))
-    return -prem / s2ab * log_b
+    """dV/dq = s*V*L/(sigma^2 alpha_bar) in the continuation region; <= 0 for both kinds."""
+    return statics_report(m, c).d_premium_dq
 
 
 def d_boundary_dq(m: MarketParams, c: ContractParams) -> float:
     """dS_bar/dq: -K/(sigma^2 (alpha_c-1)^2 alpha_bar) for calls,
     +K/(sigma^2 (1+alpha_p)^2 alpha_bar) for puts."""
-    ex = compute_exponents(m, c.amort)
-    if c.kind == OptionKind.CALL:
-        return -c.strike / (m.vol**2 * (ex.alpha_c - 1.0) ** 2 * ex.alpha_bar)
-    return c.strike / (m.vol**2 * (1.0 + ex.alpha_p) ** 2 * ex.alpha_bar)
+    return _d_boundary_dq(_closed_form(m, c.kind, c.strike, c.amort), m, c.strike)
 
 
 def mixed_partial_factors(m: MarketParams, c: ContractParams) -> MixedPartialFactors:
     """Chain-rule factors of d2V/(dsigma dq) for the given contract."""
-    _require_continuation(m, c)
-    ex = compute_exponents(m, c.amort)
-    r, sig, q = m.rate, m.vol, c.amort
-    prem = price(m, c).premium
-    s2 = sig**2
-    ab = ex.alpha_bar
-    # dalpha_bar/dsigma and the shared numerator 2r^2 + sigma^2 (3r + 2q)
-    num = 2.0 * r**2 + s2 * (3.0 * r + 2.0 * q)
-    f4 = -num / (sig**5 * ab)
-    if c.kind == OptionKind.CALL:
-        log_a = math.log((ex.alpha_c - 1.0) * m.spot / (ex.alpha_c * c.strike))
-        f1 = prem / (s2 * ab) * (log_a**2 + 1.0 / (ex.alpha_c * (ex.alpha_c - 1.0)))
-        f2 = (2.0 * r - num / (s2 * ab)) / sig**3
-        f3 = -prem / (s2 * ab**2) * log_a
-    else:
-        log_b = math.log((1.0 + ex.alpha_p) * m.spot / (ex.alpha_p * c.strike))
-        f1 = prem / (s2 * ab) * (log_b**2 + 1.0 / (ex.alpha_p * (1.0 + ex.alpha_p)))
-        f2 = -(2.0 * r + num / (s2 * ab)) / sig**3
-        f3 = prem / (s2 * ab**2) * log_b
-    explicit = -2.0 / sig * d_premium_dq(m, c)
-    return MixedPartialFactors(
-        d_dq_premium_dalpha=f1,
-        dalpha_dsigma=f2,
-        d_dq_premium_dalphabar=f3,
-        dalphabar_dsigma=f4,
-        explicit_sigma_term=explicit,
-    )
+    return statics_report(m, c).intermediates
 
 
 def d2_premium_dsigma_dq(m: MarketParams, c: ContractParams) -> float:
-    f = mixed_partial_factors(m, c)
-    return (
-        f.d_dq_premium_dalpha * f.dalpha_dsigma
-        + f.d_dq_premium_dalphabar * f.dalphabar_dsigma
-        + f.explicit_sigma_term
-    )
-
-
-def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
-    f = mixed_partial_factors(m, c)
-    mixed = (
-        f.d_dq_premium_dalpha * f.dalpha_dsigma
-        + f.d_dq_premium_dalphabar * f.dalphabar_dsigma
-        + f.explicit_sigma_term
-    )
-    return StaticsReport(
-        d_premium_dq=d_premium_dq(m, c),
-        d_boundary_dq=d_boundary_dq(m, c),
-        d2_premium_dsigma_dq=mixed,
-        intermediates=f,
-    )
-
-
-def _piecewise_premium(m: MarketParams, c: ContractParams, q: float) -> float:
-    """Premium with amort forced to q (q = 0 allowed), intrinsic beyond boundary."""
-    ex = compute_exponents(m, q)
-    if c.kind == OptionKind.CALL:
-        if ex.alpha_c <= 1.0:
-            raise ValidationError(
-                f"degenerate limit: alpha_c = {ex.alpha_c} <= 1 at q = {q} "
-                "(requires rate > 0 when q = 0)"
-            )
-        boundary = ex.alpha_c * c.strike / (ex.alpha_c - 1.0)
-        if m.spot > boundary:
-            return intrinsic_value(c.kind, m.spot, c.strike)
-        return premium_from_exponent(c.kind, m.spot, c.strike, ex.alpha_c)
-    if ex.alpha_p <= 0.0:
-        raise ValidationError(
-            f"degenerate limit: alpha_p = {ex.alpha_p} <= 0 at q = {q} "
-            "(requires rate > 0 when q = 0)"
-        )
-    boundary = ex.alpha_p * c.strike / (1.0 + ex.alpha_p)
-    if m.spot < boundary:
-        return intrinsic_value(c.kind, m.spot, c.strike)
-    return premium_from_exponent(c.kind, m.spot, c.strike, ex.alpha_p)
+    return statics_report(m, c).d2_premium_dsigma_dq
 
 
 def limit_suite(m: MarketParams, c: ContractParams) -> LimitReport:
@@ -211,23 +158,22 @@ def limit_suite(m: MarketParams, c: ContractParams) -> LimitReport:
 
     See LimitReport for the small-q tolerance and the large-q envelope.
     """
-    small = _piecewise_premium(m, c, SMALL_Q)
-    vanilla = _piecewise_premium(m, c, 0.0)
+    small = _closed_form(m, c.kind, c.strike, SMALL_Q).premium
+    vanilla = _closed_form(m, c.kind, c.strike, 0.0).premium
     small_err = abs(small - vanilla) / max(abs(vanilla), 1e-300)
-    large = _piecewise_premium(m, c, LARGE_Q)
+    f = _closed_form(m, c.kind, c.strike, LARGE_Q)
     intr = intrinsic_value(c.kind, m.spot, c.strike)
-    gap = abs(large - intr)
-    ex = compute_exponents(m, LARGE_Q)
+    gap = abs(f.premium - intr)
     if c.kind == OptionKind.CALL:
-        bound = c.strike / (math.e * (ex.alpha_c - 1.0))
+        bound = c.strike / (math.e * (f.alpha - 1.0))
     else:
-        bound = c.strike / (math.e * ex.alpha_p)
+        bound = c.strike / (math.e * f.alpha)
     return LimitReport(
         premium_small_q=small,
         vanilla_premium=vanilla,
         small_q_rel_err=small_err,
         small_q_ok=small_err < SMALL_Q_RTOL,
-        premium_large_q=large,
+        premium_large_q=f.premium,
         intrinsic=intr,
         large_q_abs_gap=gap,
         large_q_bound=bound,

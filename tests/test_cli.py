@@ -1,16 +1,26 @@
+"""CLI tests. Most call ampo.cli.main(argv) in this process through the
+`cli` fixture; the process-level behaviour (the `python -m ampo.cli`
+entry point, its exit status, and byte-identical output across separate
+processes) is checked by the tests that use `run_cli`, and by
+criterion 12 in test_acceptance.py."""
+
 import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
+
+import pytest
+
+from ampo.cli import main
 
 BASE = ["--spot", "100", "--strike", "100", "--rate", "0.05", "--vol", "0.5"]
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
+    """Run `python -m ampo.cli` in a fresh interpreter, with AMPO_OUTPUT unset."""
     env = dict(os.environ)
     env.pop("AMPO_OUTPUT", None)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "ampo.cli", *args],
         capture_output=True,
@@ -19,8 +29,24 @@ def run_cli(*args, env_extra=None):
     )
 
 
-def test_price_put():
-    res = run_cli("price", "--kind", "put", "--amort", "0.1", *BASE, "--output", "json")
+@pytest.fixture
+def cli(capsys, monkeypatch):
+    """Run ampo.cli.main(argv) in this process, with AMPO_OUTPUT unset.
+
+    Returns returncode, stdout and stderr like subprocess.run does.
+    """
+    monkeypatch.delenv("AMPO_OUTPUT", raising=False)
+
+    def run(*args):
+        code = main(list(args))
+        out = capsys.readouterr()
+        return SimpleNamespace(returncode=code, stdout=out.out, stderr=out.err)
+
+    return run
+
+
+def test_price_put(cli):
+    res = cli("price", "--kind", "put", "--amort", "0.1", *BASE, "--output", "json")
     assert res.returncode == 0
     out = json.loads(res.stdout)
     assert out["premium"] == 25.0
@@ -29,8 +55,8 @@ def test_price_put():
     assert out["alpha_c"] == 1.6
 
 
-def test_price_exercise_region():
-    res = run_cli(
+def test_price_exercise_region(cli):
+    res = cli(
         "price", "--kind", "call", "--amort", "0.1", "--spot", "300",
         "--strike", "100", "--rate", "0.05", "--vol", "0.5", "--output", "json",
     )
@@ -45,14 +71,14 @@ def test_price_invalid_vol_exits_2():
     assert "vol must be > 0" in res.stderr
 
 
-def test_price_missing_amort_exits_2():
-    res = run_cli("price", "--kind", "put")
+def test_price_missing_amort_exits_2(cli):
+    res = cli("price", "--kind", "put")
     assert res.returncode == 2
     assert "amort" in res.stderr
 
 
-def test_greeks_json():
-    res = run_cli("greeks", "--kind", "put", "--amort", "0.1", *BASE, "--output", "json")
+def test_greeks_json(cli):
+    res = cli("greeks", "--kind", "put", "--amort", "0.1", *BASE, "--output", "json")
     out = json.loads(res.stdout)
     assert out["delta"] == -0.25
     assert out["gamma"] == 0.005
@@ -60,8 +86,8 @@ def test_greeks_json():
     assert out["theta_economic"] == -2.5
 
 
-def test_statics_json():
-    res = run_cli("statics", "--kind", "put", "--amort", "0.1", *BASE, "--output", "json")
+def test_statics_json(cli):
+    res = cli("statics", "--kind", "put", "--amort", "0.1", *BASE, "--output", "json")
     out = json.loads(res.stdout)
     assert out["d_premium_dq"] < 0
     assert out["d_boundary_dq"] > 0
@@ -69,8 +95,8 @@ def test_statics_json():
     assert "dalphabar_dsigma" in out
 
 
-def test_examples_1_csv():
-    res = run_cli("examples", "1", "--q-max", "1", "--q-steps", "6", "--output", "csv")
+def test_examples_1_csv(cli):
+    res = cli("examples", "1", "--q-max", "1", "--q-steps", "6", "--output", "csv")
     assert res.returncode == 0
     lines = res.stdout.strip().split("\n")
     assert lines[0] == "q,effective_maturity,effective_notional"
@@ -79,8 +105,8 @@ def test_examples_1_csv():
     assert float(last[2]) > 0.65
 
 
-def test_examples_2_csv():
-    res = run_cli("examples", "2", "--q-max", "1", "--q-steps", "6", "--output", "csv")
+def test_examples_2_csv(cli):
+    res = cli("examples", "2", "--q-max", "1", "--q-steps", "6", "--output", "csv")
     lines = res.stdout.strip().split("\n")
     assert lines[0] == "q,gamma_ratio,theta_ratio"
     last = lines[-1].split(",")
@@ -88,8 +114,8 @@ def test_examples_2_csv():
     assert float(last[2]) < 0.75
 
 
-def test_examples_3_csv():
-    res = run_cli("examples", "3", "--q-steps", "30", "--output", "csv")
+def test_examples_3_csv(cli):
+    res = cli("examples", "3", "--q-steps", "30", "--output", "csv")
     lines = res.stdout.strip().split("\n")
     assert lines[0] == (
         "q,call_positional_vega,put_positional_vega,straddle_positional_vega"
@@ -97,8 +123,8 @@ def test_examples_3_csv():
     assert len(lines) == 31
 
 
-def test_optimize_put():
-    res = run_cli(
+def test_optimize_put(cli):
+    res = cli(
         "optimize", "--kind", "put", *BASE, "--budget", "100", "--output", "json"
     )
     out = json.loads(res.stdout)
@@ -106,21 +132,21 @@ def test_optimize_put():
     assert out["boundary_maximum"] is False
 
 
-def test_validate_pass():
-    res = run_cli("validate", "--kind", "put", "--amort", "0.1", *BASE)
+def test_validate_pass(cli):
+    res = cli("validate", "--kind", "put", "--amort", "0.1", *BASE)
     assert res.returncode == 0
 
 
-def test_validate_perturbed_fails():
-    res = run_cli(
+def test_validate_perturbed_fails(cli):
+    res = cli(
         "validate", "--kind", "put", "--amort", "0.1", *BASE, "--perturb", "1.01"
     )
     assert res.returncode == 1
     assert "pde_residual" in res.stderr
 
 
-def test_validate_underresolved_fails():
-    res = run_cli(
+def test_validate_underresolved_fails(cli):
+    res = cli(
         "validate", "--kind", "put", "--amort", "0.1", *BASE,
         "--steps", "200", "--tolerance", "1e-4",
     )
@@ -153,41 +179,62 @@ def test_json_round_trip():
     assert second.stdout == first.stdout
 
 
-def test_config_file_merging(tmp_path):
+def test_config_file_merging(cli, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "# example config\nkind = put\namort = 0.1\nspot = 100\n"
         "strike = 100\nrate = 0.05\nvol = 0.5\noutput = json\n"
     )
-    res = run_cli("price", "--config", str(cfg))
+    res = cli("price", "--config", str(cfg))
     out = json.loads(res.stdout)
     assert out["premium"] == 25.0
     # explicit flags win over the config file
-    res = run_cli("price", "--config", str(cfg), "--amort", "0.2", "--output", "json")
+    res = cli("price", "--config", str(cfg), "--amort", "0.2", "--output", "json")
     out = json.loads(res.stdout)
     assert out["amort"] == 0.2
     assert out["premium"] != 25.0
 
 
-def test_config_unknown_key(tmp_path):
+def test_config_unknown_key(cli, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate = 1\n")
-    res = run_cli("price", "--kind", "put", "--amort", "0.1", "--config", str(cfg))
+    res = cli("price", "--kind", "put", "--amort", "0.1", "--config", str(cfg))
     assert res.returncode == 2
     assert "frobnicate" in res.stderr
 
 
-def test_env_output_default():
-    res = run_cli(
-        "price", "--kind", "put", "--amort", "0.1", *BASE,
-        env_extra={"AMPO_OUTPUT": "json"},
-    )
+def test_env_output_default(cli, monkeypatch):
+    monkeypatch.setenv("AMPO_OUTPUT", "json")
+    res = cli("price", "--kind", "put", "--amort", "0.1", *BASE)
     json.loads(res.stdout)  # parses => env var selected json
 
 
-def test_env_output_overridden_by_flag():
-    res = run_cli(
-        "price", "--kind", "put", "--amort", "0.1", *BASE, "--output", "csv",
-        env_extra={"AMPO_OUTPUT": "json"},
-    )
+def test_env_output_overridden_by_flag(cli, monkeypatch):
+    monkeypatch.setenv("AMPO_OUTPUT", "json")
+    res = cli("price", "--kind", "put", "--amort", "0.1", *BASE, "--output", "csv")
     assert res.stdout.splitlines()[0].startswith("kind,")
+
+
+def _assert_argument_error(res, needle):
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert needle in lines[0]
+
+
+def test_config_missing_file_exits_2(cli, tmp_path):
+    missing = str(tmp_path / "missing.cfg")
+    _assert_argument_error(cli("price", "--config", missing), "missing.cfg")
+
+
+def test_config_non_numeric_value_exits_2(cli, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("kind = put\namort = 0.1\nvol = abc\n")
+    _assert_argument_error(cli("price", "--config", str(cfg)), "'abc'")
+
+
+def test_config_straddle_kind_for_price_exits_2(cli, tmp_path):
+    cfg = tmp_path / "straddle.cfg"
+    cfg.write_text("kind = straddle\namort = 0.1\n")
+    _assert_argument_error(cli("price", "--config", str(cfg)), "'straddle'")

@@ -51,6 +51,25 @@ def test_exponents_degenerate_limit():
     assert ex.alpha_p == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "rate, vol, q",
+    [
+        (0.05, 1e-4, 0.1),  # r >= sigma^2/2: the radical form of alpha_c cancels
+        (0.0, 5.0, 1e-8),  # r < sigma^2/2: the radical form of alpha_p cancels
+        (2.0, 1e-4, 1e5),
+    ],
+)
+def test_exponents_match_mpmath(rate, vol, q):
+    mpmath = pytest.importorskip("mpmath")
+    ex = compute_exponents(MarketParams(spot=100.0, rate=rate, vol=vol), q)
+    with mpmath.workdps(50):
+        r, sig, amort = mpmath.mpf(rate), mpmath.mpf(vol), mpmath.mpf(q)
+        x = r / sig**2
+        rad = mpmath.sqrt((x + 0.5) ** 2 + 2 * (r + amort) / sig**2)
+        for got, want in ((ex.alpha_c, rad - x + 0.5), (ex.alpha_p, rad + x - 0.5)):
+            assert float(abs(got - want) / want) <= 1e-15
+
+
 def test_exponents_rejects_negative_q(market_a):
     with pytest.raises(ValidationError):
         compute_exponents(market_a, -0.1)

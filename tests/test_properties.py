@@ -1,0 +1,84 @@
+"""Property tests over the whole valid input domain, far beyond the
+conftest box: rate 0 or 1e-6..2, vol 1e-4..5, amort 1e-8..1e5, spot
+1e-3..1e5 and strike 1e-2..1e4, each drawn log-uniformly."""
+
+import dataclasses
+import math
+import sys
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ampo import (
+    AmpoError,
+    ContractParams,
+    MarketParams,
+    OptionKind,
+    Regime,
+    compute_exponents,
+    delta,
+    greeks_report,
+    intrinsic_value,
+    limit_suite,
+    price,
+    statics_report,
+)
+
+EPS = sys.float_info.epsilon
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def _floats(values):
+    for v in values:
+        if isinstance(v, tuple):
+            yield from _floats(v)
+        elif isinstance(v, float):
+            yield v
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    rate=st.one_of(st.just(0.0), log_uniform(1e-6, 2.0)),
+    vol=log_uniform(1e-4, 5.0),
+    q=log_uniform(1e-8, 1e5),
+    spot=log_uniform(1e-3, 1e5),
+    strike=log_uniform(1e-2, 1e4),
+    kind=st.sampled_from(OptionKind),
+)
+def test_closed_forms_over_full_domain(rate, vol, q, spot, strike, kind):
+    m = MarketParams(spot=spot, rate=rate, vol=vol)
+    c = ContractParams(strike=strike, amort=q, kind=kind)
+    for fn in (price, greeks_report, statics_report, limit_suite):
+        try:
+            record = fn(m, c)
+        except AmpoError:
+            # only AmpoError may leave the library, and only where the
+            # contract says so: statics off the continuation region, and
+            # the q = 0 limit at rate 0 where the exponents degenerate
+            if fn is statics_report:
+                assert price(m, c).regime == Regime.EXERCISE_NOW
+            else:
+                assert fn is limit_suite and rate == 0.0
+            continue
+        values = list(_floats(dataclasses.astuple(record)))
+        assert all(math.isfinite(v) for v in values), (fn.__name__, record)
+
+    # value matching and smooth pasting at the boundary; both sides lose
+    # about alpha ulps there (exp(alpha*L) with L one rounding from 0)
+    ex = compute_exponents(m, q)
+    alpha = ex.alpha_c if kind == OptionKind.CALL else ex.alpha_p
+    tol = 16.0 * EPS * (1.0 + alpha)
+    on = dataclasses.replace(m, spot=price(m, c).boundary)
+    quote = price(on, c)
+    assert quote.regime == Regime.CONTINUATION
+    intrinsic = intrinsic_value(kind, on.spot, strike)
+    assert abs(quote.premium - intrinsic) <= tol * intrinsic
+    target = 1.0 if kind == OptionKind.CALL else -1.0
+    assert abs(delta(on, c) - target) <= tol
