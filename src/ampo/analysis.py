@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.optimize import brentq
-
 from .greeks import dated_bs_call, gamma as ampo_gamma, vega as ampo_vega
 from .params import (
     ContractParams,
@@ -68,13 +66,51 @@ class OptimizationResult:
 
 
 _PREMIUM_TOL = 1e-10
+_MAX_EVALS = 100
+
+
+def _safeguarded_newton(fdf, lo: float, hi: float) -> float:
+    """Root of f on [lo, hi] with f(lo) < 0 <= f(hi) (the "rtsafe" scheme).
+
+    fdf(x) returns (f, f'). Newton steps are kept while they stay inside
+    the shrinking bracket and at least halve the step before last;
+    otherwise the bracket is bisected. Stops once a step falls below
+    1e-13 + 4.4e-16*|x|, and raises NoSolutionError after _MAX_EVALS
+    evaluations.
+    """
+    x = 0.5 * (lo + hi)
+    step_old = step = hi - lo
+    for _ in range(_MAX_EVALS):
+        f, df = fdf(x)
+        if f == 0.0:
+            return x
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        # the Newton point x - f/df lies strictly inside (lo, hi) iff the
+        # product is negative; written without the division so df = 0 or
+        # a NaN falls through to bisection
+        inside = ((x - hi) * df - f) * ((x - lo) * df - f) < 0.0
+        if inside and abs(2.0 * f) <= abs(step_old * df):
+            step_old, step = step, f / df
+            x -= step
+        else:
+            step_old, step = step, 0.5 * (hi - lo)
+            x = lo + step
+        if abs(step) <= 1e-13 + 4.4e-16 * abs(x):
+            return x
+    raise NoSolutionError(
+        f"effective-maturity root finding did not converge in {_MAX_EVALS} evaluations"
+    )
 
 
 def effective_maturity(m: MarketParams, strike: float, q: float) -> MaturityResult:
     """Maturity T at which the dated call premium equals the AmPO call premium.
 
-    Solved by bracketing plus Brent root finding to 1e-10 in premium;
-    also returns the notional fraction e^{-qT} surviving to T.
+    Solved by bracketing plus a safeguarded Newton (dC/dT = -theta) to
+    1e-10 in premium; also returns the notional fraction e^{-qT}
+    surviving to T.
     """
     target = price(m, ContractParams(strike=strike, amort=q, kind=OptionKind.CALL)).premium
     if target >= m.spot - _PREMIUM_TOL:
@@ -82,18 +118,23 @@ def effective_maturity(m: MarketParams, strike: float, q: float) -> MaturityResu
             f"AmPO premium {target} meets or exceeds the dated-call supremum {m.spot}"
         )
 
-    def gap(t: float) -> float:
-        return dated_bs_call(m, strike, t).premium - target
+    def gap(t: float) -> tuple[float, float]:
+        dated = dated_bs_call(m, strike, t)
+        return dated.premium - target, -dated.theta
 
     lo, hi = 1e-9, 1.0
-    while gap(hi) < 0.0:
+    while gap(hi)[0] < 0.0:
         hi *= 2.0
         if hi > 1e7:
             raise NoSolutionError("failed to bracket the effective maturity")
-    try:
-        t = brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    except ValueError as exc:
-        raise NoSolutionError(f"effective-maturity root finding failed: {exc}") from exc
+    g_lo = gap(lo)[0]
+    if g_lo > 0.0:
+        raise NoSolutionError(
+            f"effective-maturity root finding failed: the dated premium at T = {lo} "
+            f"already exceeds the AmPO premium by {g_lo}"
+        )
+    # gap(lo) = 0 where the AmPO premium underflows to 0.0
+    t = lo if g_lo == 0.0 else _safeguarded_newton(gap, lo, hi)
     return MaturityResult(q=q, effective_maturity=t, effective_notional=math.exp(-q * t))
 
 
@@ -112,6 +153,11 @@ def ratio_study(m: MarketParams, strike: float, q_grid) -> list[RatioPoint]:
     for q in q_grid:
         res = effective_maturity(m, strike, q)
         dated = dated_bs_call(m, strike, res.effective_maturity)
+        if dated.gamma == 0.0:
+            raise NoSolutionError(
+                f"dated call Gamma underflows to 0 at q = {q} "
+                f"(T = {res.effective_maturity}): the Gamma ratio is undefined"
+            )
         contract = ContractParams(strike=strike, amort=q, kind=OptionKind.CALL)
         g_ratio = ampo_gamma(m, contract) / dated.gamma
         prem = price(m, contract).premium

@@ -4,7 +4,7 @@ Subcommands: price, greeks, statics, examples {1|2|3}, optimize,
 validate. Numeric output is full double precision in json/csv (shortest
 round-trip representation) and rounded to 6 significant digits in the
 table view. Exit codes: 0 success, 1 oracle/validation check failure,
-2 argument error, 3 internal solver error.
+2 argument or out-of-region request, 3 internal solver error.
 
 A config file (lines of `key = value`, `#` comments, keys named like the
 long flags without the leading dashes) can pre-fill any flag; explicit
@@ -36,6 +36,7 @@ from .params import (
     ConvergenceError,
     MarketParams,
     OptionKind,
+    RegionError,
     ValidationError,
 )
 from .pricing import compute_exponents, price, to_equivalent_perpetual
@@ -447,7 +448,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, RegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AmpoError as exc:

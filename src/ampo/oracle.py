@@ -19,8 +19,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .params import (
     ContractParams,
     ConvergenceError,
@@ -80,6 +78,8 @@ def _induct(
     (spot, value, intrinsic) arrays at the requested time levels for the
     boundary estimator.
     """
+    import numpy as np  # deferred: only the lattice needs numpy
+
     dt = horizon / steps
     logu = vol * math.sqrt(dt)
     u = math.exp(logu)
@@ -118,6 +118,8 @@ def _boundary_from_probes(kind: OptionKind, probes: dict) -> float:
     log S_bar = (log c + log|m|) / (1 - m). Returns NaN when too few
     clean continuation nodes are available.
     """
+    import numpy as np  # deferred: only the lattice needs numpy
+
     levels = sorted(probes)
     i0 = levels[0]
     n0 = i0 + 1

@@ -152,3 +152,23 @@ def test_effective_maturity_rejects_saturated_premium():
     m = MarketParams(spot=100.0, rate=0.05, vol=0.5)
     with pytest.raises(NoSolutionError):
         effective_maturity(m, 1e-12, 0.001)
+
+
+def test_effective_maturity_quantized_premium_converges():
+    # the dated premium cancels to 0.0 at small T and the target is
+    # 1.3e-32, so unguarded Newton steps crawl in ~3e-12 increments;
+    # the halving safeguard must bisect instead
+    m = MarketParams(spot=0.04877665447629007, rate=7.2131873637528e-05, vol=0.8692814473599816)
+    strike, q = 0.07492953138867706, 8553.721328269636
+    res = effective_maturity(m, strike, q)
+    assert res.effective_maturity > 0.0
+    call = ContractParams(strike=strike, amort=q, kind=OptionKind.CALL)
+    dated = dated_bs_call(m, strike, res.effective_maturity)
+    assert abs(dated.premium - price(m, call).premium) <= 1e-10
+
+
+def test_ratio_study_underflowing_dated_gamma_raises():
+    # at vol 1e-4 the dated call's Gamma underflows to 0.0
+    m = MarketParams(spot=100.0, rate=0.05, vol=1e-4)
+    with pytest.raises(NoSolutionError, match="q = 0.05"):
+        ratio_study(m, 100.0, [0.05, 1.0])

@@ -238,3 +238,35 @@ def test_config_straddle_kind_for_price_exits_2(cli, tmp_path):
     cfg = tmp_path / "straddle.cfg"
     cfg.write_text("kind = straddle\namort = 0.1\n")
     _assert_argument_error(cli("price", "--config", str(cfg)), "'straddle'")
+
+
+def test_examples_2_underflowing_dated_gamma_exits_3(cli):
+    res = cli("examples", "2", "--vol", "1e-4", "--q-steps", "2")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "q = 0.05" in lines[0]
+
+
+def test_statics_beyond_boundary_exits_2(cli):
+    # spot 300 lies beyond the call boundary 266.67: a request error
+    res = cli("statics", "--kind", "call", "--amort", "0.1", "--spot", "300")
+    _assert_argument_error(res, "boundary")
+
+
+def test_import_loads_neither_scipy_nor_numpy():
+    # importing the package and the CLI must stay cheap: numpy loads only
+    # when the lattice runs, and scipy never
+    code = (
+        "import sys, ampo, ampo.cli\n"
+        "assert 'scipy' not in sys.modules and 'numpy' not in sys.modules, "
+        "sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy'))\n"
+        "m = ampo.MarketParams(spot=100.0, rate=0.05, vol=0.5)\n"
+        "c = ampo.ContractParams(strike=100.0, amort=0.1, kind=ampo.OptionKind.PUT)\n"
+        "rep = ampo.lattice_price(ampo.to_equivalent_perpetual(c, m), m, ampo.LatticeConfig(steps=200))\n"
+        "assert 'numpy' in sys.modules and 'scipy' not in sys.modules\n"
+        "assert rep.rel_error < 0.05, rep\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

@@ -17,10 +17,13 @@ from ampo import (
     AmpoError,
     ContractParams,
     MarketParams,
+    NoSolutionError,
     OptionKind,
     Regime,
     compute_exponents,
+    dated_bs_call,
     delta,
+    effective_maturity,
     greeks_report,
     intrinsic_value,
     limit_suite,
@@ -82,3 +85,25 @@ def test_closed_forms_over_full_domain(rate, vol, q, spot, strike, kind):
     assert abs(quote.premium - intrinsic) <= tol * intrinsic
     target = 1.0 if kind == OptionKind.CALL else -1.0
     assert abs(delta(on, c) - target) <= tol
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    rate=st.one_of(st.just(0.0), log_uniform(1e-6, 2.0)),
+    vol=log_uniform(1e-4, 5.0),
+    q=log_uniform(1e-8, 1e5),
+    spot=log_uniform(1e-3, 1e5),
+    strike=log_uniform(1e-2, 1e4),
+)
+def test_effective_maturity_over_full_domain(rate, vol, q, spot, strike):
+    # either NoSolutionError or a positive maturity whose dated call
+    # matches the AmPO premium to 1e-10; no other exception may escape
+    m = MarketParams(spot=spot, rate=rate, vol=vol)
+    try:
+        res = effective_maturity(m, strike, q)
+    except NoSolutionError:
+        return
+    assert res.effective_maturity > 0.0
+    call = ContractParams(strike=strike, amort=q, kind=OptionKind.CALL)
+    dated = dated_bs_call(m, strike, res.effective_maturity)
+    assert abs(dated.premium - price(m, call).premium) <= 1e-10
