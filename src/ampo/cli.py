@@ -127,7 +127,6 @@ _FLAG_TYPES = {
     "q_steps": int,
     "budget": float,
     "steps": int,
-    "horizon": float,
     "tolerance": float,
     "perturb": float,
     "kind": str,
@@ -309,16 +308,12 @@ def _cmd_optimize(args) -> int:
 
 def _validate_checks(v: dict) -> list[dict]:
     m, c = _market(v), _contract(v)
+    quote = price(m, c)
     checks = []
 
-    cfg = LatticeConfig(
-        horizon=v.get("horizon", 200.0),
-        steps=v.get("steps", 4000),
-        convergence=v.get("tolerance", 5e-3),
-    )
+    cfg = LatticeConfig(steps=v.get("steps", 4000), convergence=v.get("tolerance", 5e-3))
     try:
         rep = lattice_price(to_equivalent_perpetual(c, m), m, cfg)
-        quote = price(m, c)
         bd_err = abs(rep.boundary_estimate - quote.boundary) / quote.boundary
         checks.append(
             {"check": "lattice_price", "value": rep.rel_error, "limit": 5e-3,
@@ -326,7 +321,7 @@ def _validate_checks(v: dict) -> list[dict]:
         )
         checks.append(
             {"check": "lattice_boundary", "value": bd_err, "limit": 0.02,
-             "passed": bd_err == bd_err and bd_err < 0.02}
+             "passed": bd_err < 0.02}
         )
     except ConvergenceError as exc:
         checks.append(
@@ -334,7 +329,6 @@ def _validate_checks(v: dict) -> list[dict]:
              "passed": False}
         )
 
-    quote = price(m, c)
     if quote.regime.value == "continuation":
         lo = min(m.spot, quote.boundary)
         hi = max(m.spot, quote.boundary)
@@ -391,6 +385,13 @@ def _add_common(parser: argparse.ArgumentParser, contract: bool = True) -> None:
     parser.add_argument("--config")
 
 
+def _add_q_grid(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--q-min", dest="q_min", type=float)
+    parser.add_argument("--q-max", dest="q_max", type=float)
+    parser.add_argument("--q-steps", dest="q_steps", type=int)
+    parser.add_argument("--budget", type=float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ampo", description="Amortizing perpetual option analytics"
@@ -412,30 +413,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("examples", help="curve data for the case studies")
     p.add_argument("example", type=int, choices=[1, 2, 3])
     _add_common(p, contract=False)
-    p.add_argument("--q-min", dest="q_min", type=float)
-    p.add_argument("--q-max", dest="q_max", type=float)
-    p.add_argument("--q-steps", dest="q_steps", type=int)
-    p.add_argument("--budget", type=float)
+    _add_q_grid(p)
     p.set_defaults(func=_cmd_examples)
 
     p = sub.add_parser("optimize", help="best amortization rate per strategy")
-    p.add_argument("--spot", type=float)
-    p.add_argument("--strike", type=float)
-    p.add_argument("--rate", type=float)
-    p.add_argument("--vol", type=float)
+    _add_common(p, contract=False)
     p.add_argument("--kind", choices=["call", "put", "straddle"])
-    p.add_argument("--q-min", dest="q_min", type=float)
-    p.add_argument("--q-max", dest="q_max", type=float)
-    p.add_argument("--q-steps", dest="q_steps", type=int)
-    p.add_argument("--budget", type=float)
-    p.add_argument("--output", choices=["json", "csv", "table"])
-    p.add_argument("--config")
+    _add_q_grid(p)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("validate", help="oracle and consistency checks")
     _add_common(p)
     p.add_argument("--steps", type=int)
-    p.add_argument("--horizon", type=float)
     p.add_argument("--tolerance", type=float)
     p.add_argument("--perturb", type=float)
     p.set_defaults(func=_cmd_validate)

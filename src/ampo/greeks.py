@@ -34,7 +34,8 @@ class DatedGreeksReport:
 
 
 def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    # erfc keeps the lower tail relative-accurate; 1 + erf(x) cancels there
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def _norm_pdf(x: float) -> float:
@@ -60,7 +61,7 @@ def greeks_report(m: MarketParams, c: ContractParams) -> GreeksReport:
     n = (a - 2.0 * s) * m.rate - s * c.amort
     return GreeksReport(
         delta=s * a * v / m.spot,
-        gamma=a * (a - s) * v / m.spot**2,
+        gamma=a * f.gap * v / m.spot**2,
         theta_explicit=0.0,
         theta_economic=theta_econ,
         vega=2.0 * v * f.log_m * n / (m.vol**3 * f.alpha_bar),
@@ -102,7 +103,7 @@ def theta_economic(m: MarketParams, c: ContractParams) -> float:
 def dated_bs_call(m: MarketParams, strike: float, maturity: float) -> DatedGreeksReport:
     """European call under Black-Scholes with maturity T, zero dividends.
 
-    The normal CDF goes through math.erf (absolute error < 1e-15).
+    The normal CDF goes through math.erfc, relative-accurate in both tails.
     """
     if maturity <= 0:
         raise ValidationError(f"maturity must be > 0, got {maturity}")

@@ -1,16 +1,18 @@
 """Independent numerical ground truth for the closed forms.
 
 Three tools: a free-boundary CRR lattice that prices the equivalent
-dividend-paying perpetual American option by backward induction with
-early exercise, a residual checker for the valuation ODE, and a generic
-finite-difference engine used by the Greek and statics test suites.
+dividend-paying perpetual American option, a residual checker for the
+valuation ODE, and a generic finite-difference engine used by the Greek
+and statics test suites.
 
-The perpetual horizon is truncated: with effective discount rate R > 0
-the truncation bias decays like e^{-R T} K, so inducting over
-T = min(horizon, 14/R) keeps it far below the 0.5% price tolerance
-(e^{-14} < 1e-6 of the strike) while minimizing the time step a fixed
-step budget buys. Raw CRR values oscillate with the step count, so the
-lattice prices an (N, N+1) pair and averages.
+The lattice is perpetual, not truncated in time: on a fixed log-spot
+grid its value is the fixed point of one CRR step with early exercise,
+which the Brennan-Schwartz sweep solves exactly in two linear passes
+(Brennan & Schwartz 1977, J. Finance 32:449; proved correct for the
+American put by Jaillet, Lamberton & Lapeyre 1990, Acta Appl. Math.
+21:263). `LatticeConfig.steps` sets the grid resolution. The sweep uses
+only the lattice's own step constants and the payoff, never the closed
+form.
 """
 
 from __future__ import annotations
@@ -33,13 +35,28 @@ from .greeks import delta as greek_delta
 from .greeks import gamma as greek_gamma
 from .pricing import ode_coefficients, price
 
+# the grid spans at most 12 log-spot units beyond the spot and the
+# strike, and its time step discounts by at most e^{-14/steps}
+_REACH = 12.0
+_DISCOUNT = 14.0
+
 
 @dataclass(frozen=True)
 class LatticeConfig:
+    """Lattice settings.
+
+    `steps` is the grid resolution: the log-spot spacing is 12/steps, or
+    finer where the discount rate is large against the variance.
+    With `convergence` set, lattice_price raises ConvergenceError when
+    halving `steps` moves the price by more than that relative amount.
+    `horizon` is validated but not used, since the lattice is perpetual;
+    it stays so that callers which still set it (perfbench/workloads.py)
+    keep working.
+    """
+
     horizon: float = 200.0
     steps: int = 4000
     convergence: float | None = None
-    richardson: bool = False
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -60,116 +77,96 @@ class OracleReport:
     boundary_estimate: float
 
 
-def _induct(
+def _perpetual_sweep(
     kind: OptionKind,
     spot: float,
     strike: float,
     growth: float,
     discount_rate: float,
     vol: float,
-    horizon: float,
     steps: int,
-    probe_levels: tuple[int, ...] = (),
-):
-    """One CRR backward induction; returns (root value, probe snapshots).
+) -> tuple[float, float]:
+    """(value at the spot, exercise-boundary estimate) of the perpetual lattice.
 
-    Log prices are clipped at +-600 before exponentiation so deep lattice
-    wings saturate instead of overflowing. Probe snapshots record
-    (spot, value, intrinsic) arrays at the requested time levels for the
-    boundary estimator.
+    The grid is S_j = S*u^j with u = e^dx and CRR time step
+    dt = (dx/sigma)^2, which fixes the up-probability p and the one-step
+    discount b = e^{-R*dt}, R = discount_rate. dx is 12/steps, or less
+    where R*dt would exceed 14/steps: the continuation value falls by
+    about sqrt(2R*dt) per node, which must stay small when R is large
+    against sigma^2. The grid spans log(S/K) from min(log(S/K), 0) - reach
+    to max(log(S/K), 0) + reach, reach = steps*dx.
+
+    The perpetual value is the fixed point
+    V_j = max(g_j, b*(p*V_{j+1} + (1-p)*V_{j-1})) with payoff g. Nodes
+    are numbered k = 0..n-1 from the deep-exercise end, so a call is the
+    put's picture mirrored, with c the probability of a step toward
+    continuation (k+1). Pass 1 runs from the far continuation end, where
+    V = 0, and reduces each node to V_k = B_k*V_{k-1}; pass 2 runs from
+    node 0, where V = g, and sets V_k = max(g_k, B_k*V_{k-1}) until the
+    first continuation node. The boundary estimate is the geometric
+    midpoint of the last exercised node and that one.
     """
-    import numpy as np  # deferred: only the lattice needs numpy
-
-    dt = horizon / steps
-    logu = vol * math.sqrt(dt)
-    u = math.exp(logu)
-    d = 1.0 / u
-    disc = math.exp(-discount_rate * dt)
-    p = (math.exp(growth * dt) - d) / (u - d)
-    if not 0.0 < p < 1.0:
+    dx = min(_REACH / steps, vol * math.sqrt(_DISCOUNT / (steps * discount_rate)))
+    reach = steps * dx
+    dt = (dx / vol) ** 2
+    # p < 1 iff growth*dt < dx; checked first so exp(growth*dt) cannot overflow
+    if not growth * dt < dx:
         raise ValidationError(
-            f"lattice up-probability {p} outside (0, 1); refine the step size"
+            f"lattice up-probability outside (0, 1): rate*dt = {growth * dt:.3e} "
+            f">= dx = {dx:.3e}; raise steps or vol"
         )
-    # all prices the lattice can visit, on the 2*steps+1 point log grid
-    offsets = np.arange(2 * steps + 1) - steps
-    s_all = np.exp(np.clip(math.log(spot) + offsets * logu, -600.0, 600.0))
-    if kind == OptionKind.CALL:
-        intr_all = np.maximum(s_all - strike, 0.0)
+    u = math.exp(dx)
+    p = (math.exp(growth * dt) - 1.0 / u) / (u - 1.0 / u)
+    b = math.exp(-discount_rate * dt)
+    x = math.log(spot / strike)
+    below = math.ceil((max(x, 0.0) + reach) / dx)
+    above = math.ceil((reach - min(x, 0.0)) / dx)
+    if kind == OptionKind.PUT:
+        sign, step, at_spot, c = -1.0, dx, below, p
     else:
-        intr_all = np.maximum(strike - s_all, 0.0)
-    probe_set = frozenset(probe_levels)
-    probes = {}
-    vals = intr_all[0::2].copy()
-    for i in range(steps - 1, -1, -1):
-        sl = slice(steps - i, steps + i + 1, 2)
-        cont = disc * (p * vals[1 : i + 2] + (1.0 - p) * vals[: i + 1])
-        vals = np.maximum(cont, intr_all[sl])
-        if i in probe_set:
-            probes[i] = (s_all[sl], vals.copy(), intr_all[sl])
-    return float(vals[0]), probes
+        sign, step, at_spot, c = 1.0, -dx, above, 1.0 - p
+    n = below + above + 1
 
+    ratios = [0.0] * n
+    to_exercise, to_continuation = b * (1.0 - c), b * c
+    ratio = 0.0
+    for k in range(n - 1, 0, -1):
+        ratio = to_exercise / (1.0 - to_continuation * ratio)
+        ratios[k] = ratio
 
-def _boundary_from_probes(kind: OptionKind, probes: dict) -> float:
-    """Exercise-boundary estimate via power-law fit plus smooth pasting.
+    def payoff(k: int) -> float:
+        return sign * (spot * math.exp((k - at_spot) * step) - strike)
 
-    Continuation values follow V = c S^m locally; averaging aligned nodes
-    across adjacent probe levels damps the odd/even oscillation, a log-log
-    line fit recovers (c, m), and tangency of c S^m with the payoff gives
-    log S_bar = (log c + log|m|) / (1 - m). Returns NaN when too few
-    clean continuation nodes are available.
-    """
-    import numpy as np  # deferred: only the lattice needs numpy
-
-    levels = sorted(probes)
-    i0 = levels[0]
-    n0 = i0 + 1
-    s, _, intr = probes[i0]
-    vals = [probes[i][1][(i - i0) // 2 : (i - i0) // 2 + n0] for i in levels]
-    v = np.mean(vals, axis=0)
-    good = (v > intr + np.maximum(0.02 * v, 1e-9)) & (v > 0)
-    idx = np.where(good)[0]
-    if len(idx) < 4:
-        return math.nan
-    if kind == OptionKind.CALL:
-        frontier = s[idx[-1]]
-        sel = idx[s[idx] >= 0.45 * frontier]
-    else:
-        frontier = s[idx[0]]
-        sel = idx[s[idx] <= 2.2 * frontier]
-    if len(sel) < 4:
-        return math.nan
-    slope, icept = np.polyfit(np.log(s[sel]), np.log(v[sel]), 1)
-    if kind == OptionKind.CALL and slope <= 1.0:
-        return math.nan
-    if kind == OptionKind.PUT and slope >= 0.0:
-        return math.nan
-    return math.exp((icept + math.log(abs(slope))) / (1.0 - slope))
-
-
-def _pair_average(
-    e: EquivalentPerpetual, m: MarketParams, horizon: float, steps: int, probes=False
-):
-    growth = e.rate_eff - e.dividend_eff
-    base = max(4, steps // 20)
-    levels = tuple(base + 2 * k for k in range(5)) if probes else ()
-    v1, pr = _induct(
-        e.payoff_kind, m.spot, e.strike, growth, e.rate_eff, m.vol, horizon, steps, levels
-    )
-    v2, _ = _induct(
-        e.payoff_kind, m.spot, e.strike, growth, e.rate_eff, m.vol, horizon, steps + 1
-    )
-    return 0.5 * (v1 + v2), pr
+    value, k = payoff(0), 1
+    while k < n:
+        g = payoff(k)
+        if g < ratios[k] * value:
+            break
+        value, k = g, k + 1
+    if k == 1:
+        raise ConvergenceError(
+            "lattice never reaches the exercise region: its first interior node "
+            f"is not exercised (log-spot reach {reach:.3g}, spacing {dx:.3g})"
+        )
+    boundary = spot * math.exp((k - 0.5 - at_spot) * step)
+    if at_spot < k:
+        return payoff(at_spot), boundary
+    for j in range(k, at_spot + 1):
+        value *= ratios[j]
+    return value, boundary
 
 
 def lattice_price(
     e: EquivalentPerpetual, m: MarketParams, cfg: LatticeConfig
 ) -> OracleReport:
-    """Free-boundary lattice price of the equivalent perpetual American.
+    """Perpetual CRR lattice price and boundary of the equivalent perpetual American.
 
     The reported analytic price comes from the closed form for the
     original contract, reconstructed from the effective rates (the
     amortization rate is dividend_eff - rate, with rate preserved as
-    rate_eff - dividend_eff).
+    rate_eff - dividend_eff). With cfg.convergence set, the lattice is
+    solved again at cfg.steps // 2 and ConvergenceError is raised when
+    the relative price change exceeds it.
     """
     rate = e.rate_eff - e.dividend_eff
     if abs(rate - m.rate) > 1e-12 * max(1.0, abs(m.rate)):
@@ -183,21 +180,20 @@ def lattice_price(
     contract = ContractParams(strike=e.strike, amort=amort, kind=e.payoff_kind)
     analytic = price(m, contract).premium
 
-    horizon = min(cfg.horizon, 14.0 / e.rate_eff)
-    full, probes = _pair_average(e, m, horizon, cfg.steps, probes=True)
-    oracle = full
-    if cfg.convergence is not None or cfg.richardson:
-        half, _ = _pair_average(e, m, horizon, cfg.steps // 2)
-        if cfg.convergence is not None:
-            drift = abs(full - half) / max(abs(full), 1e-12)
-            if drift > cfg.convergence:
-                raise ConvergenceError(
-                    f"lattice not converged: halving steps moves the price by "
-                    f"{drift:.3e} (> {cfg.convergence:.3e})"
-                )
-        if cfg.richardson:
-            oracle = full + (full - half)
-    boundary = _boundary_from_probes(e.payoff_kind, probes)
+    def solve(steps: int) -> tuple[float, float]:
+        return _perpetual_sweep(
+            e.payoff_kind, m.spot, e.strike, rate, e.rate_eff, m.vol, steps
+        )
+
+    oracle, boundary = solve(cfg.steps)
+    if cfg.convergence is not None:
+        half, _ = solve(cfg.steps // 2)
+        drift = abs(oracle - half) / max(abs(oracle), 1e-12)
+        if drift > cfg.convergence:
+            raise ConvergenceError(
+                f"lattice not converged: halving steps moves the price by "
+                f"{drift:.3e} (> {cfg.convergence:.3e})"
+            )
     return OracleReport(
         oracle_price=oracle,
         analytic_price=analytic,

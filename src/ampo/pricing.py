@@ -67,58 +67,69 @@ class _ClosedForm(NamedTuple):
 
     With sign s = +1 for a call and -1 for a put and alpha the kind's own
     exponent (alpha_c or alpha_p), the continuation premium is the power
-    law V = K/(alpha - s) * exp(s*alpha*L), where L = log_m is the
-    log-moneyness log((alpha - s)S/(alpha K)); L = 0 on the boundary.
+    law V = K/gap * exp(s*alpha*L), where gap = alpha - s and L = log_m is
+    the log-moneyness log(gap*S/(alpha K)); L = 0 on the boundary.
     """
 
     alpha_bar: float
     sign: float
     alpha: float
+    gap: float
     boundary: float
     regime: Regime
     premium: float
     log_m: float
 
 
-def _kind_sign(kind: OptionKind, alpha: float) -> float:
-    """Sign s of the kind, after checking alpha > 1 (call) or alpha > 0 (put)."""
-    sign, floor = (1.0, 1.0) if kind == OptionKind.CALL else (-1.0, 0.0)
-    if alpha <= floor:
+def _kind_sign(kind: OptionKind, alpha: float, gap: float) -> float:
+    """Sign s of the kind, after checking gap = alpha_c - 1 > 0 (call) or alpha_p > 0 (put)."""
+    if kind == OptionKind.CALL:
+        sign, name, value = 1.0, "alpha_c - 1", gap
+    else:
+        sign, name, value = -1.0, "alpha_p", alpha
+    if not value > 0.0:
         raise ValidationError(
-            f"{kind.value} closed form undefined: alpha = {alpha} <= {floor:g} "
+            f"{kind.value} closed form undefined: {name} = {value} <= 0 "
             "(rate + amort is 0 or too small to resolve)"
         )
     return sign
 
 
-def _log_moneyness(sign: float, spot: float, strike: float, alpha: float) -> float:
-    return math.log((alpha - sign) * spot / (alpha * strike))
+def _log_moneyness(spot: float, strike: float, alpha: float, gap: float) -> float:
+    return math.log(gap * spot / (alpha * strike))
 
 
-def _power_law(sign: float, strike: float, alpha: float, log_m: float) -> float:
-    return strike / (alpha - sign) * math.exp(sign * alpha * log_m)
+def _power_law(sign: float, strike: float, alpha: float, gap: float, log_m: float) -> float:
+    return strike / gap * math.exp(sign * alpha * log_m)
 
 
 def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float) -> _ClosedForm:
-    """alpha_bar, sign, own exponent, boundary, regime, premium and L at rate q >= 0.
+    """alpha_bar, sign, own exponent, alpha - s, boundary, regime, premium and L at rate q >= 0.
 
     The power law is evaluated only in the continuation region, where
     s*L <= 0 keeps it bounded by K/(alpha - s); beyond the boundary the
     premium is the intrinsic value.
     """
     ex = compute_exponents(m, q)
-    alpha = ex.alpha_c if kind == OptionKind.CALL else ex.alpha_p
-    sign = _kind_sign(kind, alpha)
-    boundary = alpha * strike / (alpha - sign)
-    log_m = _log_moneyness(sign, m.spot, strike, alpha)
+    if kind == OptionKind.CALL:
+        # alpha_c - 1 = 2(r+q)/sigma^2 / (radical + r/sigma^2 + 1/2) with the
+        # radical alpha_bar; the plain difference cancels as alpha_c -> 1
+        s2 = m.vol**2
+        alpha = ex.alpha_c
+        gap = 2.0 * (m.rate + q) / s2 / (ex.alpha_bar + m.rate / s2 + 0.5)
+    else:
+        alpha, gap = ex.alpha_p, ex.alpha_p + 1.0
+    sign = _kind_sign(kind, alpha, gap)
+    boundary = alpha * strike / gap
+    log_m = _log_moneyness(m.spot, strike, alpha, gap)
     exercised = m.spot > boundary if kind == OptionKind.CALL else m.spot < boundary
     if exercised:
         regime = Regime.EXERCISE_NOW
         premium = intrinsic_value(kind, m.spot, strike)
     else:
         regime = Regime.CONTINUATION
-        premium = _power_law(sign, strike, alpha, log_m)
-    return _ClosedForm(ex.alpha_bar, sign, alpha, boundary, regime, premium, log_m)
+        premium = _power_law(sign, strike, alpha, gap, log_m)
+    return _ClosedForm(ex.alpha_bar, sign, alpha, gap, boundary, regime, premium, log_m)
 
 
 def exercise_boundary(m: MarketParams, c: ContractParams) -> float:
@@ -136,8 +147,9 @@ def premium_from_exponent(
     Powers go through exp(alpha*log(.)) so non-integer exponents of
     positive arguments are handled without sign pitfalls.
     """
-    sign = _kind_sign(kind, alpha)
-    return _power_law(sign, strike, alpha, _log_moneyness(sign, spot, strike, alpha))
+    gap = alpha - 1.0 if kind == OptionKind.CALL else alpha + 1.0
+    sign = _kind_sign(kind, alpha, gap)
+    return _power_law(sign, strike, alpha, gap, _log_moneyness(spot, strike, alpha, gap))
 
 
 def price(m: MarketParams, c: ContractParams) -> Quote:

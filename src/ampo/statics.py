@@ -91,7 +91,7 @@ SMALL_Q_RTOL = 1e-6
 
 
 def _d_boundary_dq(f: _ClosedForm, m: MarketParams, strike: float) -> float:
-    return -f.sign * strike / (m.vol**2 * (f.alpha - f.sign) ** 2 * f.alpha_bar)
+    return -f.sign * strike / (m.vol**2 * f.gap**2 * f.alpha_bar)
 
 
 def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
@@ -114,7 +114,7 @@ def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
     # dalpha_bar/dsigma and the shared numerator 2r^2 + sigma^2 (3r + 2q)
     num = 2.0 * r**2 + sig**2 * (3.0 * r + 2.0 * q)
     factors = MixedPartialFactors(
-        d_dq_premium_dalpha=v / s2ab * (log_m**2 + 1.0 / (a * (a - s))),
+        d_dq_premium_dalpha=v / s2ab * (log_m**2 + 1.0 / (a * f.gap)),
         dalpha_dsigma=(2.0 * s * r - num / s2ab) / sig**3,
         d_dq_premium_dalphabar=-dv_dq / ab,
         dalphabar_dsigma=-num / (sig**5 * ab),
@@ -165,7 +165,7 @@ def limit_suite(m: MarketParams, c: ContractParams) -> LimitReport:
     intr = intrinsic_value(c.kind, m.spot, c.strike)
     gap = abs(f.premium - intr)
     if c.kind == OptionKind.CALL:
-        bound = c.strike / (math.e * (f.alpha - 1.0))
+        bound = c.strike / (math.e * f.gap)
     else:
         bound = c.strike / (math.e * f.alpha)
     return LimitReport(

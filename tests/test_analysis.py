@@ -167,6 +167,18 @@ def test_effective_maturity_quantized_premium_converges():
     assert abs(dated.premium - price(m, call).premium) <= 1e-10
 
 
+def test_effective_maturity_tiny_premium_relative_residual():
+    # the target premium is 9.6e-133; a normal CDF written as 1 + erf
+    # cancels the dated premium to exactly 0.0 for every T <= 0.3 here,
+    # so any T in that band met the absolute residual
+    m = MarketParams(spot=0.003494087428268619, rate=0.0017435360735263625, vol=0.7809577146715745)
+    strike, q = 0.4042349619676771, 1180.3315604242803
+    target = price(m, ContractParams(strike=strike, amort=q, kind=OptionKind.CALL)).premium
+    res = effective_maturity(m, strike, q)
+    dated = dated_bs_call(m, strike, res.effective_maturity)
+    assert abs(dated.premium - target) / target <= 1e-11
+
+
 def test_ratio_study_underflowing_dated_gamma_raises():
     # at vol 1e-4 the dated call's Gamma underflows to 0.0
     m = MarketParams(spot=100.0, rate=0.05, vol=1e-4)

@@ -5,6 +5,7 @@ processes) is checked by the tests that use `run_cli`, and by
 criterion 12 in test_acceptance.py."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -69,6 +70,15 @@ def test_price_invalid_vol_exits_2():
     res = run_cli("price", "--kind", "put", "--amort", "0.1", "--vol", "0")
     assert res.returncode == 2
     assert "vol must be > 0" in res.stderr
+
+
+def test_price_call_tiny_amort_at_zero_rate(cli):
+    # alpha_c rounds to 1.0 here, but alpha_c - 1 = 8e-300 is resolved
+    res = cli("price", "--kind", "call", "--amort", "1e-300", "--rate", "0", "--output", "json")
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert math.isfinite(out["premium"]) and math.isfinite(out["boundary"])
+    assert out["premium"] > 0.0
 
 
 def test_price_missing_amort_exits_2(cli):
@@ -256,16 +266,15 @@ def test_statics_beyond_boundary_exits_2(cli):
 
 
 def test_import_loads_neither_scipy_nor_numpy():
-    # importing the package and the CLI must stay cheap: numpy loads only
-    # when the lattice runs, and scipy never
+    # the package has no runtime dependency: neither importing it nor
+    # running the lattice loads numpy or scipy
     code = (
         "import sys, ampo, ampo.cli\n"
-        "assert 'scipy' not in sys.modules and 'numpy' not in sys.modules, "
-        "sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy'))\n"
         "m = ampo.MarketParams(spot=100.0, rate=0.05, vol=0.5)\n"
         "c = ampo.ContractParams(strike=100.0, amort=0.1, kind=ampo.OptionKind.PUT)\n"
         "rep = ampo.lattice_price(ampo.to_equivalent_perpetual(c, m), m, ampo.LatticeConfig(steps=200))\n"
-        "assert 'numpy' in sys.modules and 'scipy' not in sys.modules\n"
+        "assert 'scipy' not in sys.modules and 'numpy' not in sys.modules, "
+        "sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy'))\n"
         "assert rep.rel_error < 0.05, rep\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -51,16 +51,34 @@ def test_lattice_convergence_accepts_resolved(market_a, put_a):
     assert rep.rel_error < 0.005
 
 
-def test_lattice_richardson(market_a, put_a):
-    plain = lattice_price(
-        to_equivalent_perpetual(put_a, market_a), market_a, LatticeConfig(steps=2000)
-    )
-    rich = lattice_price(
-        to_equivalent_perpetual(put_a, market_a),
-        market_a,
-        LatticeConfig(steps=2000, richardson=True),
-    )
-    assert rich.rel_error <= plain.rel_error + 1e-3
+def test_lattice_seed_212_put():
+    # a time-truncated 4000-step lattice missed this put by 0.56%
+    m = MarketParams(spot=98.69015497913594, rate=0.1441222122225953, vol=0.14816228224086306)
+    c = ContractParams(strike=100.0, amort=0.057243596103820606, kind=OptionKind.PUT)
+    cfg = LatticeConfig(steps=4000, convergence=5e-3)
+    assert lattice_price(to_equivalent_perpetual(c, m), m, cfg).rel_error < 5e-3
+
+
+@pytest.mark.parametrize("kind", list(OptionKind))
+def test_lattice_large_discount_rate(kind):
+    # alpha ~ 4500: at a spacing of 12/steps the value would fall by
+    # e^{-13} per node; the spacing must follow the discount rate
+    m = MarketParams(spot=100.0, rate=0.0, vol=0.01)
+    c = ContractParams(strike=100.0, amort=1e3, kind=kind)
+    cfg = LatticeConfig(steps=4000, convergence=5e-3)
+    rep = lattice_price(to_equivalent_perpetual(c, m), m, cfg)
+    assert rep.rel_error < 5e-3
+    bd = exercise_boundary(m, c)
+    assert abs(rep.boundary_estimate - bd) / bd < 0.02
+
+
+def test_lattice_unreached_exercise_region():
+    # the put boundary K*alpha_p/(1+alpha_p) ~ 8e-6*K lies beyond the
+    # grid's reach of 12 log-spot units below the strike
+    m = MarketParams(spot=100.0, rate=0.0, vol=0.5)
+    c = ContractParams(strike=100.0, amort=1e-8, kind=OptionKind.PUT)
+    with pytest.raises(ConvergenceError, match="exercise region"):
+        lattice_price(to_equivalent_perpetual(c, m), m, LatticeConfig(steps=4000))
 
 
 def test_lattice_rejects_inconsistent_rate(market_a, put_a):

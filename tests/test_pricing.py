@@ -70,6 +70,20 @@ def test_exponents_match_mpmath(rate, vol, q):
             assert float(abs(got - want) / want) <= 1e-15
 
 
+@pytest.mark.parametrize("vol, q", [(5.0, 1e-8), (0.5, 1e-12)])
+def test_call_boundary_at_zero_rate_matches_mpmath(vol, q):
+    # alpha_c -> 1 at rate 0 and small q: alpha_c - 1 must not be taken
+    # as a difference
+    mpmath = pytest.importorskip("mpmath")
+    m = MarketParams(spot=100.0, rate=0.0, vol=vol)
+    got = exercise_boundary(m, ContractParams(strike=100.0, amort=q, kind=OptionKind.CALL))
+    with mpmath.workdps(50):
+        sig, amort = mpmath.mpf(vol), mpmath.mpf(q)
+        alpha = mpmath.sqrt(0.25 + 2 * amort / sig**2) + 0.5
+        want = alpha * 100 / (alpha - 1)
+        assert float(abs(got - want) / want) <= 1e-14
+
+
 def test_exponents_rejects_negative_q(market_a):
     with pytest.raises(ValidationError):
         compute_exponents(market_a, -0.1)

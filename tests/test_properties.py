@@ -58,6 +58,7 @@ def _floats(values):
 def test_closed_forms_over_full_domain(rate, vol, q, spot, strike, kind):
     m = MarketParams(spot=spot, rate=rate, vol=vol)
     c = ContractParams(strike=strike, amort=q, kind=kind)
+    records = {}
     for fn in (price, greeks_report, statics_report, limit_suite):
         try:
             record = fn(m, c)
@@ -72,12 +73,27 @@ def test_closed_forms_over_full_domain(rate, vol, q, spot, strike, kind):
             continue
         values = list(_floats(dataclasses.astuple(record)))
         assert all(math.isfinite(v) for v in values), (fn.__name__, record)
+        records[fn] = record
 
-    # value matching and smooth pasting at the boundary; both sides lose
-    # about alpha ulps there (exp(alpha*L) with L one rounding from 0)
+    # the premium exp(s*alpha*L) carries about alpha ulps: L is the log of
+    # a ratio that rounds once, so it is off by about an ulp, times alpha
     ex = compute_exponents(m, q)
     alpha = ex.alpha_c if kind == OptionKind.CALL else ex.alpha_p
     tol = 16.0 * EPS * (1.0 + alpha)
+
+    # comparative statics in q on the continuation region: the premium
+    # falls with q, and the boundary moves toward the strike
+    statics = records.get(statics_report)
+    if statics is not None:
+        assert statics.d_premium_dq <= 0.0
+        if kind == OptionKind.CALL:
+            assert statics.d_boundary_dq < 0.0
+        else:
+            assert statics.d_boundary_dq > 0.0
+        doubled = price(m, dataclasses.replace(c, amort=2.0 * q)).premium
+        assert doubled <= records[price].premium * (1.0 + tol)
+
+    # value matching and smooth pasting at the boundary, to the same tolerance
     on = dataclasses.replace(m, spot=price(m, c).boundary)
     quote = price(on, c)
     assert quote.regime == Regime.CONTINUATION
