@@ -13,15 +13,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .greeks import dated_bs_call, gamma as ampo_gamma, vega as ampo_vega
-from .params import (
-    ContractParams,
-    MarketParams,
-    NoSolutionError,
-    OptionKind,
-    ValidationError,
-)
-from .pricing import price
+from .greeks import _gamma, _vega, dated_bs_call
+from .params import MarketParams, NoSolutionError, OptionKind, ValidationError, _check_terms
+from .pricing import _closed_form
 
 
 class StrategyKind(str, Enum):
@@ -112,7 +106,12 @@ def effective_maturity(m: MarketParams, strike: float, q: float) -> MaturityResu
     1e-10 in premium; also returns the notional fraction e^{-qT}
     surviving to T.
     """
-    target = price(m, ContractParams(strike=strike, amort=q, kind=OptionKind.CALL)).premium
+    _check_terms(strike, q)
+    return _solve_maturity(m, strike, q, _closed_form(m, OptionKind.CALL, strike, q).premium)
+
+
+def _solve_maturity(m: MarketParams, strike: float, q: float, target: float) -> MaturityResult:
+    """effective_maturity for the AmPO call premium `target`."""
     if target >= m.spot - _PREMIUM_TOL:
         raise NoSolutionError(
             f"AmPO premium {target} meets or exceeds the dated-call supremum {m.spot}"
@@ -151,19 +150,26 @@ def ratio_study(m: MarketParams, strike: float, q_grid) -> list[RatioPoint]:
     """
     out = []
     for q in q_grid:
-        res = effective_maturity(m, strike, q)
+        _check_terms(strike, q)
+        f = _closed_form(m, OptionKind.CALL, strike, q)
+        res = _solve_maturity(m, strike, q, f.premium)
         dated = dated_bs_call(m, strike, res.effective_maturity)
         if dated.gamma == 0.0:
             raise NoSolutionError(
                 f"dated call Gamma underflows to 0 at q = {q} "
                 f"(T = {res.effective_maturity}): the Gamma ratio is undefined"
             )
-        contract = ContractParams(strike=strike, amort=q, kind=OptionKind.CALL)
-        g_ratio = ampo_gamma(m, contract) / dated.gamma
-        prem = price(m, contract).premium
-        t_ratio = q * prem / abs(dated.theta)
+        g_ratio = _gamma(f, m) / dated.gamma
+        t_ratio = q * f.premium / abs(dated.theta)
         out.append(RatioPoint(q=q, gamma_ratio=g_ratio, theta_ratio=t_ratio))
     return out
+
+
+_STRATEGY_KINDS = {
+    StrategyKind.CALL_ONLY: (OptionKind.CALL,),
+    StrategyKind.PUT_ONLY: (OptionKind.PUT,),
+    StrategyKind.STRADDLE: (OptionKind.CALL, OptionKind.PUT),
+}
 
 
 def positional_vega(m: MarketParams, strike: float, s: StrategySpec, q: float) -> float:
@@ -172,17 +178,12 @@ def positional_vega(m: MarketParams, strike: float, s: StrategySpec, q: float) -
     The straddle holds equal notional of the ATM call and put at the
     same q, so its ratio uses the combined premium and combined vega.
     """
-    kinds = {
-        StrategyKind.CALL_ONLY: (OptionKind.CALL,),
-        StrategyKind.PUT_ONLY: (OptionKind.PUT,),
-        StrategyKind.STRADDLE: (OptionKind.CALL, OptionKind.PUT),
-    }[s.kind]
-    prem = 0.0
-    veg = 0.0
-    for kind in kinds:
-        contract = ContractParams(strike=strike, amort=q, kind=kind)
-        prem += price(m, contract).premium
-        veg += ampo_vega(m, contract)
+    _check_terms(strike, q)
+    prem = veg = 0.0
+    for kind in _STRATEGY_KINDS[s.kind]:
+        f = _closed_form(m, kind, strike, q)
+        prem += f.premium
+        veg += _vega(f, m, q)
     if prem < 1e-12:
         raise NoSolutionError(f"degenerate strategy: premium {prem} below 1e-12")
     return s.budget * veg / prem
@@ -232,30 +233,18 @@ def optimize_q(
     vs = [f(q) for q in qs]
     curve = list(zip(qs, vs))
     imax = max(range(n), key=vs.__getitem__)
-    if imax in (0, n - 1):
-        return OptimizationResult(
-            q_star=qs[imax],
-            positional_vega_at_star=vs[imax],
-            curve=curve,
-            boundary_maximum=True,
-            multimodal=False,
-        )
-    peaks = [
-        i for i in range(1, n - 1) if vs[i] >= vs[i - 1] and vs[i] >= vs[i + 1]
-    ]
-    if len(peaks) != 1:
-        return OptimizationResult(
-            q_star=qs[imax],
-            positional_vega_at_star=vs[imax],
-            curve=curve,
-            boundary_maximum=False,
-            multimodal=True,
-        )
-    q_star = _golden_section_max(f, qs[imax - 1], qs[imax + 1], 1e-6)
+    edge = imax in (0, n - 1)
+    peaks = 0 if edge else sum(
+        1 for i in range(1, n - 1) if vs[i] >= vs[i - 1] and vs[i] >= vs[i + 1]
+    )
+    q_star, v_star = qs[imax], vs[imax]
+    if peaks == 1:
+        q_star = _golden_section_max(f, qs[imax - 1], qs[imax + 1], 1e-6)
+        v_star = f(q_star)
     return OptimizationResult(
         q_star=q_star,
-        positional_vega_at_star=f(q_star),
+        positional_vega_at_star=v_star,
         curve=curve,
-        boundary_maximum=False,
-        multimodal=False,
+        boundary_maximum=edge,
+        multimodal=not edge and peaks != 1,
     )

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .params import ContractParams, MarketParams, Regime, ValidationError
-from .pricing import _closed_form, price
+from .pricing import _ClosedForm, _closed_form, price
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,22 @@ def _norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
+def _gamma(f: _ClosedForm, m: MarketParams) -> float:
+    """alpha*(alpha - s)*V/S^2, divided by S twice so S^2 cannot overflow; zero once exercised."""
+    if f.regime == Regime.EXERCISE_NOW:
+        return 0.0
+    return f.alpha * f.gap * (f.premium / m.spot) / m.spot
+
+
+def _vega(f: _ClosedForm, m: MarketParams, q: float) -> float:
+    """2*V*L*n/(sigma^3*alpha_bar), n = (alpha_c - 2)r - q (call) or
+    (2 + alpha_p)r + q (put), L the log-moneyness; zero once exercised."""
+    if f.regime == Regime.EXERCISE_NOW:
+        return 0.0
+    n = (f.alpha - 2.0 * f.sign) * m.rate - f.sign * q
+    return 2.0 * f.premium * f.log_m * n / (m.vol**3 * f.alpha_bar)
+
+
 def greeks_report(m: MarketParams, c: ContractParams) -> GreeksReport:
     """Delta, Gamma, both Thetas and Vega from one closed-form evaluation.
 
@@ -51,20 +67,12 @@ def greeks_report(m: MarketParams, c: ContractParams) -> GreeksReport:
     pricing._ClosedForm. Once exercised Delta = s and Gamma = Vega = 0.
     """
     f = _closed_form(m, c.kind, c.strike, c.amort)
-    theta_econ = -c.amort * f.premium
-    if f.regime == Regime.EXERCISE_NOW:
-        return GreeksReport(
-            delta=f.sign, gamma=0.0, theta_explicit=0.0, theta_economic=theta_econ, vega=0.0
-        )
-    v, s, a = f.premium, f.sign, f.alpha
-    # n = (alpha_c - 2)r - q for a call, (2 + alpha_p)r + q for a put
-    n = (a - 2.0 * s) * m.rate - s * c.amort
     return GreeksReport(
-        delta=s * a * v / m.spot,
-        gamma=a * f.gap * v / m.spot**2,
+        delta=f.sign if f.regime == Regime.EXERCISE_NOW else f.sign * f.alpha * f.premium / m.spot,
+        gamma=_gamma(f, m),
         theta_explicit=0.0,
-        theta_economic=theta_econ,
-        vega=2.0 * v * f.log_m * n / (m.vol**3 * f.alpha_bar),
+        theta_economic=-c.amort * f.premium,
+        vega=_vega(f, m, c.amort),
     )
 
 
@@ -82,11 +90,7 @@ def gamma(m: MarketParams, c: ContractParams) -> float:
 
 
 def vega(m: MarketParams, c: ContractParams) -> float:
-    """dV/dsigma per unit of sigma; zero in the exercise region.
-
-    2*V*L*n/(sigma^3*alpha_bar), with L the log-moneyness,
-    n = (alpha_c-2)r - q for a call and (2+alpha_p)r + q for a put.
-    """
+    """dV/dsigma per unit of sigma (see _vega); zero in the exercise region."""
     return greeks_report(m, c).vega
 
 

@@ -169,7 +169,8 @@ def lattice_price(
     the relative price change exceeds it.
     """
     rate = e.rate_eff - e.dividend_eff
-    if abs(rate - m.rate) > 1e-12 * max(1.0, abs(m.rate)):
+    # 2r+q and r+q round by half an ulp each: the rate is off by up to an ulp of rate_eff
+    if abs(rate - m.rate) > 1e-12 * max(1.0, abs(m.rate)) + 2.0 * math.ulp(e.rate_eff):
         raise ValidationError(
             f"market rate {m.rate} inconsistent with effective rates "
             f"({e.rate_eff}, {e.dividend_eff})"

@@ -42,6 +42,16 @@ def _require_finite(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
+def _check_terms(strike: float, amort: float) -> None:
+    """Contract terms: strike and amortization rate finite and > 0."""
+    _require_finite("strike", strike)
+    _require_finite("amort", amort)
+    if strike <= 0:
+        raise ValidationError(f"strike must be > 0, got {strike}")
+    if amort <= 0:
+        raise ValidationError(f"amort must be > 0, got {amort}")
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Market state: spot price, risk-free rate, and volatility.
@@ -74,12 +84,7 @@ class ContractParams:
     kind: OptionKind
 
     def __post_init__(self):
-        _require_finite("strike", self.strike)
-        _require_finite("amort", self.amort)
-        if self.strike <= 0:
-            raise ValidationError(f"strike must be > 0, got {self.strike}")
-        if self.amort <= 0:
-            raise ValidationError(f"amort must be > 0, got {self.amort}")
+        _check_terms(self.strike, self.amort)
         if not isinstance(self.kind, OptionKind):
             object.__setattr__(self, "kind", OptionKind(self.kind))
 

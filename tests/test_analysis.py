@@ -1,3 +1,8 @@
+import dataclasses
+import math
+import random
+import re
+
 import pytest
 
 from ampo import (
@@ -5,17 +10,45 @@ from ampo import (
     MarketParams,
     NoSolutionError,
     OptionKind,
+    Regime,
     StrategyKind,
     StrategySpec,
+    ValidationError,
     dated_bs_call,
     effective_maturity,
     effective_notional_curve,
+    gamma,
     optimize_q,
     positional_vega,
     price,
     ratio_study,
     vega,
 )
+from conftest import AMORT_RANGE, RATE_RANGE, STRIKE, VOL_RANGE
+
+STRATEGY_KINDS = {
+    StrategyKind.CALL_ONLY: (OptionKind.CALL,),
+    StrategyKind.PUT_ONLY: (OptionKind.PUT,),
+    StrategyKind.STRADDLE: (OptionKind.CALL, OptionKind.PUT),
+}
+
+
+def _box_markets(n, seed):
+    rng = random.Random(seed)
+    return [
+        MarketParams(spot=STRIKE, rate=rng.uniform(*RATE_RANGE), vol=rng.uniform(*VOL_RANGE))
+        for _ in range(n)
+    ]
+
+
+def _positional_vega_from_views(m, strategy, q):
+    # the public views summed in the strategy's order: call, then put
+    prem = veg = 0.0
+    for kind in STRATEGY_KINDS[strategy.kind]:
+        c = ContractParams(strike=STRIKE, amort=q, kind=kind)
+        prem += price(m, c).premium
+        veg += vega(m, c)
+    return strategy.budget * veg / prem
 
 
 def test_effective_maturity_params_a(market_a):
@@ -184,3 +217,71 @@ def test_ratio_study_underflowing_dated_gamma_raises():
     m = MarketParams(spot=100.0, rate=0.05, vol=1e-4)
     with pytest.raises(NoSolutionError, match="q = 0.05"):
         ratio_study(m, 100.0, [0.05, 1.0])
+
+
+@pytest.mark.parametrize("kind", list(StrategyKind))
+def test_positional_vega_equals_public_views(kind):
+    spec = StrategySpec(kind=kind, budget=100.0)
+    rng = random.Random(11)
+    for m in _box_markets(20, seed=7):
+        for q in [rng.uniform(*AMORT_RANGE) for _ in range(5)] + [0.001, 0.14]:
+            assert positional_vega(m, STRIKE, spec, q) == _positional_vega_from_views(m, spec, q)
+
+
+@pytest.mark.parametrize("kind", list(StrategyKind))
+def test_positional_vega_in_exercise_region(market_a, kind):
+    # deep inside the call's (S = 3K) or the put's (S = K/3) exercise
+    # region that leg's Vega is 0 and its premium the intrinsic value
+    spec = StrategySpec(kind=kind, budget=100.0)
+    q = 0.3
+    for leg, spot in ((OptionKind.CALL, 3.0 * STRIKE), (OptionKind.PUT, STRIKE / 3.0)):
+        m = dataclasses.replace(market_a, spot=spot)
+        c = ContractParams(strike=STRIKE, amort=q, kind=leg)
+        assert price(m, c).regime == Regime.EXERCISE_NOW
+        assert vega(m, c) == 0.0
+        expected = _positional_vega_from_views(m, spec, q)
+        assert positional_vega(m, STRIKE, spec, q) == expected
+        if STRATEGY_KINDS[kind] == (leg,):
+            assert expected == 0.0
+
+
+def test_ratio_study_equals_public_views():
+    qs = [0.05 + 0.95 * i / 9 for i in range(10)]
+    for m in _box_markets(8, seed=3):
+        for pt, q in zip(ratio_study(m, STRIKE, qs), qs):
+            c = ContractParams(strike=STRIKE, amort=q, kind=OptionKind.CALL)
+            dated = dated_bs_call(m, STRIKE, effective_maturity(m, STRIKE, q).effective_maturity)
+            assert pt.q == q
+            assert pt.gamma_ratio == gamma(m, c) / dated.gamma
+            assert pt.theta_ratio == q * price(m, c).premium / abs(dated.theta)
+
+
+def test_effective_notional_curve_equals_public_views():
+    qs = [0.05 + 0.95 * i / 9 for i in range(10)]
+    for m in _box_markets(8, seed=5):
+        for res, q in zip(effective_notional_curve(m, STRIKE, qs), qs):
+            assert res == effective_maturity(m, STRIKE, q)
+            c = ContractParams(strike=STRIKE, amort=q, kind=OptionKind.CALL)
+            dated = dated_bs_call(m, STRIKE, res.effective_maturity)
+            assert abs(dated.premium - price(m, c).premium) <= 1e-10
+            assert res.effective_notional == math.exp(-q * res.effective_maturity)
+
+
+BAD_TERMS = [(STRIKE, q) for q in (0.0, -1.0, math.nan, math.inf)] + [(0.0, 0.1), (-1.0, 0.1)]
+CASE_STUDIES = {
+    "positional_vega": lambda m, k, q: positional_vega(
+        m, k, StrategySpec(kind=StrategyKind.STRADDLE, budget=100.0), q
+    ),
+    "effective_maturity": effective_maturity,
+    "ratio_study": lambda m, k, q: ratio_study(m, k, [0.1, q]),
+}
+
+
+@pytest.mark.parametrize("strike, q", BAD_TERMS)
+@pytest.mark.parametrize("study", sorted(CASE_STUDIES))
+def test_case_studies_reject_bad_terms_like_contract_params(market_a, study, strike, q):
+    # the same ValidationError message as ContractParams gives for the terms
+    with pytest.raises(ValidationError) as want:
+        ContractParams(strike=strike, amort=q, kind=OptionKind.CALL)
+    with pytest.raises(ValidationError, match=re.escape(str(want.value))):
+        CASE_STUDIES[study](market_a, strike, q)

@@ -96,6 +96,18 @@ def test_greeks_json(cli):
     assert out["theta_economic"] == -2.5
 
 
+@pytest.mark.parametrize("kind, spot", [("put", "1e160"), ("call", "1e-170")])
+def test_greeks_extreme_spot_finite(cli, kind, spot):
+    # Gamma divides V by S twice: S^2 overflows at 1e160 and underflows
+    # to 0.0 at 1e-170
+    res = cli("greeks", "--kind", kind, "--amort", "0.1", "--spot", spot, "--output", "json")
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+    out = json.loads(res.stdout)
+    for name in ("delta", "gamma", "theta_explicit", "theta_economic", "vega"):
+        assert math.isfinite(out[name]), (name, out[name])
+
+
 def test_statics_json(cli):
     res = cli("statics", "--kind", "put", "--amort", "0.1", *BASE, "--output", "json")
     out = json.loads(res.stdout)
@@ -162,6 +174,17 @@ def test_validate_underresolved_fails(cli):
     )
     assert res.returncode == 1
     assert "lattice" in res.stderr
+
+
+def test_validate_large_amort_not_refused_on_rate(cli):
+    # (2r+q) - (r+q) is off by more than 1e-12 at q = 1e4 through rounding
+    # alone; the lattice must run. The finite-difference checks at this q
+    # are reported as they come out and not asserted here.
+    res = cli("validate", "--kind", "put", "--amort", "1e4", "--output", "json")
+    assert res.returncode != 2, res.stderr
+    assert "inconsistent" not in res.stderr
+    checks = {c["check"]: c for c in json.loads(res.stdout)["rows"]}
+    assert checks["lattice_price"]["passed"] and checks["lattice_boundary"]["passed"]
 
 
 def test_csv_golden_stability():

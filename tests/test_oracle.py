@@ -88,6 +88,19 @@ def test_lattice_rejects_inconsistent_rate(market_a, put_a):
         lattice_price(e, bad, LatticeConfig(steps=1000))
 
 
+def test_lattice_rate_check_at_large_amort(market_a):
+    # at q = 1e4 the rate recovered from (2r+q) - (r+q) carries the
+    # rounding of both sums; that passes, a rate off by 1e-6 does not
+    put = ContractParams(strike=100.0, amort=1e4, kind=OptionKind.PUT)
+    e = to_equivalent_perpetual(put, market_a)
+    assert e.rate_eff - e.dividend_eff != market_a.rate
+    rep = lattice_price(e, market_a, LatticeConfig(steps=4000, convergence=5e-3))
+    assert rep.rel_error < 5e-3
+    bad = dataclasses.replace(market_a, rate=market_a.rate + 1e-6)
+    with pytest.raises(ValidationError, match="inconsistent"):
+        lattice_price(e, bad, LatticeConfig(steps=4000))
+
+
 def test_pde_residual_exact(market_a, put_a, call_a):
     assert max(pde_residual(market_a, put_a, [60.0, 80.0, 100.0, 140.0])) < 1e-10
     assert max(pde_residual(market_a, call_a, [60.0, 100.0, 200.0, 260.0])) < 1e-10

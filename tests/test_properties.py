@@ -113,7 +113,12 @@ def test_closed_forms_over_full_domain(rate, vol, q, spot, strike, kind):
 )
 def test_effective_maturity_over_full_domain(rate, vol, q, spot, strike):
     # either NoSolutionError or a positive maturity whose dated call
-    # matches the AmPO premium to 1e-10; no other exception may escape
+    # matches the AmPO premium to 1e-10, and to 1e-7 relative where the
+    # premium is a normal float; no other exception may escape. The solve
+    # stops on a step in T, so the relative residual grows with the
+    # elasticity of the dated premium, about log(1/premium): its worst was
+    # 2.1e-8 over 60,000 random draws from this domain. Subnormal premia
+    # carry no relative precision.
     m = MarketParams(spot=spot, rate=rate, vol=vol)
     try:
         res = effective_maturity(m, strike, q)
@@ -122,4 +127,7 @@ def test_effective_maturity_over_full_domain(rate, vol, q, spot, strike):
     assert res.effective_maturity > 0.0
     call = ContractParams(strike=strike, amort=q, kind=OptionKind.CALL)
     dated = dated_bs_call(m, strike, res.effective_maturity)
-    assert abs(dated.premium - price(m, call).premium) <= 1e-10
+    target = price(m, call).premium
+    assert abs(dated.premium - target) <= 1e-10
+    if target >= sys.float_info.min:
+        assert abs(dated.premium - target) <= 1e-7 * target
