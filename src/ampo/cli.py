@@ -6,10 +6,15 @@ round-trip representation) and rounded to 6 significant digits in the
 table view. Exit codes: 0 success, 1 oracle/validation check failure,
 2 argument or out-of-region request, 3 internal solver error.
 
-A config file (lines of `key = value`, `#` comments, keys named like the
-long flags without the leading dashes) can pre-fill any flag; explicit
-flags win over the file, the file wins over built-in defaults. The
-AMPO_OUTPUT environment variable sets the default output format.
+Each option is a flag of its subcommand, and build_parser declares its
+type, choices and default once. The AMPO_OUTPUT environment variable
+and a config file (`--config path`: lines of `key = value` with `#`
+comments, keys named like the long flags without the leading dashes)
+are parsed as flags placed before the command line's own. The last
+value of a flag wins, so defaults < AMPO_OUTPUT < config < flags. A
+config key must be a flag of the chosen subcommand. Every argument
+error, whether from a flag, a config key or AMPO_OUTPUT, is one
+`error:` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .analysis import (
     positional_vega,
     ratio_study,
 )
-from .greeks import greeks_report
+from .greeks import _delta, _gamma, _vega, greeks_report
 from .oracle import LatticeConfig, finite_difference, lattice_price, pde_residual
 from .params import (
     AmpoError,
@@ -36,21 +41,12 @@ from .params import (
     ConvergenceError,
     MarketParams,
     OptionKind,
+    Regime,
     RegionError,
     ValidationError,
 )
-from .pricing import compute_exponents, price, to_equivalent_perpetual
+from .pricing import _closed_form, compute_exponents, price, to_equivalent_perpetual
 from .statics import statics_report
-from . import greeks as greeks_mod
-
-_DEFAULTS = {
-    "spot": 100.0,
-    "strike": 100.0,
-    "rate": 0.05,
-    "vol": 0.5,
-    "output": "table",
-    "budget": 100.0,
-}
 
 
 def _fmt_full(x) -> str:
@@ -98,101 +94,58 @@ def _emit_rows(rows: list[dict], output: str) -> None:
             print("  ".join(v.ljust(w) for v, w in zip(c, widths)))
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str) -> list[str]:
+    """The file's `key = value` lines as `--key=value` flags, in file order."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from None
-    values = {}
+    flags = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, sep, val = (part.strip() for part in line.partition("="))
+        if not (sep and key):
             raise ValidationError(f"{path}:{lineno}: expected key = value")
-        key, val = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = val
-    return values
+        if key == "config":
+            raise ValidationError(f"{path}:{lineno}: a config file cannot name another")
+        flags.append(f"--{key.replace('_', '-')}={val}")
+    return flags
 
 
-_FLAG_TYPES = {
-    "spot": float,
-    "strike": float,
-    "rate": float,
-    "vol": float,
-    "amort": float,
-    "q_min": float,
-    "q_max": float,
-    "q_steps": int,
-    "budget": float,
-    "steps": int,
-    "tolerance": float,
-    "perturb": float,
-    "kind": str,
-    "output": str,
-}
+def _require(args: argparse.Namespace, *names: str) -> None:
+    """kind and amort have no default, and argparse cannot require them
+    because a config file may supply them."""
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValidationError(f"missing required parameter: {name}")
 
 
-def _resolve(args: argparse.Namespace, required: tuple[str, ...]) -> dict:
-    """Merge flags over config-file values over built-in defaults."""
-    merged = dict(_DEFAULTS)
-    env_output = os.environ.get("AMPO_OUTPUT")
-    if env_output:
-        merged["output"] = env_output
-    if getattr(args, "config", None):
-        raw = _read_config(args.config)
-        for key, val in raw.items():
-            if key not in _FLAG_TYPES:
-                raise ValidationError(f"unknown config key {key!r}")
-            try:
-                merged[key] = _FLAG_TYPES[key](val)
-            except ValueError:
-                raise ValidationError(
-                    f"config key {key!r}: expected {_FLAG_TYPES[key].__name__}, got {val!r}"
-                ) from None
-    for key in _FLAG_TYPES:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    if merged.get("output") not in ("json", "csv", "table"):
-        raise ValidationError(f"output must be json, csv or table, got {merged.get('output')!r}")
-    for key in required:
-        if key not in merged:
-            raise ValidationError(f"missing required parameter: {key.replace('_', '-')}")
-    return merged
+def _market(args: argparse.Namespace) -> MarketParams:
+    return MarketParams(spot=args.spot, rate=args.rate, vol=args.vol)
 
 
-def _market(v: dict) -> MarketParams:
-    return MarketParams(spot=v["spot"], rate=v["rate"], vol=v["vol"])
+def _market_contract(args: argparse.Namespace) -> tuple[MarketParams, ContractParams]:
+    _require(args, "kind", "amort")
+    m = _market(args)
+    return m, ContractParams(strike=args.strike, amort=args.amort, kind=OptionKind(args.kind))
 
 
-def _kind(enum, value: str):
-    try:
-        return enum(value)
-    except ValueError:
-        choices = ", ".join(e.value for e in enum)
-        raise ValidationError(f"kind must be one of {choices}, got {value!r}") from None
-
-
-def _contract(v: dict) -> ContractParams:
-    return ContractParams(strike=v["strike"], amort=v["amort"], kind=_kind(OptionKind, v["kind"]))
-
-
-def _inputs(v: dict, keys: tuple[str, ...]) -> dict:
-    return {k: v[k] for k in keys}
+def _inputs(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
+    return {k: getattr(args, k) for k in keys}
 
 
 _QUOTE_KEYS = ("kind", "spot", "strike", "rate", "vol", "amort")
 
 
 def _cmd_price(args) -> int:
-    v = _resolve(args, ("kind", "amort"))
-    m, c = _market(v), _contract(v)
+    m, c = _market_contract(args)
     quote = price(m, c)
     ex = compute_exponents(m, c.amort)
     record = {
-        **_inputs(v, _QUOTE_KEYS),
+        **_inputs(args, _QUOTE_KEYS),
         "premium": quote.premium,
         "boundary": quote.boundary,
         "regime": quote.regime.value,
@@ -200,38 +153,37 @@ def _cmd_price(args) -> int:
         "alpha_p": ex.alpha_p,
         "alpha_bar": ex.alpha_bar,
     }
-    _emit_record(record, v["output"])
+    _emit_record(record, args.output)
     return 0
 
 
 def _cmd_greeks(args) -> int:
-    v = _resolve(args, ("kind", "amort"))
-    m, c = _market(v), _contract(v)
+    m, c = _market_contract(args)
     rep = greeks_report(m, c)
-    record = {**_inputs(v, _QUOTE_KEYS), **dataclasses.asdict(rep)}
-    _emit_record(record, v["output"])
+    record = {**_inputs(args, _QUOTE_KEYS), **dataclasses.asdict(rep)}
+    _emit_record(record, args.output)
     return 0
 
 
 def _cmd_statics(args) -> int:
-    v = _resolve(args, ("kind", "amort"))
-    m, c = _market(v), _contract(v)
+    m, c = _market_contract(args)
     rep = statics_report(m, c)
     record = {
-        **_inputs(v, _QUOTE_KEYS),
+        **_inputs(args, _QUOTE_KEYS),
         "d_premium_dq": rep.d_premium_dq,
         "d_boundary_dq": rep.d_boundary_dq,
         "d2_premium_dsigma_dq": rep.d2_premium_dsigma_dq,
         **dataclasses.asdict(rep.intermediates),
     }
-    _emit_record(record, v["output"])
+    _emit_record(record, args.output)
     return 0
 
 
-def _q_grid(v: dict, lo: float, hi: float, steps: int) -> list[float]:
-    q_min = v.get("q_min", lo)
-    q_max = v.get("q_max", hi)
-    n = v.get("q_steps", steps)
+def _q_grid(args, lo: float, steps: int) -> list[float]:
+    """The q grid of an example; q-min and q-steps default per example."""
+    q_min = lo if args.q_min is None else args.q_min
+    n = steps if args.q_steps is None else args.q_steps
+    q_max = args.q_max
     if not (0.0 < q_min <= q_max) or n < 1:
         raise ValidationError(
             f"bad q grid: q-min {q_min}, q-max {q_max}, q-steps {n}"
@@ -242,11 +194,10 @@ def _q_grid(v: dict, lo: float, hi: float, steps: int) -> list[float]:
 
 
 def _cmd_examples(args) -> int:
-    v = _resolve(args, ())
-    m = _market(v)
-    strike = v["strike"]
+    m = _market(args)
+    strike = args.strike
     if args.example == 1:
-        grid = _q_grid(v, 0.05, 1.0, 20)
+        grid = _q_grid(args, 0.05, 20)
         rows = [
             {
                 "q": res.q,
@@ -256,15 +207,15 @@ def _cmd_examples(args) -> int:
             for res in effective_notional_curve(m, strike, grid)
         ]
     elif args.example == 2:
-        grid = _q_grid(v, 0.05, 1.0, 20)
+        grid = _q_grid(args, 0.05, 20)
         rows = [
             {"q": pt.q, "gamma_ratio": pt.gamma_ratio, "theta_ratio": pt.theta_ratio}
             for pt in ratio_study(m, strike, grid)
         ]
     else:
-        grid = _q_grid(v, 0.01, 1.0, 100)
+        grid = _q_grid(args, 0.01, 100)
         specs = {
-            kind.value: StrategySpec(kind=kind, budget=v["budget"])
+            kind.value: StrategySpec(kind=kind, budget=args.budget)
             for kind in StrategyKind
         }
         rows = [
@@ -277,44 +228,35 @@ def _cmd_examples(args) -> int:
             }
             for q in grid
         ]
-    _emit_rows(rows, v["output"])
+    _emit_rows(rows, args.output)
     return 0
 
 
 def _cmd_optimize(args) -> int:
-    v = _resolve(args, ("kind",))
-    m = _market(v)
-    spec = StrategySpec(kind=_kind(StrategyKind, v["kind"]), budget=v["budget"])
-    q_lo = v.get("q_min", 0.001)
-    q_hi = v.get("q_max", 1.0)
-    res = optimize_q(m, v["strike"], spec, (q_lo, q_hi), grid_points=v.get("q_steps", 201))
+    _require(args, "kind")
+    m = _market(args)
+    spec = StrategySpec(kind=StrategyKind(args.kind), budget=args.budget)
+    res = optimize_q(m, args.strike, spec, (args.q_min, args.q_max), grid_points=args.q_steps)
     record = {
-        "kind": v["kind"],
-        "spot": v["spot"],
-        "strike": v["strike"],
-        "rate": v["rate"],
-        "vol": v["vol"],
-        "budget": v["budget"],
-        "q_min": q_lo,
-        "q_max": q_hi,
+        **_inputs(args, ("kind", "spot", "strike", "rate", "vol", "budget", "q_min", "q_max")),
         "q_star": res.q_star,
         "positional_vega_at_star": res.positional_vega_at_star,
         "boundary_maximum": res.boundary_maximum,
         "multimodal": res.multimodal,
     }
-    _emit_record(record, v["output"])
+    _emit_record(record, args.output)
     return 0
 
 
-def _validate_checks(v: dict) -> list[dict]:
-    m, c = _market(v), _contract(v)
-    quote = price(m, c)
+def _validate_checks(args) -> list[dict]:
+    m, c = _market_contract(args)
+    f = _closed_form(m, c.kind, c.strike, c.amort)
     checks = []
 
-    cfg = LatticeConfig(steps=v.get("steps", 4000), convergence=v.get("tolerance", 5e-3))
+    cfg = LatticeConfig(steps=args.steps, convergence=args.tolerance)
     try:
         rep = lattice_price(to_equivalent_perpetual(c, m), m, cfg)
-        bd_err = abs(rep.boundary_estimate - quote.boundary) / quote.boundary
+        bd_err = abs(rep.boundary_estimate - f.boundary) / f.boundary
         checks.append(
             {"check": "lattice_price", "value": rep.rel_error, "limit": 5e-3,
              "passed": rep.rel_error < 5e-3}
@@ -329,14 +271,14 @@ def _validate_checks(v: dict) -> list[dict]:
              "passed": False}
         )
 
-    if quote.regime.value == "continuation":
-        lo = min(m.spot, quote.boundary)
-        hi = max(m.spot, quote.boundary)
+    if f.regime == Regime.CONTINUATION:
+        lo = min(m.spot, f.boundary)
+        hi = max(m.spot, f.boundary)
         if c.kind == OptionKind.CALL:
             spots = [0.5 * lo + (hi * 0.999 - 0.5 * lo) * i / 9 for i in range(10)]
         else:
             spots = [lo * 1.001 + (1.5 * hi - lo * 1.001) * i / 9 for i in range(10)]
-        resid = max(pde_residual(m, c, spots, premium_scale=v.get("perturb", 1.0)))
+        resid = max(pde_residual(m, c, spots, premium_scale=args.perturb))
         checks.append(
             {"check": "pde_residual", "value": resid, "limit": 1e-8, "passed": resid < 1e-8}
         )
@@ -347,12 +289,13 @@ def _validate_checks(v: dict) -> list[dict]:
         def prem_of_vol(sig):
             return price(dataclasses.replace(m, vol=sig), c).premium
 
-        margin = abs(quote.boundary - m.spot) / m.spot
-        h = min(1e-4, max(margin / 4.0, 1e-7))
+        # the truncation error of the spot differences grows like (alpha*h)^2
+        margin = abs(f.boundary - m.spot) / m.spot
+        h = min(1e-4, 1e-3 / f.alpha, max(margin / 4.0, 1e-7))
         fd_checks = (
-            ("fd_delta", greeks_mod.delta(m, c), finite_difference(prem_of_spot, m.spot, 1, "central", h)),
-            ("fd_gamma", greeks_mod.gamma(m, c), finite_difference(prem_of_spot, m.spot, 2, "central", h)),
-            ("fd_vega", greeks_mod.vega(m, c), finite_difference(prem_of_vol, m.vol, 1, "central", 1e-4)),
+            ("fd_delta", _delta(f, m), finite_difference(prem_of_spot, m.spot, 1, "central", h)),
+            ("fd_gamma", _gamma(f, m), finite_difference(prem_of_spot, m.spot, 2, "central", h)),
+            ("fd_vega", _vega(f, m, c.amort), finite_difference(prem_of_vol, m.vol, 1, "central", 1e-4)),
         )
         for name, analytic, fd in fd_checks:
             err = abs(analytic - fd) / max(abs(analytic), 1e-12)
@@ -363,9 +306,8 @@ def _validate_checks(v: dict) -> list[dict]:
 
 
 def _cmd_validate(args) -> int:
-    v = _resolve(args, ("kind", "amort"))
-    checks = _validate_checks(v)
-    _emit_rows(checks, v["output"])
+    checks = _validate_checks(args)
+    _emit_rows(checks, args.output)
     failing = [c["check"] for c in checks if not c["passed"]]
     if failing:
         print(f"FAILED: {', '.join(failing)}", file=sys.stderr)
@@ -373,29 +315,35 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises every argument error as a ValidationError: one `error:` line, exit 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _add_common(parser: argparse.ArgumentParser, contract: bool = True) -> None:
-    parser.add_argument("--spot", type=float)
-    parser.add_argument("--strike", type=float)
-    parser.add_argument("--rate", type=float)
-    parser.add_argument("--vol", type=float)
+    parser.add_argument("--spot", type=float, default=100.0)
+    parser.add_argument("--strike", type=float, default=100.0)
+    parser.add_argument("--rate", type=float, default=0.05)
+    parser.add_argument("--vol", type=float, default=0.5)
     if contract:
         parser.add_argument("--kind", choices=["call", "put"])
         parser.add_argument("--amort", type=float)
-    parser.add_argument("--output", choices=["json", "csv", "table"])
+    parser.add_argument("--output", choices=["json", "csv", "table"], default="table")
     parser.add_argument("--config")
 
 
 def _add_q_grid(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--q-min", dest="q_min", type=float)
-    parser.add_argument("--q-max", dest="q_max", type=float)
-    parser.add_argument("--q-steps", dest="q_steps", type=int)
-    parser.add_argument("--budget", type=float)
+    # q-min and q-steps default per example (see _q_grid) and in optimize
+    parser.add_argument("--q-min", type=float)
+    parser.add_argument("--q-max", type=float, default=1.0)
+    parser.add_argument("--q-steps", type=int)
+    parser.add_argument("--budget", type=float, default=100.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ampo", description="Amortizing perpetual option analytics"
-    )
+    parser = _Parser(prog="ampo", description="Amortizing perpetual option analytics")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("price", help="premium, boundary, regime, exponents")
@@ -420,22 +368,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, contract=False)
     p.add_argument("--kind", choices=["call", "put", "straddle"])
     _add_q_grid(p)
-    p.set_defaults(func=_cmd_optimize)
+    p.set_defaults(func=_cmd_optimize, q_min=0.001, q_steps=201)
 
     p = sub.add_parser("validate", help="oracle and consistency checks")
     _add_common(p)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--perturb", type=float)
+    p.add_argument("--steps", type=int, default=4000)
+    p.add_argument("--tolerance", type=float, default=5e-3)
+    p.add_argument("--perturb", type=float, default=1.0)
     p.set_defaults(func=_cmd_validate)
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+        # AMPO_OUTPUT and the config file are read as flags placed before
+        # the command line's own, so the last value wins
+        env_output = os.environ.get("AMPO_OUTPUT")
+        if env_output or args.config:
+            before = [f"--output={env_output}"] if env_output else []
+            before += _read_config(args.config) if args.config else []
+            args = parser.parse_args([argv[0], *before, *argv[1:]])
         return args.func(args)
     except (ValidationError, RegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

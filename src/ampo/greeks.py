@@ -42,6 +42,13 @@ def _norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
+def _delta(f: _ClosedForm, m: MarketParams) -> float:
+    """s*alpha*V/S; s once exercised (smooth pasting makes both branches meet)."""
+    if f.regime == Regime.EXERCISE_NOW:
+        return f.sign
+    return f.sign * f.alpha * f.premium / m.spot
+
+
 def _gamma(f: _ClosedForm, m: MarketParams) -> float:
     """alpha*(alpha - s)*V/S^2, divided by S twice so S^2 cannot overflow; zero once exercised."""
     if f.regime == Regime.EXERCISE_NOW:
@@ -68,7 +75,7 @@ def greeks_report(m: MarketParams, c: ContractParams) -> GreeksReport:
     """
     f = _closed_form(m, c.kind, c.strike, c.amort)
     return GreeksReport(
-        delta=f.sign if f.regime == Regime.EXERCISE_NOW else f.sign * f.alpha * f.premium / m.spot,
+        delta=_delta(f, m),
         gamma=_gamma(f, m),
         theta_explicit=0.0,
         theta_economic=-c.amort * f.premium,

@@ -31,9 +31,8 @@ from .params import (
     RegionError,
     ValidationError,
 )
-from .greeks import delta as greek_delta
-from .greeks import gamma as greek_gamma
-from .pricing import ode_coefficients, price
+from .greeks import _delta, _gamma
+from .pricing import _closed_form, ode_coefficients, price
 
 # the grid spans at most 12 log-spot units beyond the spot and the
 # strike, and its time step discounts by at most e^{-14/steps}
@@ -212,7 +211,8 @@ def pde_residual(
     """Relative residual of the valuation ODE at each continuation spot.
 
     Evaluates (1/2) sigma^2 S^2 V'' + drift*S*V' - discount*V with the
-    analytic value and derivatives, normalized by discount*V. The
+    analytic value and derivatives, all from one closed-form evaluation
+    per spot, normalized by discount*V. The
     coefficients come from ode_coefficients. `premium_scale` multiplies
     the zeroth-order value only; scaling it by 1.01 should surface a
     relative residual near 0.01, a sanity check that the checker is live.
@@ -221,12 +221,12 @@ def pde_residual(
     out = []
     for s in spots:
         ms = dataclasses.replace(m, spot=float(s))
-        quote = price(ms, c)
-        if quote.regime != Regime.CONTINUATION:
+        f = _closed_form(ms, c.kind, c.strike, c.amort)
+        if f.regime != Regime.CONTINUATION:
             raise RegionError(f"spot {s} is outside the continuation region")
-        v = premium_scale * quote.premium
-        dv = greek_delta(ms, c)
-        d2v = greek_gamma(ms, c)
+        v = premium_scale * f.premium
+        dv = _delta(f, ms)
+        d2v = _gamma(f, ms)
         resid = 0.5 * m.vol**2 * s * s * d2v + drift * s * dv - discount * v
         out.append(abs(resid) / max(abs(discount * v), 1e-300))
     return out
