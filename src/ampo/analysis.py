@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .greeks import _gamma, _vega, dated_bs_call
-from .params import MarketParams, NoSolutionError, OptionKind, ValidationError, _check_terms
-from .pricing import _closed_form
+from .greeks import _dated_terms, _gamma, _vega
+from .params import MarketParams, NoSolutionError, OptionKind, ValidationError
+from .params import _check_terms, _require_finite
+from .pricing import _closed_form, _exponents
 
 
 class StrategyKind(str, Enum):
@@ -30,6 +31,7 @@ class StrategySpec:
     budget: float
 
     def __post_init__(self):
+        _require_finite("budget", self.budget)
         if self.budget <= 0:
             raise ValidationError(f"budget must be > 0, got {self.budget}")
         if not isinstance(self.kind, StrategyKind):
@@ -118,8 +120,8 @@ def _solve_maturity(m: MarketParams, strike: float, q: float, target: float) -> 
         )
 
     def gap(t: float) -> tuple[float, float]:
-        dated = dated_bs_call(m, strike, t)
-        return dated.premium - target, -dated.theta
+        premium, _, _, theta, _ = _dated_terms(m, strike, t)
+        return premium - target, -theta
 
     lo, hi = 1e-9, 1.0
     while gap(hi)[0] < 0.0:
@@ -153,14 +155,14 @@ def ratio_study(m: MarketParams, strike: float, q_grid) -> list[RatioPoint]:
         _check_terms(strike, q)
         f = _closed_form(m, OptionKind.CALL, strike, q)
         res = _solve_maturity(m, strike, q, f.premium)
-        dated = dated_bs_call(m, strike, res.effective_maturity)
-        if dated.gamma == 0.0:
+        _, _, dated_gamma, dated_theta, _ = _dated_terms(m, strike, res.effective_maturity)
+        if dated_gamma == 0.0:
             raise NoSolutionError(
                 f"dated call Gamma underflows to 0 at q = {q} "
                 f"(T = {res.effective_maturity}): the Gamma ratio is undefined"
             )
-        g_ratio = _gamma(f, m) / dated.gamma
-        t_ratio = q * f.premium / abs(dated.theta)
+        g_ratio = _gamma(f, m) / dated_gamma
+        t_ratio = q * f.premium / abs(dated_theta)
         out.append(RatioPoint(q=q, gamma_ratio=g_ratio, theta_ratio=t_ratio))
     return out
 
@@ -175,13 +177,14 @@ _STRATEGY_KINDS = {
 def positional_vega(m: MarketParams, strike: float, s: StrategySpec, q: float) -> float:
     """Vega of a budget-constrained position: budget * vega / premium.
 
-    The straddle holds equal notional of the ATM call and put at the
-    same q, so its ratio uses the combined premium and combined vega.
+    The straddle holds equal notional of the ATM call and put at the same
+    q (one exponent solve), so its ratio uses the combined premium and vega.
     """
     _check_terms(strike, q)
+    ex = _exponents(m, q)
     prem = veg = 0.0
     for kind in _STRATEGY_KINDS[s.kind]:
-        f = _closed_form(m, kind, strike, q)
+        f = _closed_form(m, kind, strike, q, ex)
         prem += f.premium
         veg += _vega(f, m, q)
     if prem < 1e-12:
@@ -225,8 +228,8 @@ def optimize_q(
     several interior peaks as multimodal (returning the grid argmax).
     """
     lo, hi = q_range
-    if not (0.0 < lo < hi):
-        raise ValidationError(f"q_range must satisfy 0 < lo < hi, got {q_range}")
+    if not (0.0 < lo < hi < math.inf):
+        raise ValidationError(f"q_range must satisfy 0 < lo < hi < inf, got {q_range}")
     n = max(grid_points, 200)
     qs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     f = lambda q: positional_vega(m, strike, s, q)

@@ -94,14 +94,14 @@ def _emit_rows(rows: list[dict], output: str) -> None:
             print("  ".join(v.ljust(w) for v, w in zip(c, widths)))
 
 
-def _read_config(path: str) -> list[str]:
-    """The file's `key = value` lines as `--key=value` flags, in file order."""
+def _read_config(path: str, sub: argparse.ArgumentParser) -> list[str]:
+    """The file's `key = value` lines as `--key=value` flags of `sub`, in file order."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from None
-    flags = []
+    tokens = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -111,8 +111,12 @@ def _read_config(path: str) -> list[str]:
             raise ValidationError(f"{path}:{lineno}: expected key = value")
         if key == "config":
             raise ValidationError(f"{path}:{lineno}: a config file cannot name another")
-        flags.append(f"--{key.replace('_', '-')}={val}")
-    return flags
+        flag = "--" + key.replace("_", "-")
+        # refused here, as argparse takes an unknown flag holding a space for a positional
+        if flag not in sub._option_string_actions:
+            raise ValidationError(f"unrecognized arguments: {flag}={val}")
+        tokens.append(f"{flag}={val}")
+    return tokens
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -345,6 +349,7 @@ def _add_q_grid(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ampo", description="Amortizing perpetual option analytics")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("price", help="premium, boundary, regime, exponents")
     _add_common(p)
@@ -390,7 +395,8 @@ def main(argv=None) -> int:
         env_output = os.environ.get("AMPO_OUTPUT")
         if env_output or args.config:
             before = [f"--output={env_output}"] if env_output else []
-            before += _read_config(args.config) if args.config else []
+            if args.config:
+                before += _read_config(args.config, parser.commands[args.command])
             args = parser.parse_args([argv[0], *before, *argv[1:]])
         return args.func(args)
     except (ValidationError, RegionError) as exc:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import ContractParams, MarketParams, Regime, ValidationError
-from .pricing import _ClosedForm, _closed_form, price
+from .params import ContractParams, MarketParams, ValidationError
+from .pricing import _EXERCISE_NOW, _ClosedForm, _closed_form, price
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,14 @@ def _norm_pdf(x: float) -> float:
 
 def _delta(f: _ClosedForm, m: MarketParams) -> float:
     """s*alpha*V/S; s once exercised (smooth pasting makes both branches meet)."""
-    if f.regime == Regime.EXERCISE_NOW:
+    if f.regime is _EXERCISE_NOW:
         return f.sign
     return f.sign * f.alpha * f.premium / m.spot
 
 
 def _gamma(f: _ClosedForm, m: MarketParams) -> float:
     """alpha*(alpha - s)*V/S^2, divided by S twice so S^2 cannot overflow; zero once exercised."""
-    if f.regime == Regime.EXERCISE_NOW:
+    if f.regime is _EXERCISE_NOW:
         return 0.0
     return f.alpha * f.gap * (f.premium / m.spot) / m.spot
 
@@ -59,7 +59,7 @@ def _gamma(f: _ClosedForm, m: MarketParams) -> float:
 def _vega(f: _ClosedForm, m: MarketParams, q: float) -> float:
     """2*V*L*n/(sigma^3*alpha_bar), n = (alpha_c - 2)r - q (call) or
     (2 + alpha_p)r + q (put), L the log-moneyness; zero once exercised."""
-    if f.regime == Regime.EXERCISE_NOW:
+    if f.regime is _EXERCISE_NOW:
         return 0.0
     n = (f.alpha - 2.0 * f.sign) * m.rate - f.sign * q
     return 2.0 * f.premium * f.log_m * n / (m.vol**3 * f.alpha_bar)
@@ -120,7 +120,12 @@ def dated_bs_call(m: MarketParams, strike: float, maturity: float) -> DatedGreek
         raise ValidationError(f"maturity must be > 0, got {maturity}")
     if strike <= 0:
         raise ValidationError(f"strike must be > 0, got {strike}")
-    s, k, r, sig, t = m.spot, strike, m.rate, m.vol, maturity
+    return DatedGreeksReport(*_dated_terms(m, strike, maturity))
+
+
+def _dated_terms(m: MarketParams, strike: float, t: float) -> tuple[float, ...]:
+    """dated_bs_call's (premium, delta, gamma, theta, vega) for checked strike > 0 and t > 0."""
+    s, k, r, sig = m.spot, strike, m.rate, m.vol
     sqt = math.sqrt(t)
     d1 = (math.log(s / k) + (r + 0.5 * sig**2) * t) / (sig * sqt)
     d2 = d1 - sig * sqt
@@ -128,10 +133,5 @@ def dated_bs_call(m: MarketParams, strike: float, maturity: float) -> DatedGreek
     disc_k = k * math.exp(-r * t)
     prem = s * nd1 - disc_k * nd2
     pdf1 = _norm_pdf(d1)
-    return DatedGreeksReport(
-        premium=prem,
-        delta=nd1,
-        gamma=pdf1 / (s * sig * sqt),
-        theta=-s * pdf1 * sig / (2.0 * sqt) - r * disc_k * nd2,
-        vega=s * pdf1 * sqt,
-    )
+    theta = -s * pdf1 * sig / (2.0 * sqt) - r * disc_k * nd2
+    return prem, nd1, pdf1 / (s * sig * sqt), theta, s * pdf1 * sqt

@@ -131,6 +131,8 @@ class AmortizationSchedule:
     amort: float
 
     def __post_init__(self):
+        _require_finite("initial_notional", self.initial_notional)
+        _require_finite("amort", self.amort)
         if self.initial_notional <= 0:
             raise ValidationError(
                 f"initial_notional must be > 0, got {self.initial_notional}"

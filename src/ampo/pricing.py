@@ -25,8 +25,15 @@ from .params import (
     Quote,
     Regime,
     ValidationError,
+    _require_finite,
     intrinsic_value,
 )
+
+
+# enum members bound once: a class attribute lookup costs more than a global
+_CALL = OptionKind.CALL
+_EXERCISE_NOW = Regime.EXERCISE_NOW
+_CONTINUATION = Regime.CONTINUATION
 
 
 def compute_exponents(m: MarketParams, q: float) -> Exponents:
@@ -46,6 +53,11 @@ def compute_exponents(m: MarketParams, q: float) -> Exponents:
     though pricing itself requires q > 0; the q = r = 0 case degenerates
     to alpha_c = 1, alpha_p = 0 and is not valid for pricing.
     """
+    return Exponents(*_exponents(m, q))
+
+
+def _exponents(m: MarketParams, q: float) -> tuple[float, float, float]:
+    """compute_exponents as a plain (alpha_c, alpha_p, alpha_bar) tuple."""
     if q < 0:
         raise ValidationError(f"amort must be >= 0, got {q}")
     s2 = m.vol**2
@@ -58,7 +70,7 @@ def compute_exponents(m: MarketParams, q: float) -> Exponents:
     else:
         alpha_c = radical - x + 0.5
         alpha_p = product / alpha_c
-    return Exponents(alpha_c, alpha_p, 0.5 * (alpha_c + alpha_p))
+    return alpha_c, alpha_p, 0.5 * (alpha_c + alpha_p)
 
 
 class _ClosedForm(NamedTuple):
@@ -83,7 +95,7 @@ class _ClosedForm(NamedTuple):
 
 def _kind_sign(kind: OptionKind, alpha: float, gap: float) -> float:
     """Sign s of the kind, after checking gap = alpha_c - 1 > 0 (call) or alpha_p > 0 (put)."""
-    if kind == OptionKind.CALL:
+    if kind == _CALL:
         sign, name, value = 1.0, "alpha_c - 1", gap
     else:
         sign, name, value = -1.0, "alpha_p", alpha
@@ -103,33 +115,34 @@ def _power_law(sign: float, strike: float, alpha: float, gap: float, log_m: floa
     return strike / gap * math.exp(sign * alpha * log_m)
 
 
-def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float) -> _ClosedForm:
+def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float, ex=None) -> _ClosedForm:
     """alpha_bar, sign, own exponent, alpha - s, boundary, regime, premium and L at rate q >= 0.
 
+    ex is _exponents(m, q) when the caller has it (a straddle's two kinds).
     The power law is evaluated only in the continuation region, where
     s*L <= 0 keeps it bounded by K/(alpha - s); beyond the boundary the
     premium is the intrinsic value.
     """
-    ex = compute_exponents(m, q)
-    if kind == OptionKind.CALL:
+    alpha_c, alpha_p, alpha_bar = _exponents(m, q) if ex is None else ex
+    if kind == _CALL:
         # alpha_c - 1 = 2(r+q)/sigma^2 / (radical + r/sigma^2 + 1/2) with the
         # radical alpha_bar; the plain difference cancels as alpha_c -> 1
         s2 = m.vol**2
-        alpha = ex.alpha_c
-        gap = 2.0 * (m.rate + q) / s2 / (ex.alpha_bar + m.rate / s2 + 0.5)
+        alpha = alpha_c
+        gap = 2.0 * (m.rate + q) / s2 / (alpha_bar + m.rate / s2 + 0.5)
     else:
-        alpha, gap = ex.alpha_p, ex.alpha_p + 1.0
+        alpha, gap = alpha_p, alpha_p + 1.0
     sign = _kind_sign(kind, alpha, gap)
     boundary = alpha * strike / gap
     log_m = _log_moneyness(m.spot, strike, alpha, gap)
-    exercised = m.spot > boundary if kind == OptionKind.CALL else m.spot < boundary
+    exercised = m.spot > boundary if kind == _CALL else m.spot < boundary
     if exercised:
-        regime = Regime.EXERCISE_NOW
+        regime = _EXERCISE_NOW
         premium = intrinsic_value(kind, m.spot, strike)
     else:
-        regime = Regime.CONTINUATION
+        regime = _CONTINUATION
         premium = _power_law(sign, strike, alpha, gap, log_m)
-    return _ClosedForm(ex.alpha_bar, sign, alpha, gap, boundary, regime, premium, log_m)
+    return _ClosedForm(alpha_bar, sign, alpha, gap, boundary, regime, premium, log_m)
 
 
 def exercise_boundary(m: MarketParams, c: ContractParams) -> float:
@@ -147,7 +160,7 @@ def premium_from_exponent(
     Powers go through exp(alpha*log(.)) so non-integer exponents of
     positive arguments are handled without sign pitfalls.
     """
-    gap = alpha - 1.0 if kind == OptionKind.CALL else alpha + 1.0
+    gap = alpha - 1.0 if kind == _CALL else alpha + 1.0
     sign = _kind_sign(kind, alpha, gap)
     return _power_law(sign, strike, alpha, gap, _log_moneyness(spot, strike, alpha, gap))
 
@@ -192,6 +205,7 @@ def ode_coefficients(m: MarketParams, q: float) -> tuple[float, float]:
 
 def notional_at(s: AmortizationSchedule, t: float) -> float:
     """Notional at time t under exponential decay: N0 * e^{-q t}."""
+    _require_finite("t", t)
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
     return s.initial_notional * math.exp(-s.amort * t)

@@ -26,15 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import (
-    ContractParams,
-    MarketParams,
-    OptionKind,
-    Regime,
-    RegionError,
-    intrinsic_value,
-)
-from .pricing import _ClosedForm, _closed_form
+from .params import ContractParams, MarketParams, RegionError, intrinsic_value
+from .pricing import _CALL, _EXERCISE_NOW, _ClosedForm, _closed_form
 
 
 @dataclass(frozen=True)
@@ -102,7 +95,7 @@ def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
     f3 = -(dV/dq)/alpha_bar and explicit = -(2/sigma) dV/dq.
     """
     f = _closed_form(m, c.kind, c.strike, c.amort)
-    if f.regime == Regime.EXERCISE_NOW:
+    if f.regime is _EXERCISE_NOW:
         raise RegionError(
             f"spot {m.spot} beyond {c.kind.value} boundary {f.boundary}: "
             "q-derivatives are defined on the continuation region only"
@@ -164,10 +157,7 @@ def limit_suite(m: MarketParams, c: ContractParams) -> LimitReport:
     f = _closed_form(m, c.kind, c.strike, LARGE_Q)
     intr = intrinsic_value(c.kind, m.spot, c.strike)
     gap = abs(f.premium - intr)
-    if c.kind == OptionKind.CALL:
-        bound = c.strike / (math.e * f.gap)
-    else:
-        bound = c.strike / (math.e * f.alpha)
+    bound = c.strike / (math.e * (f.gap if c.kind == _CALL else f.alpha))
     return LimitReport(
         premium_small_q=small,
         vanilla_premium=vanilla,

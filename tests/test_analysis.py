@@ -168,6 +168,20 @@ def test_optimize_q_bad_range(market_a):
         optimize_q(market_a, 100.0, spec, (0.5, 0.1))
 
 
+@pytest.mark.parametrize("q_range", [(0.001, math.inf), (0.001, math.nan), (math.nan, 1.0)])
+def test_optimize_q_rejects_non_finite_range(market_a, q_range):
+    # refused up front, not by the amort check of a scan point
+    spec = StrategySpec(kind=StrategyKind.PUT_ONLY, budget=100.0)
+    with pytest.raises(ValidationError, match=re.escape("q_range must satisfy 0 < lo < hi")):
+        optimize_q(market_a, 100.0, spec, q_range)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf])
+def test_strategy_spec_rejects_non_finite_budget(budget):
+    with pytest.raises(ValidationError, match="budget must be finite"):
+        StrategySpec(kind=StrategyKind.STRADDLE, budget=budget)
+
+
 def test_put_positional_vega_unimodal(market_a):
     spec = StrategySpec(kind=StrategyKind.PUT_ONLY, budget=100.0)
     qs = [0.01 + 0.99 * i / 99 for i in range(100)]
@@ -285,3 +299,64 @@ def test_case_studies_reject_bad_terms_like_contract_params(market_a, study, str
         ContractParams(strike=strike, amort=q, kind=OptionKind.CALL)
     with pytest.raises(ValidationError, match=re.escape(str(want.value))):
         CASE_STUDIES[study](market_a, strike, q)
+
+
+def test_sweep_kernel_values_are_pinned(market_a):
+    # float.hex of the q-sweep outputs at market A, from the kernel that
+    # evaluated each kind's closed form and each dated call on its own
+    k = 100.0
+    assert [effective_maturity(market_a, k, q).effective_maturity.hex() for q in (0.1, 0.5)] == [
+        "0x1.380d86535c6d7p+1",
+        "0x1.768cd11b4ea97p-1",
+    ]
+    (pt,) = ratio_study(market_a, k, [0.1])
+    assert (pt.gamma_ratio.hex(), pt.theta_ratio.hex()) == (
+        "0x1.837d0bf4a1c7ep-1",
+        "0x1.e66381d38369bp-2",
+    )
+    pv = {
+        kind: positional_vega(market_a, k, StrategySpec(kind=kind, budget=100.0), 0.3).hex()
+        for kind in StrategyKind
+    }
+    assert pv == {
+        StrategyKind.CALL_ONLY: "0x1.4ca9e87b9ff2fp+7",
+        StrategyKind.PUT_ONLY: "0x1.a99f8d91731ebp+7",
+        StrategyKind.STRADDLE: "0x1.75e1681141c8bp+7",
+    }
+    res = optimize_q(market_a, k, StrategySpec(kind=StrategyKind.PUT_ONLY, budget=100.0), (0.001, 1.0))
+    assert (res.q_star.hex(), res.positional_vega_at_star.hex()) == (
+        "0x1.24126a82964bcp-3",
+        "0x1.aac82cefd69f4p+7",
+    )
+
+
+def test_sweeps_solve_exponents_once_and_build_no_dated_records(market_a, monkeypatch):
+    import ampo.analysis
+    import ampo.greeks
+    import ampo.pricing
+
+    solves = []
+
+    def counted(m, q):
+        solves.append(q)
+        return exponents(m, q)
+
+    def no_record(*args):
+        raise AssertionError("a DatedGreeksReport was built inside a sweep")
+
+    exponents = ampo.pricing._exponents
+    monkeypatch.setattr(ampo.pricing, "_exponents", counted)
+    monkeypatch.setattr(ampo.analysis, "_exponents", counted)
+    monkeypatch.setattr(ampo.greeks, "DatedGreeksReport", no_record)
+    for kind in StrategyKind:
+        solves.clear()
+        positional_vega(market_a, 100.0, StrategySpec(kind=kind, budget=100.0), 0.3)
+        assert solves == [0.3]
+    effective_notional_curve(market_a, 100.0, [0.1, 0.5])
+    ratio_study(market_a, 100.0, [0.1, 0.5])
+
+
+@pytest.mark.parametrize("strike, maturity", [(100.0, 0.0), (0.0, 1.0)])
+def test_dated_bs_call_still_checks_its_terms(market_a, strike, maturity):
+    with pytest.raises(ValidationError, match="must be > 0"):
+        dated_bs_call(market_a, strike, maturity)

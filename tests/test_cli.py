@@ -294,6 +294,25 @@ def test_config_key_not_a_flag_of_the_command_exits_2(cli, tmp_path):
     _assert_argument_error(res, "unrecognized arguments: --budget=3")
 
 
+def test_config_unknown_key_with_a_space_in_its_value_exits_2(cli, tmp_path):
+    # argparse alone reads such a token as the `example` positional
+    cfg = tmp_path / "examples.cfg"
+    cfg.write_text("a = b c\n")
+    res = cli("examples", "1", "--config", str(cfg))
+    _assert_argument_error(res, "unrecognized arguments: --a=b c")
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_examples_3_non_finite_budget_exits_2(cli, budget):
+    res = cli("examples", "3", "--budget", budget, "--output", "csv")
+    _assert_argument_error(res, f"budget must be finite, got {budget}")
+
+
+def test_optimize_infinite_q_max_exits_2(cli):
+    res = cli("optimize", "--kind", "put", "--q-max", "inf")
+    _assert_argument_error(res, "q_range must satisfy 0 < lo < hi")
+
+
 def test_env_output_invalid_exits_2(cli, monkeypatch):
     monkeypatch.setenv("AMPO_OUTPUT", "xml")
     res = cli("price", "--kind", "put", "--amort", "0.1")

@@ -200,6 +200,15 @@ def test_notional_decay():
         notional_at(s, -1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_amortization_schedule_rejects_non_finite(bad):
+    for kwargs in ({"initial_notional": bad, "amort": 0.1}, {"initial_notional": 1.0, "amort": bad}):
+        with pytest.raises(ValidationError, match="must be finite"):
+            AmortizationSchedule(**kwargs)
+    with pytest.raises(ValidationError, match="t must be finite"):
+        notional_at(AmortizationSchedule(initial_notional=1.0, amort=0.1), bad)
+
+
 def test_parameter_validation():
     with pytest.raises(ValidationError):
         MarketParams(spot=-1.0, rate=0.05, vol=0.5)
