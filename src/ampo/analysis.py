@@ -15,7 +15,7 @@ from enum import Enum
 
 from .greeks import _dated_terms, _gamma, _vega
 from .params import MarketParams, NoSolutionError, OptionKind, ValidationError
-from .params import _check_terms, _require_finite
+from .params import _check_terms, _member, _require_finite
 from .pricing import _closed_form, _exponents
 
 
@@ -35,7 +35,7 @@ class StrategySpec:
         if self.budget <= 0:
             raise ValidationError(f"budget must be > 0, got {self.budget}")
         if not isinstance(self.kind, StrategyKind):
-            object.__setattr__(self, "kind", StrategyKind(self.kind))
+            object.__setattr__(self, "kind", _member(StrategyKind, self.kind))
 
 
 @dataclass(frozen=True)

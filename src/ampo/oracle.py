@@ -7,12 +7,14 @@ and statics test suites.
 
 The lattice is perpetual, not truncated in time: on a fixed log-spot
 grid its value is the fixed point of one CRR step with early exercise,
-which the Brennan-Schwartz sweep solves exactly in two linear passes
+which the Brennan-Schwartz sweep solves exactly in two passes
 (Brennan & Schwartz 1977, J. Finance 32:449; proved correct for the
 American put by Jaillet, Lamberton & Lapeyre 1990, Acta Appl. Math.
-21:263). `LatticeConfig.steps` sets the grid resolution. The sweep uses
-only the lattice's own step constants and the payoff, never the closed
-form.
+21:263). Its first pass stops at its recurrence's floating-point fixed
+point and the second bisects below it for the exercise boundary, so most
+nodes are never visited, with the same floats as a full walk.
+`LatticeConfig.steps` sets the grid resolution. The sweep uses only the
+lattice's own step constants and the payoff, never the closed form.
 """
 
 from __future__ import annotations
@@ -104,6 +106,13 @@ def _perpetual_sweep(
     node 0, where V = g, and sets V_k = max(g_k, B_k*V_{k-1}) until the
     first continuation node. The boundary estimate is the geometric
     midpoint of the last exercised node and that one.
+
+    B_k = b(1-c)/(1 - bc*B_{k+1}) is a fixed map, so once it returns the
+    float it was given at some node `top`, every B_k with k <= top is
+    that B and pass 1 stops. On 1..top node k is exercised iff
+    g_k >= B*g_{k-1}, for the put iff (u - B)*S_{k-1} <= K*(1 - B) (the
+    call mirrored): one flip as k rises, so the exercised nodes form a
+    prefix and pass 2 bisects for its end, then walks on above `top`.
     """
     dx = min(_REACH / steps, vol * math.sqrt(_DISCOUNT / (steps * discount_rate)))
     reach = steps * dx
@@ -128,15 +137,26 @@ def _perpetual_sweep(
 
     ratios = [0.0] * n
     to_exercise, to_continuation = b * (1.0 - c), b * c
-    ratio = 0.0
+    ratio, top = 0.0, 0
     for k in range(n - 1, 0, -1):
-        ratio = to_exercise / (1.0 - to_continuation * ratio)
-        ratios[k] = ratio
+        following = to_exercise / (1.0 - to_continuation * ratio)
+        if following == ratio:
+            ratios[1 : k + 1] = [ratio] * k
+            top = k
+            break
+        ratio = ratios[k] = following
 
     def payoff(k: int) -> float:
         return sign * (spot * math.exp((k - at_spot) * step) - strike)
 
-    value, k = payoff(0), 1
+    lo, hi = 1, top + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if payoff(mid) < ratio * payoff(mid - 1):
+            hi = mid
+        else:
+            lo = mid + 1
+    value, k = payoff(lo - 1), lo
     while k < n:
         g = payoff(k)
         if g < ratios[k] * value:

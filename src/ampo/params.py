@@ -42,6 +42,15 @@ def _require_finite(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
+def _member(kind_enum: type[Enum], kind) -> Enum:
+    """`kind` as a member of `kind_enum`; ValidationError if it names none."""
+    try:
+        return kind_enum(kind)
+    except ValueError:
+        names = ", ".join(k.value for k in kind_enum)
+        raise ValidationError(f"kind must be one of {names}") from None
+
+
 def _check_terms(strike: float, amort: float) -> None:
     """Contract terms: strike and amortization rate finite and > 0."""
     _require_finite("strike", strike)
@@ -86,7 +95,7 @@ class ContractParams:
     def __post_init__(self):
         _check_terms(self.strike, self.amort)
         if not isinstance(self.kind, OptionKind):
-            object.__setattr__(self, "kind", OptionKind(self.kind))
+            object.__setattr__(self, "kind", _member(OptionKind, self.kind))
 
 
 @dataclass(frozen=True)

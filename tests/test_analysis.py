@@ -182,6 +182,12 @@ def test_strategy_spec_rejects_non_finite_budget(budget):
         StrategySpec(kind=StrategyKind.STRADDLE, budget=budget)
 
 
+@pytest.mark.parametrize("kind", ["bogus", None])
+def test_strategy_spec_rejects_unknown_kind(kind):
+    with pytest.raises(ValidationError, match=r"^kind must be one of call, put, straddle$"):
+        StrategySpec(kind=kind, budget=1.0)
+
+
 def test_put_positional_vega_unimodal(market_a):
     spec = StrategySpec(kind=StrategyKind.PUT_ONLY, budget=100.0)
     qs = [0.01 + 0.99 * i / 99 for i in range(100)]

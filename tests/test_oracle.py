@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ampo import (
+    AmpoError,
     ContractParams,
     ConvergenceError,
     LatticeConfig,
@@ -20,6 +21,7 @@ from ampo import (
     to_equivalent_perpetual,
     vega,
 )
+from ampo import oracle
 from conftest import sample_set
 
 
@@ -162,3 +164,111 @@ def test_lattice_random_sets_spot_check():
         assert rep.rel_error < 0.005
         bd = exercise_boundary(m, c)
         assert abs(rep.boundary_estimate - bd) / bd < 0.02
+
+
+def _linear_sweep(kind, spot, strike, growth, discount_rate, vol, steps):
+    # reference for _perpetual_sweep: both passes visit every node in turn
+    dx = min(oracle._REACH / steps, vol * math.sqrt(oracle._DISCOUNT / (steps * discount_rate)))
+    reach = steps * dx
+    dt = (dx / vol) ** 2
+    if not growth * dt < dx:
+        raise ValidationError(
+            f"lattice up-probability outside (0, 1): rate*dt = {growth * dt:.3e} "
+            f">= dx = {dx:.3e}; raise steps or vol"
+        )
+    u = math.exp(dx)
+    p = (math.exp(growth * dt) - 1.0 / u) / (u - 1.0 / u)
+    b = math.exp(-discount_rate * dt)
+    x = math.log(spot / strike)
+    below = math.ceil((max(x, 0.0) + reach) / dx)
+    above = math.ceil((reach - min(x, 0.0)) / dx)
+    if kind == OptionKind.PUT:
+        sign, step, at_spot, c = -1.0, dx, below, p
+    else:
+        sign, step, at_spot, c = 1.0, -dx, above, 1.0 - p
+    n = below + above + 1
+    ratios, ratio = [0.0] * n, 0.0
+    for k in range(n - 1, 0, -1):
+        ratio = ratios[k] = b * (1.0 - c) / (1.0 - b * c * ratio)
+
+    def payoff(k):
+        return sign * (spot * math.exp((k - at_spot) * step) - strike)
+
+    value, k = payoff(0), 1
+    while k < n:
+        g = payoff(k)
+        if g < ratios[k] * value:
+            break
+        value, k = g, k + 1
+    if k == 1:
+        raise ConvergenceError(
+            "lattice never reaches the exercise region: its first interior node "
+            f"is not exercised (log-spot reach {reach:.3g}, spacing {dx:.3g})"
+        )
+    boundary = spot * math.exp((k - 0.5 - at_spot) * step)
+    if at_spot < k:
+        return payoff(at_spot), boundary
+    for j in range(k, at_spot + 1):
+        value *= ratios[j]
+    return value, boundary
+
+
+def _sweep_cases(market_a):
+    cases = [(market_a, ContractParams(100.0, 0.1, kind), 4000) for kind in OptionKind]
+    for q in (1e2, 1e3, 1e4, 1e5):
+        for vol in (1e-4, 0.01, 0.1, 0.5, 5.0):
+            for rate in (0.0, 0.05):
+                for kind in OptionKind:
+                    m = MarketParams(100.0, rate, vol)
+                    cases.append((m, ContractParams(100.0, q, kind), 4000))
+    rng = random.Random(10)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    for _ in range(300):
+        spot = 100.0 * log_uniform(0.05, 20.0)
+        rate = rng.choice([0.0, log_uniform(1e-4, 1.0)])
+        m = MarketParams(spot, rate, log_uniform(1e-3, 5.0))
+        c = ContractParams(100.0, log_uniform(1e-4, 1e3), rng.choice(list(OptionKind)))
+        cases.append((m, c, rng.choice([2, 3, 5, 50, 4000])))
+    return cases
+
+
+def _outcome(m, c, cfg):
+    try:
+        rep = lattice_price(to_equivalent_perpetual(c, m), m, cfg)
+    except AmpoError as exc:
+        return type(exc), str(exc)
+    return rep.oracle_price.hex(), rep.boundary_estimate.hex()
+
+
+@pytest.mark.parametrize("convergence", [None, 5e-3])
+def test_sweep_matches_linear_walk(market_a, convergence, monkeypatch):
+    cases = [
+        (m, c, LatticeConfig(steps=n, convergence=convergence))
+        for m, c, n in _sweep_cases(market_a)
+    ]
+    got = [_outcome(*case) for case in cases]
+    monkeypatch.setattr(oracle, "_perpetual_sweep", _linear_sweep)
+    want = [_outcome(*case) for case in cases]
+    assert got == want
+    assert sum(isinstance(w[0], str) for w in want) > len(want) // 2
+
+
+@pytest.mark.parametrize("kind", list(OptionKind))
+def test_sweep_work_is_logarithmic_below_the_fixed_point(market_a, kind, monkeypatch):
+    # full grid plus half grid; a walk over every node makes about 5,600 calls
+    calls = 0
+    exp = math.exp
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return exp(x)
+
+    e = to_equivalent_perpetual(ContractParams(100.0, 0.1, kind), market_a)
+    monkeypatch.setattr(math, "exp", counted)
+    lattice_price(e, market_a, LatticeConfig(steps=4000, convergence=5e-3))
+    monkeypatch.undo()
+    assert calls < 300

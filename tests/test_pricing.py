@@ -209,6 +209,12 @@ def test_amortization_schedule_rejects_non_finite(bad):
         notional_at(AmortizationSchedule(initial_notional=1.0, amort=0.1), bad)
 
 
+@pytest.mark.parametrize("kind", ["bogus", None, "straddle"])
+def test_contract_params_rejects_unknown_kind(kind):
+    with pytest.raises(ValidationError, match=r"^kind must be one of call, put$"):
+        ContractParams(strike=100.0, amort=0.1, kind=kind)
+
+
 def test_parameter_validation():
     with pytest.raises(ValidationError):
         MarketParams(spot=-1.0, rate=0.05, vol=0.5)
