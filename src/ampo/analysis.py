@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .greeks import _dated_terms, _gamma, _vega
+from .greeks import _dated_terms, _gamma
 from .params import MarketParams, NoSolutionError, OptionKind, ValidationError
-from .params import _check_terms, _member, _require_finite
-from .pricing import _closed_form, _exponents
+from .params import _check_terms, _member, _require_finite, intrinsic_value
+from .pricing import _CALL, _closed_form, _exponents, _kind_sign
 
 
 class StrategyKind(str, Enum):
@@ -179,17 +179,59 @@ def positional_vega(m: MarketParams, strike: float, s: StrategySpec, q: float) -
 
     The straddle holds equal notional of the ATM call and put at the same
     q (one exponent solve), so its ratio uses the combined premium and vega.
+    One point of the per-market kernel _positional_vega_curve, which also
+    drives optimize_q's scan; where budget * vega overflows the ratio is
+    taken as budget * (vega / premium), so a finite result stays finite.
     """
-    _check_terms(strike, q)
-    ex = _exponents(m, q)
-    prem = veg = 0.0
-    for kind in _STRATEGY_KINDS[s.kind]:
-        f = _closed_form(m, kind, strike, q, ex)
-        prem += f.premium
-        veg += _vega(f, m, q)
-    if prem < 1e-12:
-        raise NoSolutionError(f"degenerate strategy: premium {prem} below 1e-12")
-    return s.budget * veg / prem
+    return _positional_vega_curve(m, strike, _STRATEGY_KINDS[s.kind], s.budget, (q,))[0]
+
+
+def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float, qs) -> list[float]:
+    """budget * vega / premium of the kinds' combined position at each q in qs.
+
+    The market's terms are read once per call and the exponents solved once
+    per q for all kinds; each kind's closed form and Vega are then inlined
+    with _closed_form's and _vega's arithmetic in their order, so every
+    value and error is theirs. The terms are checked per q, in
+    _check_terms' order, and a point that fails raises at once.
+    """
+    spot, rate, vol = m.spot, m.rate, m.vol
+    s2 = vol**2
+    x = rate / s2
+    vol3 = vol**3
+    strike_ok = 0.0 < strike < math.inf
+    out = []
+    for q in qs:
+        if not (strike_ok and 0.0 < q < math.inf):
+            _check_terms(strike, q)  # raises
+        alpha_c, alpha_p, alpha_bar = _exponents(m, q)
+        prem = veg = 0.0
+        for kind in kinds:
+            call = kind is _CALL
+            if call:
+                sign, alpha = 1.0, alpha_c
+                # alpha_c - 1 without cancellation, as in _closed_form
+                gap = 2.0 * (rate + q) / s2 / (alpha_bar + x + 0.5)
+                resolved = gap > 0.0
+            else:
+                sign, alpha, gap = -1.0, alpha_p, alpha_p + 1.0
+                resolved = alpha > 0.0
+            if not resolved:
+                _kind_sign(kind, alpha, gap)  # raises
+            boundary = alpha * strike / gap
+            log_m = math.log(gap * spot / (alpha * strike))
+            if (spot > boundary) if call else (spot < boundary):
+                prem += intrinsic_value(kind, spot, strike)  # Vega is zero once exercised
+                continue
+            premium = strike / gap * math.exp(sign * alpha * log_m)
+            prem += premium
+            n = (alpha - 2.0 * sign) * rate - sign * q
+            veg += 2.0 * premium * log_m * n / (vol3 * alpha_bar)
+        if prem < 1e-12:
+            raise NoSolutionError(f"degenerate strategy: premium {prem} below 1e-12")
+        scaled = budget * veg
+        out.append(scaled / prem if math.isfinite(scaled) else budget * (veg / prem))
+    return out
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -224,8 +266,11 @@ def optimize_q(
 
     A coarse scan (>= 200 points) locates the structure; golden-section
     refinement to 1e-6 in q runs only when the scan shows a single
-    interior peak. An edge argmax is flagged as a boundary maximum and
-    several interior peaks as multimodal (returning the grid argmax).
+    interior peak. The scan is one pass of the per-market kernel behind
+    positional_vega and each golden step one positional_vega call, so
+    every value is positional_vega's at its q. An edge argmax is flagged
+    as a boundary maximum and several interior peaks as multimodal
+    (returning the grid argmax).
     """
     lo, hi = q_range
     if not (0.0 < lo < hi < math.inf):
@@ -233,7 +278,7 @@ def optimize_q(
     n = max(grid_points, 200)
     qs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     f = lambda q: positional_vega(m, strike, s, q)
-    vs = [f(q) for q in qs]
+    vs = _positional_vega_curve(m, strike, _STRATEGY_KINDS[s.kind], s.budget, qs)
     curve = list(zip(qs, vs))
     imax = max(range(n), key=vs.__getitem__)
     edge = imax in (0, n - 1)

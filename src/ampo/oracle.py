@@ -34,7 +34,7 @@ from .params import (
     ValidationError,
 )
 from .greeks import _delta, _gamma
-from .pricing import _closed_form, ode_coefficients, price
+from .pricing import _closed_form, _exponents, ode_coefficients, price
 
 # the grid spans at most 12 log-spot units beyond the spot and the
 # strike, and its time step discounts by at most e^{-14/steps}
@@ -232,16 +232,18 @@ def pde_residual(
 
     Evaluates (1/2) sigma^2 S^2 V'' + drift*S*V' - discount*V with the
     analytic value and derivatives, all from one closed-form evaluation
-    per spot, normalized by discount*V. The
+    per spot on one exponent solve (the exponents do not depend on the
+    spot), normalized by discount*V. The
     coefficients come from ode_coefficients. `premium_scale` multiplies
     the zeroth-order value only; scaling it by 1.01 should surface a
     relative residual near 0.01, a sanity check that the checker is live.
     """
     drift, discount = ode_coefficients(m, c.amort)
+    ex = _exponents(m, c.amort)
     out = []
     for s in spots:
         ms = dataclasses.replace(m, spot=float(s))
-        f = _closed_form(ms, c.kind, c.strike, c.amort)
+        f = _closed_form(ms, c.kind, c.strike, c.amort, ex)
         if f.regime != Regime.CONTINUATION:
             raise RegionError(f"spot {s} is outside the continuation region")
         v = premium_scale * f.premium

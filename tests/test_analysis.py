@@ -354,12 +354,37 @@ def test_sweeps_solve_exponents_once_and_build_no_dated_records(market_a, monkey
     monkeypatch.setattr(ampo.pricing, "_exponents", counted)
     monkeypatch.setattr(ampo.analysis, "_exponents", counted)
     monkeypatch.setattr(ampo.greeks, "DatedGreeksReport", no_record)
-    for kind in StrategyKind:
-        solves.clear()
-        positional_vega(market_a, 100.0, StrategySpec(kind=kind, budget=100.0), 0.3)
-        assert solves == [0.3]
     effective_notional_curve(market_a, 100.0, [0.1, 0.5])
     ratio_study(market_a, 100.0, [0.1, 0.5])
+
+    # positional Vega reads no _ClosedForm record: the kernel inlines it
+    def no_closed_form(*args):
+        raise AssertionError("_closed_form was called by the positional-Vega kernel")
+
+    golden_qs = []
+    golden = ampo.analysis._golden_section_max
+
+    def counted_golden(f, lo, hi, tol):
+        def g(q):
+            golden_qs.append(q)
+            return f(q)
+
+        return golden(g, lo, hi, tol)
+
+    monkeypatch.setattr(ampo.analysis, "_closed_form", no_closed_form)
+    monkeypatch.setattr(ampo.analysis, "_golden_section_max", counted_golden)
+    for kind in StrategyKind:
+        spec = StrategySpec(kind=kind, budget=100.0)
+        solves.clear()
+        positional_vega(market_a, 100.0, spec, 0.3)
+        assert solves == [0.3]
+        # one solve per evaluated q: the scan, each golden step, then q*
+        solves.clear()
+        golden_qs.clear()
+        res = optimize_q(market_a, 100.0, spec, (0.001, 1.0))
+        assert solves == [q for q, _ in res.curve] + golden_qs + ([res.q_star] if golden_qs else [])
+        # the put has a single interior peak, which golden section refines
+        assert bool(golden_qs) == (kind is StrategyKind.PUT_ONLY)
 
 
 @pytest.mark.parametrize("strike, maturity", [(100.0, 0.0), (0.0, 1.0)])

@@ -308,6 +308,37 @@ def test_examples_3_non_finite_budget_exits_2(cli, budget):
     _assert_argument_error(res, f"budget must be finite, got {budget}")
 
 
+def test_examples_3_near_max_budget_keeps_finite_rows(cli):
+    # budget * vega passes the float range before the division by the
+    # premium; the rows are the budget-100 rows scaled by 1e305
+    rows = {}
+    for budget in ("100", "1e307"):
+        res = cli("examples", "3", "--q-steps", "2", "--budget", budget, "--output", "csv")
+        assert res.returncode == 0
+        rows[budget] = [[float(x) for x in line.split(",")] for line in res.stdout.splitlines()[1:]]
+    assert len(rows["1e307"]) == 2
+    for small, big in zip(rows["100"], rows["1e307"]):
+        assert big[0] == small[0]
+        for v100, v in zip(small[1:], big[1:]):
+            assert math.isfinite(v)
+            assert v == pytest.approx(1e305 * v100, rel=1e-14)
+
+
+def test_optimize_near_max_budget_finds_the_budget_100_optimum(cli):
+    out = {}
+    for budget in ("100", "1e307"):
+        res = cli("optimize", "--kind", "put", "--budget", budget, "--output", "json")
+        assert res.returncode == 0
+        out[budget] = json.loads(res.stdout)
+    big, small = out["1e307"], out["100"]
+    assert big["boundary_maximum"] is False and big["multimodal"] is False
+    assert abs(big["q_star"] - small["q_star"]) <= 1e-5
+    assert abs(small["q_star"] - 0.142613) <= 1e-5
+    assert big["positional_vega_at_star"] == pytest.approx(
+        1e305 * small["positional_vega_at_star"], rel=1e-14
+    )
+
+
 def test_optimize_infinite_q_max_exits_2(cli):
     res = cli("optimize", "--kind", "put", "--q-max", "inf")
     _assert_argument_error(res, "q_range must satisfy 0 < lo < hi")

@@ -13,8 +13,10 @@ from ampo import (
     OptionKind,
     RegionError,
     ValidationError,
+    delta,
     exercise_boundary,
     finite_difference,
+    gamma,
     lattice_price,
     pde_residual,
     price,
@@ -116,6 +118,38 @@ def test_pde_residual_perturbed(market_a, put_a):
 def test_pde_residual_region_error(market_a, put_a):
     with pytest.raises(RegionError):
         pde_residual(market_a, put_a, [40.0])
+
+
+def test_pde_residual_solves_the_exponents_once(market_a, put_a, call_a, monkeypatch):
+    import ampo.pricing
+
+    def from_views(c, spots):
+        # the residual built per spot from the public views, each of which
+        # solves the exponents itself
+        drift, discount = market_a.rate, 2.0 * market_a.rate + c.amort
+        out = []
+        for s in spots:
+            ms = dataclasses.replace(market_a, spot=s)
+            v = price(ms, c).premium
+            resid = 0.5 * market_a.vol**2 * s * s * gamma(ms, c) + drift * s * delta(ms, c) - discount * v
+            out.append(abs(resid) / max(abs(discount * v), 1e-300))
+        return out
+
+    solves = []
+    exponents = ampo.pricing._exponents
+
+    def counted(m, q):
+        solves.append(q)
+        return exponents(m, q)
+
+    cases = ((put_a, [60.0, 80.0, 100.0, 140.0]), (call_a, [60.0, 100.0, 200.0, 260.0]))
+    want = [[r.hex() for r in from_views(c, spots)] for c, spots in cases]
+    monkeypatch.setattr(ampo.pricing, "_exponents", counted)
+    monkeypatch.setattr(oracle, "_exponents", counted)
+    for (c, spots), hexes in zip(cases, want):
+        solves.clear()
+        assert [r.hex() for r in pde_residual(market_a, c, spots)] == hexes
+        assert solves == [c.amort]
 
 
 def test_finite_difference_polynomials():

@@ -20,6 +20,8 @@ from ampo import (
     NoSolutionError,
     OptionKind,
     Regime,
+    StrategyKind,
+    StrategySpec,
     compute_exponents,
     dated_bs_call,
     delta,
@@ -27,8 +29,10 @@ from ampo import (
     greeks_report,
     intrinsic_value,
     limit_suite,
+    positional_vega,
     price,
     statics_report,
+    vega,
 )
 
 EPS = sys.float_info.epsilon
@@ -131,3 +135,45 @@ def test_effective_maturity_over_full_domain(rate, vol, q, spot, strike):
     assert abs(dated.premium - target) <= 1e-10
     if target >= sys.float_info.min:
         assert abs(dated.premium - target) <= 1e-7 * target
+
+
+def _positional_vega_from_views(m, strike, spec, q):
+    # the documented ratio from the public views, summed call then put;
+    # budget * (vega / premium) only where budget * vega overflows
+    legs = ("call", "put") if spec.kind is StrategyKind.STRADDLE else (spec.kind.value,)
+    prem = veg = 0.0
+    for kind in legs:
+        c = ContractParams(strike=strike, amort=q, kind=kind)
+        prem += price(m, c).premium
+        veg += vega(m, c)
+    if prem < 1e-12:
+        raise NoSolutionError(f"degenerate strategy: premium {prem} below 1e-12")
+    scaled = spec.budget * veg
+    return scaled / prem if math.isfinite(scaled) else spec.budget * (veg / prem)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except AmpoError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    rate=st.one_of(st.just(0.0), log_uniform(1e-6, 2.0)),
+    vol=log_uniform(1e-4, 5.0),
+    q=log_uniform(1e-8, 1e5),
+    spot=log_uniform(1e-3, 1e5),
+    strike=log_uniform(1e-2, 1e4),
+    # budgets of 1e305-1e307 make budget * vega overflow where the ratio is finite
+    budget=st.one_of(log_uniform(1e-3, 1e3), log_uniform(1e305, 1e307)),
+)
+def test_positional_vega_over_full_domain(rate, vol, q, spot, strike, budget):
+    # the kernel's value is the views' ratio bit for bit, or both raise the
+    # same AmpoError; nothing else may escape
+    m = MarketParams(spot=spot, rate=rate, vol=vol)
+    for kind in StrategyKind:
+        spec = StrategySpec(kind=kind, budget=budget)
+        got = _outcome(positional_vega, m, strike, spec, q)
+        assert got == _outcome(_positional_vega_from_views, m, strike, spec, q), kind
