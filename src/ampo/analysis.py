@@ -16,7 +16,7 @@ from enum import Enum
 from .greeks import _dated_terms, _gamma
 from .params import MarketParams, NoSolutionError, OptionKind, ValidationError
 from .params import _check_terms, _member, _require_finite, intrinsic_value
-from .pricing import _CALL, _closed_form, _exponents, _kind_sign
+from .pricing import _CALL, _closed_form, _exponents, _kind_sign, _out_of_range
 
 
 class StrategyKind(str, Enum):
@@ -196,9 +196,12 @@ def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float,
     _check_terms' order, and a point that fails raises at once.
     """
     spot, rate, vol = m.spot, m.rate, m.vol
-    s2 = vol**2
-    x = rate / s2
-    vol3 = vol**3
+    try:
+        s2 = vol**2
+        x = rate / s2
+        vol3 = vol**3
+    except (OverflowError, ZeroDivisionError):
+        raise _out_of_range(m, "positional Vega") from None
     strike_ok = 0.0 < strike < math.inf
     out = []
     for q in qs:
@@ -226,7 +229,10 @@ def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float,
             premium = strike / gap * math.exp(sign * alpha * log_m)
             prem += premium
             n = (alpha - 2.0 * sign) * rate - sign * q
-            veg += 2.0 * premium * log_m * n / (vol3 * alpha_bar)
+            try:
+                veg += 2.0 * premium * log_m * n / (vol3 * alpha_bar)
+            except ZeroDivisionError:
+                raise _out_of_range(m, "positional Vega") from None
         if prem < 1e-12:
             raise NoSolutionError(f"degenerate strategy: premium {prem} below 1e-12")
         scaled = budget * veg
@@ -270,7 +276,8 @@ def optimize_q(
     positional_vega and each golden step one positional_vega call, so
     every value is positional_vega's at its q. An edge argmax is flagged
     as a boundary maximum and several interior peaks as multimodal
-    (returning the grid argmax).
+    (returning the grid argmax). A maximum that is not finite (the budget
+    times Vega past the float range) raises NoSolutionError.
     """
     lo, hi = q_range
     if not (0.0 < lo < hi < math.inf):
@@ -289,6 +296,11 @@ def optimize_q(
     if peaks == 1:
         q_star = _golden_section_max(f, qs[imax - 1], qs[imax + 1], 1e-6)
         v_star = f(q_star)
+    if not math.isfinite(v_star):
+        raise NoSolutionError(
+            f"positional Vega overflows a float at budget {s.budget}: "
+            f"its maximum over q is {v_star}"
+        )
     return OptimizationResult(
         q_star=q_star,
         positional_vega_at_star=v_star,

@@ -4,7 +4,9 @@ Subcommands: price, greeks, statics, examples {1|2|3}, optimize,
 validate. Numeric output is full double precision in json/csv (shortest
 round-trip representation) and rounded to 6 significant digits in the
 table view. Exit codes: 0 success, 1 oracle/validation check failure,
-2 argument or out-of-region request, 3 internal solver error.
+2 argument or out-of-region request, 3 internal solver error. Each
+subcommand imports only the modules it runs, and json only for json
+output, so a fresh process loads no more than its command needs.
 
 Each option is a flag of its subcommand, and build_parser declares its
 type, choices and default once. The AMPO_OUTPUT environment variable
@@ -21,32 +23,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
-from .analysis import (
-    StrategyKind,
-    StrategySpec,
-    effective_notional_curve,
-    optimize_q,
-    positional_vega,
-    ratio_study,
-)
-from .greeks import _delta, _gamma, _vega, greeks_report
-from .oracle import LatticeConfig, finite_difference, lattice_price, pde_residual
-from .params import (
-    AmpoError,
-    ContractParams,
-    ConvergenceError,
-    MarketParams,
-    OptionKind,
-    Regime,
-    RegionError,
-    ValidationError,
-)
-from .pricing import _closed_form, compute_exponents, price, to_equivalent_perpetual
-from .statics import statics_report
+from .params import AmpoError, ContractParams, ConvergenceError, MarketParams, OptionKind
+from .params import Regime, RegionError, ValidationError
 
 
 def _fmt_full(x) -> str:
@@ -63,6 +44,7 @@ def _fmt_table(x) -> str:
 
 def _emit_record(record: dict, output: str) -> None:
     if output == "json":
+        import json
         print(json.dumps(record, indent=2))
     elif output == "csv":
         keys = list(record)
@@ -79,6 +61,7 @@ def _emit_rows(rows: list[dict], output: str) -> None:
         return
     keys = list(rows[0])
     if output == "json":
+        import json
         print(json.dumps({"rows": rows}, indent=2))
     elif output == "csv":
         print(",".join(keys))
@@ -145,6 +128,7 @@ _QUOTE_KEYS = ("kind", "spot", "strike", "rate", "vol", "amort")
 
 
 def _cmd_price(args) -> int:
+    from .pricing import compute_exponents, price
     m, c = _market_contract(args)
     quote = price(m, c)
     ex = compute_exponents(m, c.amort)
@@ -162,6 +146,7 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_greeks(args) -> int:
+    from .greeks import greeks_report
     m, c = _market_contract(args)
     rep = greeks_report(m, c)
     record = {**_inputs(args, _QUOTE_KEYS), **dataclasses.asdict(rep)}
@@ -170,6 +155,7 @@ def _cmd_greeks(args) -> int:
 
 
 def _cmd_statics(args) -> int:
+    from .statics import statics_report
     m, c = _market_contract(args)
     rep = statics_report(m, c)
     record = {
@@ -198,6 +184,8 @@ def _q_grid(args, lo: float, steps: int) -> list[float]:
 
 
 def _cmd_examples(args) -> int:
+    from .analysis import StrategyKind, StrategySpec, positional_vega
+    from .analysis import effective_notional_curve, ratio_study
     m = _market(args)
     strike = args.strike
     if args.example == 1:
@@ -237,6 +225,7 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from .analysis import StrategyKind, StrategySpec, optimize_q
     _require(args, "kind")
     m = _market(args)
     spec = StrategySpec(kind=StrategyKind(args.kind), budget=args.budget)
@@ -253,6 +242,9 @@ def _cmd_optimize(args) -> int:
 
 
 def _validate_checks(args) -> list[dict]:
+    from .greeks import _delta, _gamma, _vega
+    from .oracle import LatticeConfig, finite_difference, lattice_price, pde_residual
+    from .pricing import _closed_form, price, to_equivalent_perpetual
     m, c = _market_contract(args)
     f = _closed_form(m, c.kind, c.strike, c.amort)
     checks = []

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .params import ContractParams, MarketParams, ValidationError
-from .pricing import _EXERCISE_NOW, _ClosedForm, _closed_form, price
+from .pricing import _EXERCISE_NOW, _ClosedForm, _closed_form, _out_of_range, price
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,10 @@ def _vega(f: _ClosedForm, m: MarketParams, q: float) -> float:
     if f.regime is _EXERCISE_NOW:
         return 0.0
     n = (f.alpha - 2.0 * f.sign) * m.rate - f.sign * q
-    return 2.0 * f.premium * f.log_m * n / (m.vol**3 * f.alpha_bar)
+    try:
+        return 2.0 * f.premium * f.log_m * n / (m.vol**3 * f.alpha_bar)
+    except (OverflowError, ZeroDivisionError):
+        raise _out_of_range(m, "Vega") from None
 
 
 def greeks_report(m: MarketParams, c: ContractParams) -> GreeksReport:

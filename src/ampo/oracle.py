@@ -19,9 +19,9 @@ lattice's own step constants and the payoff, never the closed form.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import (
     ContractParams,
@@ -32,6 +32,7 @@ from .params import (
     Regime,
     RegionError,
     ValidationError,
+    _require_finite,
 )
 from .greeks import _delta, _gamma
 from .pricing import _closed_form, _exponents, ode_coefficients, price
@@ -76,6 +77,14 @@ class OracleReport:
     analytic_price: float
     rel_error: float
     boundary_estimate: float
+
+
+class _AtSpot(NamedTuple):
+    """The market fields the closed form and its Greeks read, moved to one checked spot."""
+
+    spot: float
+    rate: float
+    vol: float
 
 
 def _perpetual_sweep(
@@ -124,6 +133,11 @@ def _perpetual_sweep(
             f">= dx = {dx:.3e}; raise steps or vol"
         )
     u = math.exp(dx)
+    if u == 1.0:
+        raise ValidationError(
+            f"lattice spacing dx = {dx:.3e} at vol {vol!r} is below float resolution; "
+            "raise vol"
+        )
     p = (math.exp(growth * dt) - 1.0 / u) / (u - 1.0 / u)
     b = math.exp(-discount_rate * dt)
     x = math.log(spot / strike)
@@ -233,16 +247,21 @@ def pde_residual(
     Evaluates (1/2) sigma^2 S^2 V'' + drift*S*V' - discount*V with the
     analytic value and derivatives, all from one closed-form evaluation
     per spot on one exponent solve (the exponents do not depend on the
-    spot), normalized by discount*V. The
-    coefficients come from ode_coefficients. `premium_scale` multiplies
-    the zeroth-order value only; scaling it by 1.01 should surface a
-    relative residual near 0.01, a sanity check that the checker is live.
+    spot), normalized by discount*V. Each spot is checked as MarketParams
+    checks it, without building one. The coefficients come from
+    ode_coefficients. `premium_scale` multiplies the zeroth-order value
+    only; scaling it by 1.01 should surface a relative residual near 0.01,
+    a sanity check that the checker is live.
     """
     drift, discount = ode_coefficients(m, c.amort)
     ex = _exponents(m, c.amort)
     out = []
     for s in spots:
-        ms = dataclasses.replace(m, spot=float(s))
+        spot = float(s)
+        _require_finite("spot", spot)
+        if spot <= 0:
+            raise ValidationError(f"spot must be > 0, got {spot}")
+        ms = _AtSpot(spot, m.rate, m.vol)
         f = _closed_form(ms, c.kind, c.strike, c.amort, ex)
         if f.regime != Regime.CONTINUATION:
             raise RegionError(f"spot {s} is outside the continuation region")

@@ -34,6 +34,7 @@ from .params import (
 _CALL = OptionKind.CALL
 _EXERCISE_NOW = Regime.EXERCISE_NOW
 _CONTINUATION = Regime.CONTINUATION
+_INF = math.inf
 
 
 def compute_exponents(m: MarketParams, q: float) -> Exponents:
@@ -60,9 +61,12 @@ def _exponents(m: MarketParams, q: float) -> tuple[float, float, float]:
     """compute_exponents as a plain (alpha_c, alpha_p, alpha_bar) tuple."""
     if q < 0:
         raise ValidationError(f"amort must be >= 0, got {q}")
-    s2 = m.vol**2
-    x = m.rate / s2
-    radical = math.sqrt((x + 0.5) ** 2 + 2.0 * (m.rate + q) / s2)
+    try:
+        s2 = m.vol**2
+        x = m.rate / s2
+        radical = math.sqrt((x + 0.5) ** 2 + 2.0 * (m.rate + q) / s2)
+    except (OverflowError, ZeroDivisionError):
+        raise _out_of_range(m, "the exponent solve") from None
     product = 2.0 * (2.0 * m.rate + q) / s2
     if x >= 0.5:
         alpha_p = radical + x - 0.5
@@ -70,7 +74,18 @@ def _exponents(m: MarketParams, q: float) -> tuple[float, float, float]:
     else:
         alpha_c = radical - x + 0.5
         alpha_p = product / alpha_c
-    return alpha_c, alpha_p, 0.5 * (alpha_c + alpha_p)
+    alpha_bar = 0.5 * (alpha_c + alpha_p)
+    # both exponents are >= 0, so their mean is finite iff both are
+    if not alpha_bar < _INF:
+        raise _out_of_range(m, "the exponent solve")
+    return alpha_c, alpha_p, alpha_bar
+
+
+def _out_of_range(m: MarketParams, what: str) -> ValidationError:
+    """The error for a vol at which `what` overflows or underflows a float."""
+    return ValidationError(
+        f"vol {m.vol!r} out of range at rate {m.rate!r}: {what} overflows or underflows a float"
+    )
 
 
 class _ClosedForm(NamedTuple):
@@ -142,6 +157,9 @@ def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float, ex=
     else:
         regime = _CONTINUATION
         premium = _power_law(sign, strike, alpha, gap, log_m)
+        # below K for a put and S for a call, unless K/gap overflowed
+        if not premium < _INF:
+            raise _out_of_range(m, "the premium")
     return _ClosedForm(alpha_bar, sign, alpha, gap, boundary, regime, premium, log_m)
 
 

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .params import ContractParams, MarketParams, RegionError, intrinsic_value
-from .pricing import _CALL, _EXERCISE_NOW, _ClosedForm, _closed_form
+from .pricing import _CALL, _EXERCISE_NOW, _ClosedForm, _closed_form, _out_of_range
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,10 @@ SMALL_Q_RTOL = 1e-6
 
 
 def _d_boundary_dq(f: _ClosedForm, m: MarketParams, strike: float) -> float:
-    return -f.sign * strike / (m.vol**2 * f.gap**2 * f.alpha_bar)
+    try:
+        return -f.sign * strike / (m.vol**2 * f.gap**2 * f.alpha_bar)
+    except (OverflowError, ZeroDivisionError):
+        raise _out_of_range(m, "a q-derivative") from None
 
 
 def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
@@ -102,17 +105,20 @@ def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
         )
     r, sig, q = m.rate, m.vol, c.amort
     v, s, a, ab, log_m = f.premium, f.sign, f.alpha, f.alpha_bar, f.log_m
-    s2ab = sig**2 * ab
-    dv_dq = s * v * log_m / s2ab
-    # dalpha_bar/dsigma and the shared numerator 2r^2 + sigma^2 (3r + 2q)
-    num = 2.0 * r**2 + sig**2 * (3.0 * r + 2.0 * q)
-    factors = MixedPartialFactors(
-        d_dq_premium_dalpha=v / s2ab * (log_m**2 + 1.0 / (a * f.gap)),
-        dalpha_dsigma=(2.0 * s * r - num / s2ab) / sig**3,
-        d_dq_premium_dalphabar=-dv_dq / ab,
-        dalphabar_dsigma=-num / (sig**5 * ab),
-        explicit_sigma_term=-2.0 / sig * dv_dq,
-    )
+    try:
+        s2ab = sig**2 * ab
+        dv_dq = s * v * log_m / s2ab
+        # dalpha_bar/dsigma and the shared numerator 2r^2 + sigma^2 (3r + 2q)
+        num = 2.0 * r**2 + sig**2 * (3.0 * r + 2.0 * q)
+        factors = MixedPartialFactors(
+            d_dq_premium_dalpha=v / s2ab * (log_m**2 + 1.0 / (a * f.gap)),
+            dalpha_dsigma=(2.0 * s * r - num / s2ab) / sig**3,
+            d_dq_premium_dalphabar=-dv_dq / ab,
+            dalphabar_dsigma=-num / (sig**5 * ab),
+            explicit_sigma_term=-2.0 / sig * dv_dq,
+        )
+    except (OverflowError, ZeroDivisionError):
+        raise _out_of_range(m, "a q-derivative") from None
     mixed = (
         factors.d_dq_premium_dalpha * factors.dalpha_dsigma
         + factors.d_dq_premium_dalphabar * factors.dalphabar_dsigma

@@ -176,6 +176,15 @@ def test_optimize_q_rejects_non_finite_range(market_a, q_range):
         optimize_q(market_a, 100.0, spec, q_range)
 
 
+@pytest.mark.parametrize("kind", list(StrategyKind))
+def test_optimize_q_refuses_a_budget_whose_vega_overflows(market_a, kind):
+    # budget 1e308 puts budget * positional Vega past the largest double on
+    # every scan point, so there is no finite maximum to report
+    spec = StrategySpec(kind=kind, budget=1e308)
+    with pytest.raises(NoSolutionError, match=r"^positional Vega overflows a float at budget 1e\+308"):
+        optimize_q(market_a, 100.0, spec, (0.001, 1.0))
+
+
 @pytest.mark.parametrize("budget", [math.nan, math.inf])
 def test_strategy_spec_rejects_non_finite_budget(budget):
     with pytest.raises(ValidationError, match="budget must be finite"):

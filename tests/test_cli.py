@@ -339,6 +339,33 @@ def test_optimize_near_max_budget_finds_the_budget_100_optimum(cli):
     )
 
 
+def test_optimize_overflowing_budget_exits_3(cli):
+    res = cli("optimize", "--kind", "put", "--budget", "1e308")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: positional Vega overflows a float at budget 1e+308")
+
+
+@pytest.mark.parametrize(
+    "vol, rate", [("1e-80", "0.05"), ("1e-170", "0.05"), ("1e-170", "0"), ("1e-200", "0.05"), ("1e-200", "0")]
+)
+@pytest.mark.parametrize("sub", ["price", "greeks", "statics"])
+def test_extreme_vol_exits_2_naming_the_vol(cli, sub, vol, rate):
+    res = cli(sub, "--kind", "put", "--amort", "0.1", "--vol", vol, "--rate", rate)
+    _assert_argument_error(res, f"vol {float(vol)!r} out of range")
+
+
+def test_extreme_vol_in_a_fresh_process_prints_no_traceback():
+    res = run_cli("price", "--kind", "put", "--amort", "0.1", "--vol", "1e-80")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: vol 1e-80 out of range at rate 0.05: the exponent solve overflows or underflows a float"
+    ]
+
+
 def test_optimize_infinite_q_max_exits_2(cli):
     res = cli("optimize", "--kind", "put", "--q-max", "inf")
     _assert_argument_error(res, "q_range must satisfy 0 < lo < hi")
@@ -387,6 +414,64 @@ def test_import_loads_neither_scipy_nor_numpy():
         "assert 'scipy' not in sys.modules and 'numpy' not in sys.modules, "
         "sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy'))\n"
         "assert rep.rel_error < 0.05, rep\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+def _loaded_after(argv):
+    """The ampo submodules, and json, that main(argv) loads in a fresh interpreter."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import contextlib, io, ampo.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert ampo.cli.main({argv!r}) == 0\n"
+        "loaded = set(sys.modules) - before\n"
+        "print(' '.join(sorted(m for m in loaded if m == 'json' or m.startswith('ampo.'))))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return set(res.stdout.split())
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["price", "--kind", "put", "--amort", "0.1"], {"pricing"}),
+        (["greeks", "--kind", "put", "--amort", "0.1"], {"pricing", "greeks"}),
+        (["statics", "--kind", "put", "--amort", "0.1"], {"pricing", "statics"}),
+        (["examples", "1", "--q-steps", "3", "--output", "csv"], {"pricing", "greeks", "analysis"}),
+        (["optimize", "--kind", "put"], {"pricing", "greeks", "analysis"}),
+        (["validate", "--kind", "put", "--amort", "0.1", "--steps", "400"], {"pricing", "greeks", "oracle"}),
+    ],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, modules):
+    want = {"ampo.cli", "ampo.params"} | {f"ampo.{name}" for name in modules}
+    assert _loaded_after(argv) == want
+
+
+def test_package_names_resolve_on_first_use():
+    code = (
+        "import importlib, sys, ampo\n"
+        "assert not [m for m in sys.modules if m.startswith('ampo.')], sys.modules\n"
+        "for name in ampo.__all__:\n"
+        "    obj = getattr(ampo, name)\n"
+        "    assert obj.__module__.startswith('ampo.'), name\n"
+        "    assert getattr(importlib.import_module(obj.__module__), name) is obj, name\n"
+        "    assert vars(ampo)[name] is obj, name\n"
+        "assert set(ampo.__all__) <= set(dir(ampo))\n"
+        "try:\n"
+        "    ampo.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('ampo.no_such_name resolved')\n"
+        "from ampo import oracle\n"
+        "assert oracle is sys.modules['ampo.oracle'] and ampo.oracle is oracle\n"
+        "star = {}\n"
+        "exec('from ampo import *', star)\n"
+        "assert sorted(k for k in star if k != '__builtins__') == sorted(ampo.__all__)\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

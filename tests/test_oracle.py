@@ -106,13 +106,48 @@ def test_lattice_rate_check_at_large_amort(market_a):
 
 
 def test_pde_residual_exact(market_a, put_a, call_a):
-    assert max(pde_residual(market_a, put_a, [60.0, 80.0, 100.0, 140.0])) < 1e-10
-    assert max(pde_residual(market_a, call_a, [60.0, 100.0, 200.0, 260.0])) < 1e-10
+    put = pde_residual(market_a, put_a, [60.0, 80.0, 100.0, 140.0])
+    call = pde_residual(market_a, call_a, [60.0, 100.0, 200.0, 260.0])
+    assert max(put) < 1e-10
+    assert max(call) < 1e-10
+    assert [r.hex() for r in put] == ["0x0.0p+0"] * 3 + ["0x1.1eb851eb851eap-53"]
+    assert [r.hex() for r in call] == ["0x0.0p+0"] * 4
 
 
 def test_pde_residual_perturbed(market_a, put_a):
     res = pde_residual(market_a, put_a, [80.0], premium_scale=1.01)
     assert res[0] == pytest.approx(0.01, rel=0.05)
+    assert res[0].hex() == "0x1.446f86562d9fbp-7"
+
+
+def test_pde_residual_builds_no_market_per_spot(market_a, put_a, monkeypatch):
+    built = []
+    post_init = MarketParams.__post_init__
+
+    def counted(self):
+        built.append(self.spot)
+        post_init(self)
+
+    monkeypatch.setattr(MarketParams, "__post_init__", counted)
+    pde_residual(market_a, put_a, [60.0 + 10.0 * i for i in range(10)])
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "spot, message",
+    [
+        (math.nan, "spot must be finite, got nan"),
+        (math.inf, "spot must be finite, got inf"),
+        (0.0, "spot must be > 0, got 0.0"),
+        (-80.0, "spot must be > 0, got -80.0"),
+    ],
+)
+def test_pde_residual_rejects_bad_spot_like_market_params(market_a, put_a, spot, message):
+    with pytest.raises(ValidationError) as want:
+        dataclasses.replace(market_a, spot=spot)
+    assert str(want.value) == message
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        pde_residual(market_a, put_a, [80.0, spot])
 
 
 def test_pde_residual_region_error(market_a, put_a):
@@ -150,6 +185,15 @@ def test_pde_residual_solves_the_exponents_once(market_a, put_a, call_a, monkeyp
         solves.clear()
         assert [r.hex() for r in pde_residual(market_a, c, spots)] == hexes
         assert solves == [c.amort]
+
+
+@pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
+def test_lattice_refuses_spacing_below_float_resolution(kind):
+    # at vol 1e-80 and rate 0 the grid spacing is ~1e-81, so e^dx rounds to 1
+    m = MarketParams(spot=100.0, rate=0.0, vol=1e-80)
+    c = ContractParams(strike=100.0, amort=0.1, kind=kind)
+    with pytest.raises(ValidationError, match=r"at vol 1e-80 is below float resolution"):
+        lattice_price(to_equivalent_perpetual(c, m), m, LatticeConfig(steps=4000))
 
 
 def test_finite_difference_polynomials():

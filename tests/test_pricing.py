@@ -6,6 +6,7 @@ import pytest
 
 from ampo import (
     AmortizationSchedule,
+    AmpoError,
     ContractParams,
     MarketParams,
     OptionKind,
@@ -13,11 +14,14 @@ from ampo import (
     Regime,
     ValidationError,
     compute_exponents,
+    d_boundary_dq,
     exercise_boundary,
+    greeks_report,
     intrinsic_value,
     notional_at,
     ode_coefficients,
     price,
+    statics_report,
     to_equivalent_perpetual,
 )
 from conftest import sample_set
@@ -234,3 +238,70 @@ def test_quote_is_plain_record(market_a, call_a):
     q = price(market_a, call_a)
     assert isinstance(q, Quote)
     assert q.boundary == exercise_boundary(market_a, call_a)
+
+
+def _priced_or_refused(fn, m, c):
+    """fn(m, c) returns finite floats or raises an AmpoError, and which."""
+    try:
+        res = fn(m, c)
+    except AmpoError:
+        return "refused"
+    values = [res] if isinstance(res, float) else [
+        v for v in dataclasses.asdict(res).values() if isinstance(v, float)
+    ]
+    assert all(math.isfinite(v) for v in values), (fn.__name__, res)
+    return "priced"
+
+
+# (vol, rate) points where the exponent solve used to end in OverflowError
+# (vol 1e-80) or, with vol**2 underflowing to 0, in ZeroDivisionError
+EXTREME_VOLS = [(1e-80, 0.05), (1e-170, 0.05), (1e-170, 0.0), (1e-200, 0.05), (1e-200, 0.0)]
+
+
+@pytest.mark.parametrize("vol, rate", EXTREME_VOLS)
+@pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
+def test_extreme_vol_raises_validation_error_naming_the_vol(vol, rate, kind):
+    m = MarketParams(spot=100.0, rate=rate, vol=vol)
+    c = ContractParams(strike=100.0, amort=0.1, kind=kind)
+    for fn in (price, greeks_report, statics_report, exercise_boundary):
+        with pytest.raises(ValidationError, match=rf"^vol {vol!r} out of range at rate {rate!r}: "):
+            fn(m, c)
+    with pytest.raises(ValidationError, match=rf"^vol {vol!r} out of range"):
+        compute_exponents(m, 0.1)
+
+
+def test_every_vol_prices_or_raises_an_ampo_error():
+    # MarketParams accepts any finite vol > 0: each either prices (finite
+    # values) or raises an AmpoError, never OverflowError or ZeroDivisionError
+    vols = [5e-324, 1.7976931348623157e308] + [10.0**e for e in range(-320, 309, 4)]
+    seen = set()
+    for vol in vols:
+        for rate in (0.0, 0.05, 2.0):
+            m = MarketParams(spot=100.0, rate=rate, vol=vol)
+            for kind in (OptionKind.CALL, OptionKind.PUT):
+                c = ContractParams(strike=90.0, amort=0.1, kind=kind)
+                for fn in (price, greeks_report, statics_report, d_boundary_dq):
+                    seen.add(_priced_or_refused(fn, m, c))
+    assert seen == {"priced", "refused"}
+
+
+@pytest.mark.parametrize(
+    "vol, rate, quote, greeks",
+    [
+        # near-deterministic call: boundary K(2r+q)/r = 120
+        (1e-60, 0.05, ["0x1.cef684bda12f8p+3", "0x1.e000000000000p+6"],
+         ["0x1.284bda12f684dp-1", "0x1.1c71c71c71c73p-6", "0x0.0p+0", "-0x1.725ed097b4260p+0", "-0x0.0p+0"]),
+        # huge vol: the call is worth nearly the spot
+        (1e100, 0.05, ["0x1.8ffffffffff74p+6", "0x1.87ed11cf06741p+672"],
+         ["0x1.fffffffffff4dp-1", "0x1.2cfcc5a17c80cp-673", "0x0.0p+0", "-0x1.3ffffffffff90p+3", "0x1.21d1c4ac6f4ebp-982"]),
+        # rate 0 keeps r/sigma^2 at 0, so the exponents stay finite
+        (1e-80, 0.0, ["0x1.4000000000000p+3", "0x1.67fffffffffffp+6"],
+         ["0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p+0", "0x0.0p+0"]),
+    ],
+)
+def test_extreme_but_finite_vols_keep_their_values(vol, rate, quote, greeks):
+    m = MarketParams(spot=100.0, rate=rate, vol=vol)
+    c = ContractParams(strike=90.0, amort=0.1, kind=OptionKind.CALL)
+    q = price(m, c)
+    assert [q.premium.hex(), q.boundary.hex()] == quote
+    assert [x.hex() for x in dataclasses.astuple(greeks_report(m, c))] == greeks
