@@ -22,7 +22,7 @@ _EXPORTS = {
     ),
     "oracle": (
         "LatticeConfig", "OracleReport", "finite_difference", "lattice_price",
-        "pde_residual",
+        "pde_residual", "validate_checks",
     ),
     "params": (
         "AmortizationSchedule", "AmpoError", "ContractParams", "ConvergenceError",

@@ -156,12 +156,13 @@ def ratio_study(m: MarketParams, strike: float, q_grid) -> list[RatioPoint]:
         f = _closed_form(m, OptionKind.CALL, strike, q)
         res = _solve_maturity(m, strike, q, f.premium)
         _, _, dated_gamma, dated_theta, _ = _dated_terms(m, strike, res.effective_maturity)
-        if dated_gamma == 0.0:
+        g_ratio = _gamma(f, m) / dated_gamma if dated_gamma else math.inf
+        if not g_ratio < math.inf:
+            size = "underflows to 0" if dated_gamma == 0.0 else f"is {dated_gamma!r}"
             raise NoSolutionError(
-                f"dated call Gamma underflows to 0 at q = {q} "
+                f"dated call Gamma {size} at q = {q} "
                 f"(T = {res.effective_maturity}): the Gamma ratio is undefined"
             )
-        g_ratio = _gamma(f, m) / dated_gamma
         t_ratio = q * f.premium / abs(dated_theta)
         out.append(RatioPoint(q=q, gamma_ratio=g_ratio, theta_ratio=t_ratio))
     return out

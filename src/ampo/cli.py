@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Subcommands: price, greeks, statics, examples {1|2|3}, optimize,
-validate. Numeric output is full double precision in json/csv (shortest
-round-trip representation) and rounded to 6 significant digits in the
-table view. Exit codes: 0 success, 1 oracle/validation check failure,
-2 argument or out-of-region request, 3 internal solver error. Each
-subcommand imports only the modules it runs, and json only for json
-output, so a fresh process loads no more than its command needs.
+validate. The front end only parses and prints: each subcommand builds
+its inputs, calls public `ampo` functions (validate prints the records
+of ampo.oracle.validate_checks) and emits what they return. Numeric
+output is full double precision in json/csv (shortest round-trip
+representation) and rounded to 6 significant digits in the table view.
+Exit codes: 0 success, 1 oracle/validation check failure, 2 argument or
+out-of-region request, 3 internal solver error. Each subcommand imports
+only the modules it runs, and json only for json output, so a fresh
+process loads no more than its command needs.
 
 Each option is a flag of its subcommand, and build_parser declares its
 type, choices and default once. The AMPO_OUTPUT environment variable
@@ -26,8 +29,8 @@ import dataclasses
 import os
 import sys
 
-from .params import AmpoError, ContractParams, ConvergenceError, MarketParams, OptionKind
-from .params import Regime, RegionError, ValidationError
+from .params import AmpoError, ContractParams, MarketParams, OptionKind, RegionError
+from .params import ValidationError
 
 
 def _fmt_full(x) -> str:
@@ -137,9 +140,7 @@ def _cmd_price(args) -> int:
         "premium": quote.premium,
         "boundary": quote.boundary,
         "regime": quote.regime.value,
-        "alpha_c": ex.alpha_c,
-        "alpha_p": ex.alpha_p,
-        "alpha_bar": ex.alpha_bar,
+        **dataclasses.asdict(ex),
     }
     _emit_record(record, args.output)
     return 0
@@ -190,20 +191,10 @@ def _cmd_examples(args) -> int:
     strike = args.strike
     if args.example == 1:
         grid = _q_grid(args, 0.05, 20)
-        rows = [
-            {
-                "q": res.q,
-                "effective_maturity": res.effective_maturity,
-                "effective_notional": res.effective_notional,
-            }
-            for res in effective_notional_curve(m, strike, grid)
-        ]
+        rows = [dataclasses.asdict(res) for res in effective_notional_curve(m, strike, grid)]
     elif args.example == 2:
         grid = _q_grid(args, 0.05, 20)
-        rows = [
-            {"q": pt.q, "gamma_ratio": pt.gamma_ratio, "theta_ratio": pt.theta_ratio}
-            for pt in ratio_study(m, strike, grid)
-        ]
+        rows = [dataclasses.asdict(pt) for pt in ratio_study(m, strike, grid)]
     else:
         grid = _q_grid(args, 0.01, 100)
         specs = {
@@ -241,70 +232,13 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _validate_checks(args) -> list[dict]:
-    from .greeks import _delta, _gamma, _vega
-    from .oracle import LatticeConfig, finite_difference, lattice_price, pde_residual
-    from .pricing import _closed_form, price, to_equivalent_perpetual
-    m, c = _market_contract(args)
-    f = _closed_form(m, c.kind, c.strike, c.amort)
-    checks = []
-
-    cfg = LatticeConfig(steps=args.steps, convergence=args.tolerance)
-    try:
-        rep = lattice_price(to_equivalent_perpetual(c, m), m, cfg)
-        bd_err = abs(rep.boundary_estimate - f.boundary) / f.boundary
-        checks.append(
-            {"check": "lattice_price", "value": rep.rel_error, "limit": 5e-3,
-             "passed": rep.rel_error < 5e-3}
-        )
-        checks.append(
-            {"check": "lattice_boundary", "value": bd_err, "limit": 0.02,
-             "passed": bd_err < 0.02}
-        )
-    except ConvergenceError as exc:
-        checks.append(
-            {"check": "lattice_convergence", "value": str(exc), "limit": cfg.convergence,
-             "passed": False}
-        )
-
-    if f.regime == Regime.CONTINUATION:
-        lo = min(m.spot, f.boundary)
-        hi = max(m.spot, f.boundary)
-        if c.kind == OptionKind.CALL:
-            spots = [0.5 * lo + (hi * 0.999 - 0.5 * lo) * i / 9 for i in range(10)]
-        else:
-            spots = [lo * 1.001 + (1.5 * hi - lo * 1.001) * i / 9 for i in range(10)]
-        resid = max(pde_residual(m, c, spots, premium_scale=args.perturb))
-        checks.append(
-            {"check": "pde_residual", "value": resid, "limit": 1e-8, "passed": resid < 1e-8}
-        )
-
-        def prem_of_spot(s):
-            return price(dataclasses.replace(m, spot=s), c).premium
-
-        def prem_of_vol(sig):
-            return price(dataclasses.replace(m, vol=sig), c).premium
-
-        # the truncation error of the spot differences grows like (alpha*h)^2
-        margin = abs(f.boundary - m.spot) / m.spot
-        h = min(1e-4, 1e-3 / f.alpha, max(margin / 4.0, 1e-7))
-        fd_checks = (
-            ("fd_delta", _delta(f, m), finite_difference(prem_of_spot, m.spot, 1, "central", h)),
-            ("fd_gamma", _gamma(f, m), finite_difference(prem_of_spot, m.spot, 2, "central", h)),
-            ("fd_vega", _vega(f, m, c.amort), finite_difference(prem_of_vol, m.vol, 1, "central", 1e-4)),
-        )
-        for name, analytic, fd in fd_checks:
-            err = abs(analytic - fd) / max(abs(analytic), 1e-12)
-            checks.append(
-                {"check": name, "value": err, "limit": 1e-5, "passed": err < 1e-5}
-            )
-    return checks
-
-
 def _cmd_validate(args) -> int:
-    checks = _validate_checks(args)
+    from .oracle import LatticeConfig, validate_checks
+    m, c = _market_contract(args)
+    cfg = LatticeConfig(steps=args.steps, convergence=args.tolerance)
+    checks = validate_checks(m, c, cfg, args.perturb)
     _emit_rows(checks, args.output)
-    failing = [c["check"] for c in checks if not c["passed"]]
+    failing = [r["check"] for r in checks if not r["passed"]]
     if failing:
         print(f"FAILED: {', '.join(failing)}", file=sys.stderr)
         return 1

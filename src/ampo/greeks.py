@@ -50,10 +50,14 @@ def _delta(f: _ClosedForm, m: MarketParams) -> float:
 
 
 def _gamma(f: _ClosedForm, m: MarketParams) -> float:
-    """alpha*(alpha - s)*V/S^2, divided by S twice so S^2 cannot overflow; zero once exercised."""
+    """alpha*(alpha - s)*V/S^2, divided by S twice so S^2 cannot overflow; zero once
+    exercised. ValidationError where alpha*(alpha - s) overflows."""
     if f.regime is _EXERCISE_NOW:
         return 0.0
-    return f.alpha * f.gap * (f.premium / m.spot) / m.spot
+    gamma = f.alpha * f.gap * (f.premium / m.spot) / m.spot
+    if not gamma < math.inf:
+        raise _out_of_range(m, "Gamma")
+    return gamma
 
 
 def _vega(f: _ClosedForm, m: MarketParams, q: float) -> float:

@@ -3,7 +3,8 @@
 Three tools: a free-boundary CRR lattice that prices the equivalent
 dividend-paying perpetual American option, a residual checker for the
 valuation ODE, and a generic finite-difference engine used by the Greek
-and statics test suites.
+and statics test suites. validate_checks runs all three against the
+closed form of one contract; `ampo validate` prints its records.
 
 The lattice is perpetual, not truncated in time: on a fixed log-spot
 grid its value is the fixed point of one CRR step with early exercise,
@@ -34,8 +35,8 @@ from .params import (
     ValidationError,
     _require_finite,
 )
-from .greeks import _delta, _gamma
-from .pricing import _closed_form, _exponents, ode_coefficients, price
+from .greeks import _delta, _gamma, _vega
+from .pricing import _closed_form, _exponents, ode_coefficients, price, to_equivalent_perpetual
 
 # the grid spans at most 12 log-spot units beyond the spot and the
 # strike, and its time step discounts by at most e^{-14/steps}
@@ -268,7 +269,11 @@ def pde_residual(
         v = premium_scale * f.premium
         dv = _delta(f, ms)
         d2v = _gamma(f, ms)
-        resid = 0.5 * m.vol**2 * s * s * d2v + drift * s * dv - discount * v
+        curvature = 0.5 * m.vol**2 * s * s * d2v
+        if not curvature < math.inf:
+            # sigma^2*S*S overflows before Gamma scales it down (vol 1e60, S 3e122)
+            curvature = 0.5 * m.vol**2 * (s * (s * d2v))
+        resid = curvature + drift * s * dv - discount * v
         out.append(abs(resid) / max(abs(discount * v), 1e-300))
     return out
 
@@ -295,3 +300,57 @@ def finite_difference(
     return (2.0 * f(x) - 5.0 * f(x + h) + 4.0 * f(x + 2.0 * h) - f(x + 3.0 * h)) / (
         h * h
     )
+
+
+def validate_checks(
+    m: MarketParams, c: ContractParams, cfg: LatticeConfig, perturb: float = 1.0
+) -> list[dict]:
+    """Check the closed form against the lattice, the ODE and finite differences.
+
+    One {"check", "value", "limit", "passed"} record per check: lattice_price
+    (relative error, limit 5e-3) and lattice_boundary (0.02) on cfg, or one
+    failed lattice_convergence record holding the ConvergenceError's message.
+    In the continuation region: pde_residual (the worst of ten spots up to the
+    boundary, premium times `perturb`; 1e-8), then fd_delta, fd_gamma and
+    fd_vega (central differences of the premium against the Greeks; 1e-5).
+    """
+    f = _closed_form(m, c.kind, c.strike, c.amort)
+    checks = []
+
+    def check(name: str, value: float, limit: float) -> None:
+        checks.append({"check": name, "value": value, "limit": limit, "passed": value < limit})
+
+    try:
+        rep = lattice_price(to_equivalent_perpetual(c, m), m, cfg)
+        check("lattice_price", rep.rel_error, 5e-3)
+        check("lattice_boundary", abs(rep.boundary_estimate - f.boundary) / f.boundary, 0.02)
+    except ConvergenceError as exc:
+        checks.append({"check": "lattice_convergence", "value": str(exc),
+                       "limit": cfg.convergence, "passed": False})
+    if f.regime != Regime.CONTINUATION:
+        return checks
+
+    lo, hi = sorted((m.spot, f.boundary))
+    if c.kind == OptionKind.CALL:
+        spots = [0.5 * lo + (hi * 0.999 - 0.5 * lo) * i / 9 for i in range(10)]
+    else:
+        spots = [lo * 1.001 + (1.5 * hi - lo * 1.001) * i / 9 for i in range(10)]
+    check("pde_residual", max(pde_residual(m, c, spots, premium_scale=perturb)), 1e-8)
+
+    def prem_of_spot(s: float) -> float:
+        return _closed_form(_AtSpot(s, m.rate, m.vol), c.kind, c.strike, c.amort).premium
+
+    def prem_of_vol(sig: float) -> float:
+        return _closed_form(_AtSpot(m.spot, m.rate, sig), c.kind, c.strike, c.amort).premium
+
+    # the truncation error of the spot differences grows like (alpha*h)^2
+    margin = abs(f.boundary - m.spot) / m.spot
+    h = min(1e-4, 1e-3 / f.alpha, max(margin / 4.0, 1e-7))
+    fd_checks = (
+        ("fd_delta", _delta(f, m), finite_difference(prem_of_spot, m.spot, 1, "central", h)),
+        ("fd_gamma", _gamma(f, m), finite_difference(prem_of_spot, m.spot, 2, "central", h)),
+        ("fd_vega", _vega(f, m, c.amort), finite_difference(prem_of_vol, m.vol, 1, "central", 1e-4)),
+    )
+    for name, analytic, fd in fd_checks:
+        check(name, abs(analytic - fd) / max(abs(analytic), 1e-12), 1e-5)
+    return checks

@@ -4,15 +4,19 @@ entry point, its exit status, and byte-identical output across separate
 processes) is checked by the tests that use `run_cli`, and by
 criterion 12 in test_acceptance.py."""
 
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from ampo import ContractParams, LatticeConfig, MarketParams, validate_checks
+import ampo.cli
 from ampo.cli import main
 
 BASE = ["--spot", "100", "--strike", "100", "--rate", "0.05", "--vol", "0.5"]
@@ -187,6 +191,38 @@ def test_validate_large_amort_not_refused_on_rate(cli, kind):
     checks = {c["check"]: c for c in json.loads(res.stdout)["rows"]}
     assert checks["lattice_price"]["passed"] and checks["lattice_boundary"]["passed"]
     assert all(c["passed"] for c in checks.values()), checks
+
+
+@pytest.mark.parametrize(
+    "args, spot, perturb, steps, tolerance",
+    [
+        ((), 100.0, 1.0, 4000, 5e-3),
+        (("--perturb", "1.01"), 100.0, 1.01, 4000, 5e-3),
+        (("--steps", "200", "--tolerance", "1e-4"), 100.0, 1.0, 200, 1e-4),
+        (("--spot", "40"), 40.0, 1.0, 4000, 5e-3),
+    ],
+)
+def test_validate_prints_the_library_checks(cli, args, spot, perturb, steps, tolerance):
+    res = cli("validate", "--kind", "put", "--amort", "0.1", *args, "--output", "json")
+    m = MarketParams(spot=spot, rate=0.05, vol=0.5)
+    c = ContractParams(strike=100.0, amort=0.1, kind="put")
+    want = validate_checks(m, c, LatticeConfig(steps=steps, convergence=tolerance), perturb)
+    assert json.loads(res.stdout)["rows"] == want
+    assert res.returncode == (0 if all(r["passed"] for r in want) else 1)
+
+
+def test_cli_imports_no_private_ampo_name():
+    # the CLI only parses and prints: it reaches the library through public names
+    tree = ast.parse(Path(ampo.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "ampo")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_csv_golden_stability():
@@ -389,12 +425,20 @@ def test_output_precedence_env_config_flag(cli, monkeypatch, tmp_path):
 
 
 def test_examples_2_underflowing_dated_gamma_exits_3(cli):
-    res = cli("examples", "2", "--vol", "1e-4", "--q-steps", "2")
-    assert res.returncode == 3
-    assert res.stdout == ""
-    lines = res.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "q = 0.05" in lines[0]
+    # the dated Gamma underflows to 0, or to a subnormal (5.6e-316 at
+    # q = 1e5, T = 3.7e-6) that overflows the ratio: both are refused
+    cases = [
+        (("--vol", "1e-4", "--q-steps", "2"), "q = 0.05", "underflows to 0"),
+        (("--vol", "1e-4", "--rate", "2", "--q-min", "1e5", "--q-max", "1e5",
+          "--q-steps", "1", "--output", "csv"), "q = 100000.0", "is 5.63"),
+    ]
+    for args, at, size in cases:
+        res = cli("examples", "2", *args)
+        assert res.returncode == 3
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert at in lines[0] and f"dated call Gamma {size}" in lines[0]
 
 
 def test_statics_beyond_boundary_exits_2(cli):

@@ -7,6 +7,7 @@ from ampo import (
     ContractParams,
     MarketParams,
     OptionKind,
+    ValidationError,
     delta,
     dated_bs_call,
     exercise_boundary,
@@ -49,6 +50,16 @@ def test_theta(market_a, call_a, put_a):
     assert theta_economic(market_a, call_a) == pytest.approx(
         -0.1 * price(market_a, call_a).premium, abs=0.0
     )
+
+
+def test_gamma_refuses_overflow_naming_the_vol():
+    # alpha_p ~ 2e154 here, so alpha*(alpha + 1) overflows; Gamma was inf
+    m = MarketParams(spot=100.0, rate=1e-6, vol=1e-80)
+    c = ContractParams(strike=100.0, amort=1e-8, kind=OptionKind.PUT)
+    assert price(m, c).premium < float("inf")
+    for fn in (gamma, greeks_report):
+        with pytest.raises(ValidationError, match=r"^vol 1e-80 out of range at rate 1e-06: Gamma "):
+            fn(m, c)
 
 
 def test_greeks_report_fields(market_a, put_a):

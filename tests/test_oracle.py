@@ -21,6 +21,7 @@ from ampo import (
     pde_residual,
     price,
     to_equivalent_perpetual,
+    validate_checks,
     vega,
 )
 from ampo import oracle
@@ -185,6 +186,65 @@ def test_pde_residual_solves_the_exponents_once(market_a, put_a, call_a, monkeyp
         solves.clear()
         assert [r.hex() for r in pde_residual(market_a, c, spots)] == hexes
         assert solves == [c.amort]
+
+
+def test_pde_residual_survives_sigma_squared_spot_squared_overflow():
+    # at vol 1e60 the call boundary is ~3e122, where sigma^2*S*S passes the
+    # float range though sigma^2*S*S*Gamma does not; the residual was inf
+    m = MarketParams(spot=100.0, rate=0.05, vol=1e60)
+    c = ContractParams(strike=100.0, amort=0.1, kind=OptionKind.CALL)
+    bd = exercise_boundary(m, c)
+    assert bd > 1e122
+    assert max(pde_residual(m, c, [100.0, 0.5 * bd, 0.999 * bd])) < 1e-8
+
+
+_CHECKS = ["lattice_price", "lattice_boundary", "pde_residual", "fd_delta", "fd_gamma", "fd_vega"]
+_CFG = LatticeConfig(steps=4000, convergence=5e-3)
+
+
+def test_validate_checks_pass_at_market_a(market_a, put_a):
+    checks = validate_checks(market_a, put_a, _CFG)
+    assert [list(r) for r in checks] == [["check", "value", "limit", "passed"]] * 6
+    assert [r["check"] for r in checks] == _CHECKS
+    assert [r["limit"] for r in checks] == [5e-3, 0.02, 1e-8, 1e-5, 1e-5, 1e-5]
+    assert all(r["passed"] and r["value"] < r["limit"] for r in checks), checks
+
+
+def test_validate_checks_perturbed_premium_fails_the_residual_only(market_a, put_a):
+    checks = validate_checks(market_a, put_a, _CFG, perturb=1.01)
+    assert [r["check"] for r in checks] == _CHECKS
+    assert [r["check"] for r in checks if not r["passed"]] == ["pde_residual"]
+    assert checks[2]["value"] == pytest.approx(0.01, rel=0.05)
+
+
+@pytest.mark.parametrize("spot, kind", [(40.0, OptionKind.PUT), (300.0, OptionKind.CALL)])
+def test_validate_checks_in_exercise_region_are_the_lattice_only(market_a, spot, kind):
+    m = dataclasses.replace(market_a, spot=spot)
+    checks = validate_checks(m, ContractParams(100.0, 0.1, kind), _CFG)
+    assert [r["check"] for r in checks] == ["lattice_price", "lattice_boundary"]
+    assert all(r["passed"] for r in checks), checks
+
+
+def test_validate_checks_record_an_unconverged_lattice(market_a, put_a):
+    cfg = LatticeConfig(steps=200, convergence=1e-4)
+    checks = validate_checks(market_a, put_a, cfg)
+    first = checks[0]
+    assert first["check"] == "lattice_convergence" and first["passed"] is False
+    assert first["limit"] == 1e-4 and "halving steps" in first["value"]
+    assert [r["check"] for r in checks[1:]] == _CHECKS[2:]
+
+
+def test_validate_checks_build_no_market_per_evaluation(market_a, put_a, monkeypatch):
+    built = []
+    post_init = MarketParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(MarketParams, "__post_init__", counted)
+    assert all(r["passed"] for r in validate_checks(market_a, put_a, _CFG))
+    assert built == []
 
 
 @pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])

@@ -29,6 +29,7 @@ from ampo import (
     greeks_report,
     intrinsic_value,
     limit_suite,
+    pde_residual,
     positional_vega,
     price,
     statics_report,
@@ -177,3 +178,26 @@ def test_positional_vega_over_full_domain(rate, vol, q, spot, strike, budget):
         spec = StrategySpec(kind=kind, budget=budget)
         got = _outcome(positional_vega, m, strike, spec, q)
         assert got == _outcome(_positional_vega_from_views, m, strike, spec, q), kind
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    rate=st.one_of(st.just(0.0), log_uniform(1e-6, 2.0)),
+    vol=log_uniform(1e-4, 5.0),
+    q=log_uniform(1e-8, 1e5),
+    spot=log_uniform(1e-3, 1e5),
+    strike=log_uniform(1e-2, 1e4),
+    kind=st.sampled_from(OptionKind),
+)
+def test_pde_residual_over_full_domain(rate, vol, q, spot, strike, kind):
+    # at a continuation spot the closed form solves the valuation ODE to
+    # 1e-8 relative, or the checker raises an AmpoError; nothing else escapes
+    m = MarketParams(spot=spot, rate=rate, vol=vol)
+    c = ContractParams(strike=strike, amort=q, kind=kind)
+    try:
+        if price(m, c).regime != Regime.CONTINUATION:
+            return
+        residual = pde_residual(m, c, [spot])[0]
+    except AmpoError:
+        return
+    assert residual < 1e-8, residual
