@@ -27,6 +27,9 @@ class StrategyKind(str, Enum):
 
 @dataclass(frozen=True)
 class StrategySpec:
+    """A budget-constrained position: ``kind`` call, put or straddle, and
+    ``budget`` the premium spent, so the notional held is budget / premium."""
+
     kind: StrategyKind
     budget: float
 
@@ -40,6 +43,13 @@ class StrategySpec:
 
 @dataclass(frozen=True)
 class MaturityResult:
+    """Effective maturity at amortization rate ``q`` (per year).
+
+    ``effective_maturity`` is the dated ATM call's maturity T in years
+    with the AmPO call's premium, and ``effective_notional`` the fraction
+    e^{-qT} of the notional that survives to T.
+    """
+
     q: float
     effective_maturity: float
     effective_notional: float
@@ -47,6 +57,13 @@ class MaturityResult:
 
 @dataclass(frozen=True)
 class RatioPoint:
+    """AmPO call against its effectively dated call at ``q`` (per year).
+
+    ``gamma_ratio`` is AmPO Gamma / dated Gamma and ``theta_ratio`` the
+    AmPO decay q*C0 over the dated |Theta| (both per year); both are
+    dimensionless.
+    """
+
     q: float
     gamma_ratio: float
     theta_ratio: float
@@ -54,6 +71,15 @@ class RatioPoint:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """Best amortization rate for a strategy's positional Vega.
+
+    ``q_star`` is the best q (per year) and ``positional_vega_at_star``
+    budget * Vega / premium there, per unit of sigma. ``curve`` holds the
+    scan's (q, positional Vega) points. ``boundary_maximum`` flags an
+    argmax at an end of the q range and ``multimodal`` several interior
+    peaks (q_star is then the scan's argmax).
+    """
+
     q_star: float
     positional_vega_at_star: float
     curve: list[tuple[float, float]]

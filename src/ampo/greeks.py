@@ -12,11 +12,18 @@ import math
 from dataclasses import dataclass
 
 from .params import ContractParams, MarketParams, ValidationError
-from .pricing import _EXERCISE_NOW, _ClosedForm, _closed_form, _out_of_range, price
+from .pricing import _EXERCISE_NOW, _ClosedForm, _evaluate, _out_of_range
 
 
 @dataclass(frozen=True)
 class GreeksReport:
+    """Sensitivities of the premium (per unit of current notional).
+
+    ``delta`` is dV/dS and ``gamma`` d2V/dS2; ``theta_explicit`` is dV/dt
+    (zero for the perpetual price) and ``theta_economic`` the decay -q*V,
+    both per year; ``vega`` is dV/dsigma per unit of sigma.
+    """
+
     delta: float
     gamma: float
     theta_explicit: float
@@ -26,6 +33,13 @@ class GreeksReport:
 
 @dataclass(frozen=True)
 class DatedGreeksReport:
+    """Black-Scholes European call with a fixed maturity, per unit notional.
+
+    ``premium`` and its ``delta`` (dC/dS) and ``gamma`` (d2C/dS2);
+    ``theta`` is dC/dt in calendar time, per year; ``vega`` is dC/dsigma
+    per unit of sigma.
+    """
+
     premium: float
     delta: float
     gamma: float
@@ -80,14 +94,9 @@ def greeks_report(m: MarketParams, c: ContractParams) -> GreeksReport:
     so each Greek is V times a factor; L is the log-moneyness of
     pricing._ClosedForm. Once exercised Delta = s and Gamma = Vega = 0.
     """
-    f = _closed_form(m, c.kind, c.strike, c.amort)
-    return GreeksReport(
-        delta=_delta(f, m),
-        gamma=_gamma(f, m),
-        theta_explicit=0.0,
-        theta_economic=-c.amort * f.premium,
-        vega=_vega(f, m, c.amort),
-    )
+    f = _evaluate(m, c)
+    q = c.amort
+    return GreeksReport(_delta(f, m), _gamma(f, m), 0.0, -q * f.premium, _vega(f, m, q))
 
 
 def delta(m: MarketParams, c: ContractParams) -> float:
@@ -115,7 +124,7 @@ def theta_explicit(m: MarketParams, c: ContractParams) -> float:
 
 def theta_economic(m: MarketParams, c: ContractParams) -> float:
     """Position decay from amortization: -q * premium."""
-    return -c.amort * price(m, c).premium
+    return -c.amort * _evaluate(m, c).premium
 
 
 def dated_bs_call(m: MarketParams, strike: float, maturity: float) -> DatedGreeksReport:

@@ -36,7 +36,7 @@ from .params import (
     _require_finite,
 )
 from .greeks import _delta, _gamma, _vega
-from .pricing import _closed_form, _exponents, ode_coefficients, price, to_equivalent_perpetual
+from .pricing import _closed_form, _evaluate, _exponents, ode_coefficients, to_equivalent_perpetual
 
 # the grid spans at most 12 log-spot units beyond the spot and the
 # strike, and its time step discounts by at most e^{-14/steps}
@@ -54,7 +54,8 @@ class LatticeConfig:
     halving `steps` moves the price by more than that relative amount.
     `horizon` is validated but not used, since the lattice is perpetual;
     it stays so that callers which still set it (perfbench/workloads.py)
-    keep working.
+    keep working. `horizon` and `convergence` must be finite and `steps`
+    an int (not a bool).
     """
 
     horizon: float = 200.0
@@ -62,18 +63,30 @@ class LatticeConfig:
     convergence: float | None = None
 
     def __post_init__(self):
+        _require_finite("horizon", self.horizon)
         if self.horizon <= 0:
             raise ValidationError(f"horizon must be > 0, got {self.horizon}")
+        if not isinstance(self.steps, int) or isinstance(self.steps, bool):
+            raise ValidationError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValidationError(f"steps must be >= 2, got {self.steps}")
-        if self.convergence is not None and self.convergence <= 0:
-            raise ValidationError(
-                f"convergence tolerance must be > 0, got {self.convergence}"
-            )
+        if self.convergence is not None:
+            _require_finite("convergence tolerance", self.convergence)
+            if self.convergence <= 0:
+                raise ValidationError(
+                    f"convergence tolerance must be > 0, got {self.convergence}"
+                )
 
 
 @dataclass(frozen=True)
 class OracleReport:
+    """Lattice price against the closed form, premia per unit of current notional.
+
+    ``oracle_price`` is the lattice premium, ``analytic_price`` the closed
+    form's, ``rel_error`` |oracle - analytic| / analytic (dimensionless),
+    and ``boundary_estimate`` the lattice's exercise boundary in spot units.
+    """
+
     oracle_price: float
     analytic_price: float
     rel_error: float
@@ -213,7 +226,7 @@ def lattice_price(
     if amort <= 0:
         raise ValidationError(f"implied amort must be > 0, got {amort}")
     contract = ContractParams(strike=e.strike, amort=amort, kind=e.payoff_kind)
-    analytic = price(m, contract).premium
+    analytic = _closed_form(m, contract.kind, contract.strike, amort).premium
 
     def solve(steps: int) -> tuple[float, float]:
         return _perpetual_sweep(
@@ -283,23 +296,31 @@ def finite_difference(
 ) -> float:
     """Second-order-accurate finite difference of a scalar function.
 
-    `step` is relative to |x| (absolute when x == 0). `mode="forward"`
-    keeps the whole stencil on [x, +inf), useful near a kink to the left.
+    `step` is relative to |x| (absolute when x == 0) and must be finite and
+    > 0, as must the stencil's denominator (2h or h^2); x must be finite.
+    `mode="forward"` keeps the whole stencil on [x, +inf), useful near a
+    kink to the left.
     """
     if order not in (1, 2):
         raise ValidationError(f"order must be 1 or 2, got {order}")
     if mode not in ("central", "forward"):
         raise ValidationError(f"mode must be 'central' or 'forward', got {mode!r}")
+    _require_finite("x", x)
+    if not 0.0 < step < math.inf:
+        raise ValidationError(f"step must be finite and > 0, got {step!r}")
     h = step * (abs(x) if x != 0.0 else 1.0)
+    den = 2.0 * h if order == 1 else h * h
+    if not 0.0 < den < math.inf:
+        raise ValidationError(
+            f"step {step!r} at x = {x!r} gives a difference denominator of {den!r}"
+        )
     if mode == "central":
         if order == 1:
-            return (f(x + h) - f(x - h)) / (2.0 * h)
-        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+            return (f(x + h) - f(x - h)) / den
+        return (f(x + h) - 2.0 * f(x) + f(x - h)) / den
     if order == 1:
-        return (-3.0 * f(x) + 4.0 * f(x + h) - f(x + 2.0 * h)) / (2.0 * h)
-    return (2.0 * f(x) - 5.0 * f(x + h) + 4.0 * f(x + 2.0 * h) - f(x + 3.0 * h)) / (
-        h * h
-    )
+        return (-3.0 * f(x) + 4.0 * f(x + h) - f(x + 2.0 * h)) / den
+    return (2.0 * f(x) - 5.0 * f(x + h) + 4.0 * f(x + 2.0 * h) - f(x + 3.0 * h)) / den
 
 
 def validate_checks(
@@ -314,7 +335,7 @@ def validate_checks(
     boundary, premium times `perturb`; 1e-8), then fd_delta, fd_gamma and
     fd_vega (central differences of the premium against the Greeks; 1e-5).
     """
-    f = _closed_form(m, c.kind, c.strike, c.amort)
+    f = _evaluate(m, c)
     checks = []
 
     def check(name: str, value: float, limit: float) -> None:

@@ -113,6 +113,13 @@ class Exponents:
 
 @dataclass(frozen=True)
 class Quote:
+    """Price of an AmPO.
+
+    ``premium`` is per unit of current notional, ``boundary`` the spot
+    of optimal exercise (same units as spot and strike), and ``regime``
+    whether the spot lies in the continuation or the exercise region.
+    """
+
     premium: float
     boundary: float
     regime: Regime

@@ -53,13 +53,18 @@ def compute_exponents(m: MarketParams, q: float) -> Exponents:
     q = 0 is accepted here (it is needed by the limit diagnostics) even
     though pricing itself requires q > 0; the q = r = 0 case degenerates
     to alpha_c = 1, alpha_p = 0 and is not valid for pricing.
+    The solve of the last _evaluate is reused when m and q are its objects.
     """
+    last_m, _, last_q, ex, _ = _last
+    if m is last_m and q is last_q:
+        return Exponents(*ex)
     return Exponents(*_exponents(m, q))
 
 
 def _exponents(m: MarketParams, q: float) -> tuple[float, float, float]:
     """compute_exponents as a plain (alpha_c, alpha_p, alpha_bar) tuple."""
-    if q < 0:
+    if not 0.0 <= q < _INF:
+        _require_finite("amort", q)
         raise ValidationError(f"amort must be >= 0, got {q}")
     try:
         s2 = m.vol**2
@@ -163,9 +168,35 @@ def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float, ex=
     return _ClosedForm(alpha_bar, sign, alpha, gap, boundary, regime, premium, log_m)
 
 
+# (market, contract, contract.amort, exponents, closed form) of the last
+# _evaluate; the sentinel matches no argument, not even None
+_NOTHING = object()
+_last = (_NOTHING, _NOTHING, _NOTHING, None, None)
+
+
+def _evaluate(m: MarketParams, c: ContractParams) -> _ClosedForm:
+    """_closed_form of the contract, shared by consecutive calls on the same objects.
+
+    One entry: the last (m, c) evaluated, matched by identity. Both are
+    frozen and the entry holds them, so a match means the same inputs
+    (mutating one through object.__setattr__ is unsupported). The entry is
+    read once and replaced whole, so a thread never mixes two entries, and
+    an evaluation that raises leaves it as it was.
+    """
+    global _last
+    last_m, last_c, _, _, f = _last
+    if m is last_m and c is last_c:
+        return f
+    kind, strike, q = c.kind, c.strike, c.amort
+    ex = _exponents(m, q)
+    f = _closed_form(m, kind, strike, q, ex)
+    _last = (m, c, q, ex, f)
+    return f
+
+
 def exercise_boundary(m: MarketParams, c: ContractParams) -> float:
     """Optimal exercise boundary: alpha_c*K/(alpha_c-1) call, alpha_p*K/(1+alpha_p) put."""
-    return _closed_form(m, c.kind, c.strike, c.amort).boundary
+    return _evaluate(m, c).boundary
 
 
 def premium_from_exponent(
@@ -191,8 +222,8 @@ def price(m: MarketParams, c: ContractParams) -> Quote:
     the intrinsic value. A spot exactly on the boundary is classified
     Continuation (the two branches agree there by value matching).
     """
-    f = _closed_form(m, c.kind, c.strike, c.amort)
-    return Quote(premium=f.premium, boundary=f.boundary, regime=f.regime)
+    f = _evaluate(m, c)
+    return Quote(f.premium, f.boundary, f.regime)
 
 
 def to_equivalent_perpetual(c: ContractParams, m: MarketParams) -> EquivalentPerpetual:

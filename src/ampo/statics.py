@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .params import ContractParams, MarketParams, RegionError, intrinsic_value
-from .pricing import _CALL, _EXERCISE_NOW, _ClosedForm, _closed_form, _out_of_range
+from .pricing import _CALL, _EXERCISE_NOW, _ClosedForm, _closed_form, _evaluate, _out_of_range
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,14 @@ class MixedPartialFactors:
 
 @dataclass(frozen=True)
 class StaticsReport:
+    """Sensitivities to the amortization rate q (per year), continuation region only.
+
+    ``d_premium_dq`` is dV/dq (premium per unit of current notional, per
+    unit of q), ``d_boundary_dq`` the boundary's dS_bar/dq (spot units per
+    unit of q), ``d2_premium_dsigma_dq`` the mixed partial d2V/(dsigma dq)
+    per unit of sigma and of q, and ``intermediates`` its chain-rule factors.
+    """
+
     d_premium_dq: float
     d_boundary_dq: float
     d2_premium_dsigma_dq: float
@@ -97,7 +105,7 @@ def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
     log-moneyness of pricing._ClosedForm: dV/dq = s*V*L/(sigma^2 alpha_bar),
     f3 = -(dV/dq)/alpha_bar and explicit = -(2/sigma) dV/dq.
     """
-    f = _closed_form(m, c.kind, c.strike, c.amort)
+    f = _evaluate(m, c)
     if f.regime is _EXERCISE_NOW:
         raise RegionError(
             f"spot {m.spot} beyond {c.kind.value} boundary {f.boundary}: "
@@ -110,25 +118,18 @@ def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
         dv_dq = s * v * log_m / s2ab
         # dalpha_bar/dsigma and the shared numerator 2r^2 + sigma^2 (3r + 2q)
         num = 2.0 * r**2 + sig**2 * (3.0 * r + 2.0 * q)
-        factors = MixedPartialFactors(
-            d_dq_premium_dalpha=v / s2ab * (log_m**2 + 1.0 / (a * f.gap)),
-            dalpha_dsigma=(2.0 * s * r - num / s2ab) / sig**3,
-            d_dq_premium_dalphabar=-dv_dq / ab,
-            dalphabar_dsigma=-num / (sig**5 * ab),
-            explicit_sigma_term=-2.0 / sig * dv_dq,
-        )
+        f1 = v / s2ab * (log_m**2 + 1.0 / (a * f.gap))
+        f2 = (2.0 * s * r - num / s2ab) / sig**3
+        f3 = -dv_dq / ab
+        f4 = -num / (sig**5 * ab)
+        explicit = -2.0 / sig * dv_dq
     except (OverflowError, ZeroDivisionError):
         raise _out_of_range(m, "a q-derivative") from None
-    mixed = (
-        factors.d_dq_premium_dalpha * factors.dalpha_dsigma
-        + factors.d_dq_premium_dalphabar * factors.dalphabar_dsigma
-        + factors.explicit_sigma_term
-    )
     return StaticsReport(
-        d_premium_dq=dv_dq,
-        d_boundary_dq=_d_boundary_dq(f, m, c.strike),
-        d2_premium_dsigma_dq=mixed,
-        intermediates=factors,
+        dv_dq,
+        _d_boundary_dq(f, m, c.strike),
+        f1 * f2 + f3 * f4 + explicit,
+        MixedPartialFactors(f1, f2, f3, f4, explicit),
     )
 
 
@@ -140,7 +141,7 @@ def d_premium_dq(m: MarketParams, c: ContractParams) -> float:
 def d_boundary_dq(m: MarketParams, c: ContractParams) -> float:
     """dS_bar/dq: -K/(sigma^2 (alpha_c-1)^2 alpha_bar) for calls,
     +K/(sigma^2 (1+alpha_p)^2 alpha_bar) for puts."""
-    return _d_boundary_dq(_closed_form(m, c.kind, c.strike, c.amort), m, c.strike)
+    return _d_boundary_dq(_evaluate(m, c), m, c.strike)
 
 
 def mixed_partial_factors(m: MarketParams, c: ContractParams) -> MixedPartialFactors:

@@ -441,6 +441,16 @@ def test_examples_2_underflowing_dated_gamma_exits_3(cli):
         assert at in lines[0] and f"dated call Gamma {size}" in lines[0]
 
 
+def test_validate_refuses_a_nan_tolerance_or_fractional_steps(cli):
+    # a nan tolerance used to switch the halving check off and exit 0
+    for args in (("--tolerance", "nan"), ("--tolerance", "inf"), ("--steps", "2.5")):
+        res = cli("validate", "--kind", "put", "--amort", "0.1", *args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_statics_beyond_boundary_exits_2(cli):
     # spot 300 lies beyond the call boundary 266.67: a request error
     res = cli("statics", "--kind", "call", "--amort", "0.1", "--spot", "300")

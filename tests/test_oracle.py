@@ -293,6 +293,41 @@ def test_lattice_config_validation():
         LatticeConfig(convergence=-1.0)
 
 
+def test_lattice_config_refuses_non_finite_and_fractional_input():
+    # convergence=nan used to pass and switch the halving check off (drift > nan is False)
+    for kw, msg in (
+        ({"convergence": math.nan}, "convergence tolerance must be finite"),
+        ({"convergence": math.inf}, "convergence tolerance must be finite"),
+        ({"horizon": math.nan}, "horizon must be finite"),
+        ({"horizon": math.inf}, "horizon must be finite"),
+        ({"steps": 2.5}, "steps must be an integer, got 2.5"),
+        ({"steps": 4000.0}, "steps must be an integer"),
+        ({"steps": True}, "steps must be an integer, got True"),
+    ):
+        with pytest.raises(ValidationError, match=msg):
+            LatticeConfig(**kw)
+
+
+@pytest.mark.parametrize(
+    "x, step",
+    [(1.0, 0.0), (1.0, -1e-6), (1.0, math.nan), (1.0, math.inf), (math.inf, 1e-6), (math.nan, 1e-6)],
+)
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("mode", ["central", "forward"])
+def test_finite_difference_refuses_a_bad_step_or_point(x, step, order, mode):
+    # step 0 used to raise ZeroDivisionError, a negative step put the forward
+    # stencil left of x, and a nan step or an infinite x returned nan
+    with pytest.raises(ValidationError, match=r"^(step|x) must be finite"):
+        finite_difference(math.sin, x, order, mode, step)
+
+
+def test_finite_difference_refuses_a_denominator_out_of_range():
+    # 2h underflows at x = 1e-10, h*h at h = 1e-200, and 2h overflows at x = 1e300
+    for x, step, order in ((1e-10, 1e-320, 1), (1.0, 1e-200, 2), (1e300, 1e10, 1)):
+        with pytest.raises(ValidationError, match=r"gives a difference denominator of"):
+            finite_difference(math.sin, x, order, "central", step)
+
+
 def test_lattice_random_sets_spot_check():
     rng = random.Random(41)
     cfg = LatticeConfig(horizon=200.0, steps=4000)

@@ -1,9 +1,15 @@
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import ampo
 from ampo import (
     AmortizationSchedule,
     AmpoError,
@@ -90,6 +96,15 @@ def test_call_boundary_at_zero_rate_matches_mpmath(vol, q):
 
 def test_exponents_rejects_negative_q(market_a):
     with pytest.raises(ValidationError):
+        compute_exponents(market_a, -0.1)
+
+
+def test_exponents_blame_a_non_finite_amort_not_the_vol(market_a):
+    # nan and inf used to pass the q < 0 test and fail as "vol 0.5 out of range"
+    for q in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match=r"^amort must be finite, got "):
+            compute_exponents(market_a, q)
+    with pytest.raises(ValidationError, match=r"^amort must be >= 0, got -0.1$"):
         compute_exponents(market_a, -0.1)
 
 
@@ -305,3 +320,129 @@ def test_extreme_but_finite_vols_keep_their_values(vol, rate, quote, greeks):
     q = price(m, c)
     assert [q.premium.hex(), q.boundary.hex()] == quote
     assert [x.hex() for x in dataclasses.astuple(greeks_report(m, c))] == greeks
+
+
+# ---------------------------------------------------------------- contract memo
+
+
+def _fields(rec) -> list[str]:
+    """Every float of a result record as float.hex, anything else as str."""
+    return [x.hex() if isinstance(x, float) else str(x) for x in dataclasses.astuple(rec)]
+
+
+def _outcomes(m, c) -> list:
+    """Every per-contract public result of (m, c), or the error's type and message."""
+    out = []
+    for fn in (price, lambda m, c: compute_exponents(m, c.amort), greeks_report, statics_report,
+               exercise_boundary, d_boundary_dq):
+        try:
+            res = fn(m, c)
+            out.append(res.hex() if isinstance(res, float) else _fields(res))
+        except AmpoError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def _copy(m, c):
+    """Equal inputs that are distinct objects (so they never match the memo)."""
+    return dataclasses.replace(m), dataclasses.replace(c)
+
+
+def test_one_contract_makes_one_exponent_solve(market_a, monkeypatch):
+    import ampo.pricing
+
+    solves = []
+    exponents = ampo.pricing._exponents
+
+    def counted(m, q):
+        solves.append(q)
+        return exponents(m, q)
+
+    monkeypatch.setattr(ampo.pricing, "_exponents", counted)
+    for kind in OptionKind:
+        c = ContractParams(strike=100.0, amort=0.1, kind=kind)
+        m = dataclasses.replace(market_a)
+        solves.clear()
+        price(m, c)
+        compute_exponents(m, c.amort)
+        greeks_report(m, c)
+        statics_report(m, c)
+        exercise_boundary(m, c)
+        assert solves == [0.1]
+
+
+def test_memo_matches_fresh_evaluations_in_any_order():
+    rng = random.Random(14)
+    pairs = [sample_set(rng) for _ in range(6)]
+    # one market beyond the boundary (statics refuses) and one whose solve overflows
+    pairs.append((MarketParams(spot=30.0, rate=0.05, vol=0.5), ContractParams(100.0, 0.1, OptionKind.PUT)))
+    pairs.append((MarketParams(spot=100.0, rate=0.05, vol=1e-80), ContractParams(100.0, 0.1, OptionKind.CALL)))
+    want = [_outcomes(*_copy(m, c)) for m, c in pairs]
+    # the same objects again, each contract repeated, then interleaved
+    for order in (range(len(pairs)), [0, 0, 1, 7, 1, 2, 6, 2, 0, 5, 7, 5], [3, 4] * 4):
+        for i in order:
+            assert _outcomes(*pairs[i]) == want[i]
+    # interleaved calls of different functions on different contracts
+    (m1, c1), (m2, c2) = pairs[:2]
+    assert _fields(price(m1, c1)) == want[0][0]
+    assert _fields(greeks_report(m2, c2)) == want[1][2]
+    assert _fields(statics_report(m1, c1)) == want[0][3]
+    # one contract object on two markets, and one market with two contracts
+    for m, c in ((m1, c1), (m2, c1), (m1, c1), (m1, c2), (m1, c1)):
+        assert _outcomes(m, c) == _outcomes(*_copy(m, c))
+    # the entry is (m1, c1) now: c1's q on another market must not read it
+    assert _fields(compute_exponents(m2, c1.amort)) == _fields(
+        compute_exponents(dataclasses.replace(m2), c1.amort)
+    )
+
+
+def test_an_error_leaves_the_last_evaluation_in_place(market_a, monkeypatch):
+    import ampo.pricing
+
+    c = ContractParams(strike=100.0, amort=0.1, kind=OptionKind.PUT)
+    quote, ex = price(market_a, c), compute_exponents(market_a, c.amort)
+    bad = MarketParams(spot=100.0, rate=0.05, vol=1e-80)
+    with pytest.raises(ValidationError):
+        price(bad, c)
+    with pytest.raises(ValidationError):
+        compute_exponents(bad, c.amort)
+
+    def no_solve(m, q):
+        raise AssertionError("the exponents were solved again")
+
+    monkeypatch.setattr(ampo.pricing, "_exponents", no_solve)
+    assert price(market_a, c) == quote
+    assert compute_exponents(market_a, c.amort) == ex
+
+
+def test_the_memo_matches_no_argument_before_its_first_evaluation():
+    # a fresh interpreter: a None sentinel would make price(None, None) a hit
+    code = "import ampo\ntry:\n    ampo.price(None, None)\nexcept AttributeError:\n    print('miss')\n"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(ampo.__file__).parents[1])})
+    assert out.stdout == "miss\n", out.stderr
+
+
+def test_threads_alternating_contracts_each_read_their_own():
+    rng = random.Random(7)
+    pairs = [sample_set(rng) for _ in range(4)]
+    want = [_outcomes(*_copy(m, c)) for m, c in pairs]
+    errors = []
+
+    def worker(mine):
+        for _ in range(300):
+            for i in mine:
+                if _outcomes(*pairs[i]) != want[i]:
+                    errors.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(mine,)) for mine in ((0, 1), (2, 3))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
