@@ -12,8 +12,10 @@ which the Brennan-Schwartz sweep solves exactly in two passes
 (Brennan & Schwartz 1977, J. Finance 32:449; proved correct for the
 American put by Jaillet, Lamberton & Lapeyre 1990, Acta Appl. Math.
 21:263). Its first pass stops at its recurrence's floating-point fixed
-point and the second bisects below it for the exercise boundary, so most
-nodes are never visited, with the same floats as a full walk.
+point and keeps only that ratio and the node where it is reached, and
+the second bisects below it for the exercise boundary, so most nodes are
+never visited, with the same floats as a full walk. The ratios above
+that node, near the far continuation end, are rebuilt on first read.
 `LatticeConfig.steps` sets the grid resolution. The sweep uses only the
 lattice's own step constants and the payoff, never the closed form.
 """
@@ -132,10 +134,13 @@ def _perpetual_sweep(
 
     B_k = b(1-c)/(1 - bc*B_{k+1}) is a fixed map, so once it returns the
     float it was given at some node `top`, every B_k with k <= top is
-    that B and pass 1 stops. On 1..top node k is exercised iff
-    g_k >= B*g_{k-1}, for the put iff (u - B)*S_{k-1} <= K*(1 - B) (the
-    call mirrored): one flip as k rises, so the exercised nodes form a
-    prefix and pass 2 bisects for its end, then walks on above `top`.
+    that B and pass 1 stops, keeping only B and `top`, nothing per node.
+    On 1..top node k is exercised iff g_k >= B*g_{k-1}, for the put iff
+    (u - B)*S_{k-1} <= K*(1 - B) (the call mirrored): one flip as k rises,
+    so the exercised nodes form a prefix and pass 2 bisects for its end,
+    then walks on above `top`. The transient B_k above `top` are rebuilt,
+    from node n-1 by the same recurrence, only when pass 2 first reads
+    one, which the walk or the spot reaches on few grids.
     """
     dx = min(_REACH / steps, vol * math.sqrt(_DISCOUNT / (steps * discount_rate)))
     reach = steps * dx
@@ -163,16 +168,25 @@ def _perpetual_sweep(
         sign, step, at_spot, c = 1.0, -dx, above, 1.0 - p
     n = below + above + 1
 
-    ratios = [0.0] * n
     to_exercise, to_continuation = b * (1.0 - c), b * c
     ratio, top = 0.0, 0
     for k in range(n - 1, 0, -1):
         following = to_exercise / (1.0 - to_continuation * ratio)
         if following == ratio:
-            ratios[1 : k + 1] = [ratio] * k
             top = k
             break
-        ratio = ratios[k] = following
+        ratio = following
+    late = None
+
+    def transient() -> list[float]:
+        # pass 1 again, kept this time: B_k for k > top is late[n - 1 - k]
+        nonlocal late
+        if late is None:
+            late, ratio_k = [], 0.0
+            for _ in range(n - 1 - top):
+                ratio_k = to_exercise / (1.0 - to_continuation * ratio_k)
+                late.append(ratio_k)
+        return late
 
     def payoff(k: int) -> float:
         return sign * (spot * math.exp((k - at_spot) * step) - strike)
@@ -184,10 +198,11 @@ def _perpetual_sweep(
             hi = mid
         else:
             lo = mid + 1
+    # lo <= top is a node the bisection found not exercised; above top walk on
     value, k = payoff(lo - 1), lo
-    while k < n:
+    while top < k < n:
         g = payoff(k)
-        if g < ratios[k] * value:
+        if g < transient()[n - 1 - k] * value:
             break
         value, k = g, k + 1
     if k == 1:
@@ -198,8 +213,10 @@ def _perpetual_sweep(
     boundary = spot * math.exp((k - 0.5 - at_spot) * step)
     if at_spot < k:
         return payoff(at_spot), boundary
-    for j in range(k, at_spot + 1):
-        value *= ratios[j]
+    for _ in range(k, min(at_spot, top) + 1):
+        value *= ratio
+    for j in range(max(k, top + 1), at_spot + 1):
+        value *= transient()[n - 1 - j]
     return value, boundary
 
 
@@ -306,7 +323,11 @@ def finite_difference(
     if mode not in ("central", "forward"):
         raise ValidationError(f"mode must be 'central' or 'forward', got {mode!r}")
     _require_finite("x", x)
-    if not 0.0 < step < math.inf:
+    try:
+        in_range = 0.0 < step < math.inf
+    except TypeError:
+        in_range = False
+    if not in_range:
         raise ValidationError(f"step must be finite and > 0, got {step!r}")
     h = step * (abs(x) if x != 0.0 else 1.0)
     den = 2.0 * h if order == 1 else h * h

@@ -38,7 +38,11 @@ class Regime(str, Enum):
 
 
 def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+    if not finite:
         raise ValidationError(f"{name} must be finite, got {value!r}")
 
 

@@ -63,7 +63,11 @@ def compute_exponents(m: MarketParams, q: float) -> Exponents:
 
 def _exponents(m: MarketParams, q: float) -> tuple[float, float, float]:
     """compute_exponents as a plain (alpha_c, alpha_p, alpha_bar) tuple."""
-    if not 0.0 <= q < _INF:
+    try:
+        in_range = 0.0 <= q < _INF
+    except TypeError:
+        in_range = False
+    if not in_range:
         _require_finite("amort", q)
         raise ValidationError(f"amort must be >= 0, got {q}")
     try:

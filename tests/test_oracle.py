@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -386,6 +387,23 @@ def _linear_sweep(kind, spot, strike, growth, discount_rate, vol, steps):
     return value, boundary
 
 
+# (spot, rate, vol, strike, amort, kind, steps) where pass 2 reads ratios above
+# the fixed-point node at full resolution: three contracts of the `validate`
+# benchmark and four full-domain draws
+_ABOVE_TOP = [
+    (52.04133872396719, 0.027739219187103713, 0.5827206449817832, 100.0, 0.09136306611519564, "put", 4000),
+    (294.80084248143834, 0.04726582944152719, 0.5682721579698855, 100.0, 0.05618954098690219, "call", 2000),
+    (254.64826329332226, 0.040439400401671696, 0.5877958340233358, 100.0, 0.08967753074780649, "call", 2000),
+    (0.5065496948327967, 3.239310309635635e-05, 0.2127080508419739, 0.4824919979738323,
+     2.6490206447308175e-05, "call", 2506),
+    (4.229063330265457, 1.2844038650187225e-05, 0.1052050668606243, 0.011949577466995912,
+     4.61971773338988e-07, "put", 3608),
+    (787.2358921291456, 8.269319913127817e-06, 3.62814424533508, 1284.7721522668137, 4.940570334051445, "put", 2309),
+    (22.051089839028677, 1.484617632830193e-06, 0.20649027114135668, 716.8979242907025,
+     4.800675908875585e-05, "put", 3851),
+]
+
+
 def _sweep_cases(market_a):
     cases = [(market_a, ContractParams(100.0, 0.1, kind), 4000) for kind in OptionKind]
     for q in (1e2, 1e3, 1e4, 1e5):
@@ -405,6 +423,8 @@ def _sweep_cases(market_a):
         m = MarketParams(spot, rate, log_uniform(1e-3, 5.0))
         c = ContractParams(100.0, log_uniform(1e-4, 1e3), rng.choice(list(OptionKind)))
         cases.append((m, c, rng.choice([2, 3, 5, 50, 4000])))
+    for spot, rate, vol, strike, q, kind, steps in _ABOVE_TOP:
+        cases.append((MarketParams(spot, rate, vol), ContractParams(strike, q, kind), steps))
     return cases
 
 
@@ -445,3 +465,19 @@ def test_sweep_work_is_logarithmic_below_the_fixed_point(market_a, kind, monkeyp
     lattice_price(e, market_a, LatticeConfig(steps=4000, convergence=5e-3))
     monkeypatch.undo()
     assert calls < 300
+
+
+
+@pytest.mark.parametrize("kind", list(OptionKind))
+def test_sweep_keeps_no_per_node_list(market_a, kind):
+    # a list of one ratio per node peaked at about 208 KB on this grid
+    e = to_equivalent_perpetual(ContractParams(100.0, 0.1, kind), market_a)
+    args = (e.payoff_kind, market_a.spot, e.strike, e.rate_eff - e.dividend_eff, e.rate_eff, market_a.vol, 4000)
+    oracle._perpetual_sweep(*args)
+    tracemalloc.start()
+    try:
+        oracle._perpetual_sweep(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024

@@ -99,6 +99,30 @@ def test_exponents_rejects_negative_q(market_a):
         compute_exponents(market_a, -0.1)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda m: MarketParams("100", 0.05, 0.5), "spot", id="market-spot-str"),
+        pytest.param(lambda m: MarketParams(100, 0.05, 1 + 2j), "vol", id="market-vol-complex"),
+        pytest.param(lambda m: ContractParams(100.0, None, "put"), "amort", id="contract-amort-none"),
+        pytest.param(lambda m: compute_exponents(m, "0.1"), "amort", id="exponents-q-str"),
+        pytest.param(lambda m: ampo.StrategySpec("call", "100"), "budget", id="strategy-budget-str"),
+        pytest.param(lambda m: ampo.LatticeConfig(horizon="x"), "horizon", id="lattice-horizon-str"),
+        pytest.param(
+            lambda m: ampo.LatticeConfig(convergence="x"), "convergence tolerance", id="lattice-tolerance-str"
+        ),
+        pytest.param(lambda m: ampo.finite_difference(math.sin, "1.0"), "x", id="fd-x-str"),
+        pytest.param(
+            lambda m: ampo.finite_difference(math.sin, 1.0, 1, "central", "1e-6"), "step", id="fd-step-str"
+        ),
+    ],
+)
+def test_non_numeric_input_raises_validation_error(market_a, call, name):
+    # these used to leave the library as TypeError from math.isfinite or a float comparison
+    with pytest.raises(ValidationError, match=rf"^{name} must be "):
+        call(market_a)
+
+
 def test_exponents_blame_a_non_finite_amort_not_the_vol(market_a):
     # nan and inf used to pass the q < 0 test and fail as "vol 0.5 out of range"
     for q in (math.nan, math.inf, -math.inf):
