@@ -18,7 +18,7 @@ _EXPORTS = {
     ),
     "greeks": (
         "DatedGreeksReport", "GreeksReport", "dated_bs_call", "delta", "gamma",
-        "greeks_report", "theta_economic", "theta_explicit", "vega",
+        "greeks_report", "theta_economic", "vega",
     ),
     "oracle": (
         "LatticeConfig", "OracleReport", "finite_difference", "lattice_price",
@@ -31,8 +31,8 @@ _EXPORTS = {
         "intrinsic_value",
     ),
     "pricing": (
-        "compute_exponents", "exercise_boundary", "notional_at",
-        "ode_coefficients", "price", "to_equivalent_perpetual",
+        "compute_exponents", "exercise_boundary", "notional_at", "price",
+        "to_equivalent_perpetual",
     ),
     "statics": (
         "LimitReport", "MixedPartialFactors", "StaticsReport", "d_boundary_dq",

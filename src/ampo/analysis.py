@@ -10,6 +10,7 @@ optimizer for the best q per strategy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -229,10 +230,17 @@ def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float,
         vol3 = vol**3
     except (OverflowError, ZeroDivisionError):
         raise _out_of_range(m, "positional Vega") from None
-    strike_ok = 0.0 < strike < math.inf
+    try:
+        strike_ok = 0.0 < strike < math.inf
+    except TypeError:
+        strike_ok = False
     out = []
     for q in qs:
-        if not (strike_ok and 0.0 < q < math.inf):
+        try:
+            in_range = strike_ok and 0.0 < q < math.inf
+        except TypeError:
+            in_range = False
+        if not in_range:
             _check_terms(strike, q)  # raises
         alpha_c, alpha_p, alpha_bar = _exponents(m, q)
         prem = veg = 0.0
@@ -306,10 +314,17 @@ def optimize_q(
     (returning the grid argmax). A maximum that is not finite (the budget
     times Vega past the float range) raises NoSolutionError.
     """
-    lo, hi = q_range
-    if not (0.0 < lo < hi < math.inf):
+    try:
+        lo, hi = q_range
+        in_range = 0.0 < lo < hi < math.inf
+    except (TypeError, ValueError):
+        in_range = False
+    if not in_range:
         raise ValidationError(f"q_range must satisfy 0 < lo < hi < inf, got {q_range}")
-    n = max(grid_points, 200)
+    try:
+        n = max(operator.index(grid_points), 200)
+    except TypeError:
+        raise ValidationError(f"grid_points must be an integer, got {grid_points!r}") from None
     qs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     f = lambda q: positional_vega(m, strike, s, q)
     vs = _positional_vega_curve(m, strike, _STRATEGY_KINDS[s.kind], s.budget, qs)

@@ -1,25 +1,25 @@
 """Command-line front end.
 
 Subcommands: price, greeks, statics, examples {1|2|3}, optimize,
-validate. The front end only parses and prints: each subcommand builds
-its inputs, calls public `ampo` functions (validate prints the records
-of ampo.oracle.validate_checks) and emits what they return. Numeric
-output is full double precision in json/csv (shortest round-trip
-representation) and rounded to 6 significant digits in the table view.
-Exit codes: 0 success, 1 oracle/validation check failure, 2 argument or
-out-of-region request, 3 internal solver error. Each subcommand imports
-only the modules it runs, and json only for json output, so a fresh
-process loads no more than its command needs.
+validate. The front end only parses and prints. _COMMANDS declares each
+subcommand once: its help, its flags (type, choices and default), and
+its builder, which calls public `ampo` functions and returns a record (a
+dict) or rows (a list) for main to emit; validate's rows are the
+records of ampo.oracle.validate_checks. Numeric output is full double
+precision in json/csv (shortest round-trip representation) and rounded
+to 6 significant digits in the table view. Exit codes: 0 success, 1
+oracle/validation check failure, 2 argument or out-of-region request, 3
+internal solver error. Each builder imports only the modules it runs,
+and json only for json output, so a fresh process loads no more than
+its command needs.
 
-Each option is a flag of its subcommand, and build_parser declares its
-type, choices and default once. The AMPO_OUTPUT environment variable
-and a config file (`--config path`: lines of `key = value` with `#`
-comments, keys named like the long flags without the leading dashes)
-are parsed as flags placed before the command line's own. The last
-value of a flag wins, so defaults < AMPO_OUTPUT < config < flags. A
-config key must be a flag of the chosen subcommand. Every argument
-error, whether from a flag, a config key or AMPO_OUTPUT, is one
-`error:` line on stderr and exit 2.
+The AMPO_OUTPUT environment variable and a config file (`--config
+path`: lines of `key = value` with `#` comments, keys named like the
+long flags without the leading dashes) are parsed as flags placed before
+the command line's own. The last value of a flag wins, so defaults <
+AMPO_OUTPUT < config < flags. A config key must be a flag of the chosen
+subcommand. Every argument error, whether from a flag, a config key or
+AMPO_OUTPUT, is one `error:` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -33,12 +33,6 @@ from .params import AmpoError, ContractParams, MarketParams, OptionKind, RegionE
 from .params import ValidationError
 
 
-def _fmt_full(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _fmt_table(x) -> str:
     if isinstance(x, float):
         return f"{x:.6g}"
@@ -50,9 +44,7 @@ def _emit_record(record: dict, output: str) -> None:
         import json
         print(json.dumps(record, indent=2))
     elif output == "csv":
-        keys = list(record)
-        print(",".join(keys))
-        print(",".join(_fmt_full(record[k]) for k in keys))
+        _emit_rows([record], output)
     else:
         width = max(len(k) for k in record)
         for k, v in record.items():
@@ -69,7 +61,7 @@ def _emit_rows(rows: list[dict], output: str) -> None:
     elif output == "csv":
         print(",".join(keys))
         for row in rows:
-            print(",".join(_fmt_full(row[k]) for k in keys))
+            print(",".join(str(row[k]) for k in keys))
     else:
         cells = [[_fmt_table(row[k]) for k in keys] for row in rows]
         widths = [
@@ -130,44 +122,26 @@ def _inputs(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
 _QUOTE_KEYS = ("kind", "spot", "strike", "rate", "vol", "amort")
 
 
-def _cmd_price(args) -> int:
+def _cmd_price(args) -> dict:
     from .pricing import compute_exponents, price
     m, c = _market_contract(args)
-    quote = price(m, c)
-    ex = compute_exponents(m, c.amort)
-    record = {
-        **_inputs(args, _QUOTE_KEYS),
-        "premium": quote.premium,
-        "boundary": quote.boundary,
-        "regime": quote.regime.value,
-        **dataclasses.asdict(ex),
-    }
-    _emit_record(record, args.output)
-    return 0
+    record = {**_inputs(args, _QUOTE_KEYS), **dataclasses.asdict(price(m, c))}
+    record["regime"] = record["regime"].value
+    return {**record, **dataclasses.asdict(compute_exponents(m, c.amort))}
 
 
-def _cmd_greeks(args) -> int:
+def _cmd_greeks(args) -> dict:
     from .greeks import greeks_report
     m, c = _market_contract(args)
-    rep = greeks_report(m, c)
-    record = {**_inputs(args, _QUOTE_KEYS), **dataclasses.asdict(rep)}
-    _emit_record(record, args.output)
-    return 0
+    return {**_inputs(args, _QUOTE_KEYS), **dataclasses.asdict(greeks_report(m, c))}
 
 
-def _cmd_statics(args) -> int:
+def _cmd_statics(args) -> dict:
     from .statics import statics_report
     m, c = _market_contract(args)
-    rep = statics_report(m, c)
-    record = {
-        **_inputs(args, _QUOTE_KEYS),
-        "d_premium_dq": rep.d_premium_dq,
-        "d_boundary_dq": rep.d_boundary_dq,
-        "d2_premium_dsigma_dq": rep.d2_premium_dsigma_dq,
-        **dataclasses.asdict(rep.intermediates),
-    }
-    _emit_record(record, args.output)
-    return 0
+    record = {**_inputs(args, _QUOTE_KEYS), **dataclasses.asdict(statics_report(m, c))}
+    record.update(record.pop("intermediates"))
+    return record
 
 
 def _q_grid(args, lo: float, steps: int) -> list[float]:
@@ -184,65 +158,39 @@ def _q_grid(args, lo: float, steps: int) -> list[float]:
     return [q_min + (q_max - q_min) * i / (n - 1) for i in range(n)]
 
 
-def _cmd_examples(args) -> int:
+def _cmd_examples(args) -> list[dict]:
     from .analysis import StrategyKind, StrategySpec, positional_vega
     from .analysis import effective_notional_curve, ratio_study
-    m = _market(args)
-    strike = args.strike
-    if args.example == 1:
-        grid = _q_grid(args, 0.05, 20)
-        rows = [dataclasses.asdict(res) for res in effective_notional_curve(m, strike, grid)]
-    elif args.example == 2:
-        grid = _q_grid(args, 0.05, 20)
-        rows = [dataclasses.asdict(pt) for pt in ratio_study(m, strike, grid)]
-    else:
-        grid = _q_grid(args, 0.01, 100)
-        specs = {
-            kind.value: StrategySpec(kind=kind, budget=args.budget)
-            for kind in StrategyKind
-        }
-        rows = [
-            {
-                "q": q,
-                **{
-                    f"{name}_positional_vega": positional_vega(m, strike, spec, q)
-                    for name, spec in specs.items()
-                },
-            }
-            for q in grid
-        ]
-    _emit_rows(rows, args.output)
-    return 0
+    m, strike = _market(args), args.strike
+    if args.example < 3:
+        study = effective_notional_curve if args.example == 1 else ratio_study
+        return [dataclasses.asdict(pt) for pt in study(m, strike, _q_grid(args, 0.05, 20))]
+    grid = _q_grid(args, 0.01, 100)
+    specs = [StrategySpec(kind=kind, budget=args.budget) for kind in StrategyKind]
+    return [
+        {"q": q, **{f"{s.kind.value}_positional_vega": positional_vega(m, strike, s, q)
+                    for s in specs}}
+        for q in grid
+    ]
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> dict:
     from .analysis import StrategyKind, StrategySpec, optimize_q
     _require(args, "kind")
     m = _market(args)
     spec = StrategySpec(kind=StrategyKind(args.kind), budget=args.budget)
     res = optimize_q(m, args.strike, spec, (args.q_min, args.q_max), grid_points=args.q_steps)
-    record = {
-        **_inputs(args, ("kind", "spot", "strike", "rate", "vol", "budget", "q_min", "q_max")),
-        "q_star": res.q_star,
-        "positional_vega_at_star": res.positional_vega_at_star,
-        "boundary_maximum": res.boundary_maximum,
-        "multimodal": res.multimodal,
-    }
-    _emit_record(record, args.output)
-    return 0
+    keys = ("kind", "spot", "strike", "rate", "vol", "budget", "q_min", "q_max")
+    record = {**_inputs(args, keys), **dataclasses.asdict(res)}
+    del record["curve"]
+    return record
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> list[dict]:
     from .oracle import LatticeConfig, validate_checks
     m, c = _market_contract(args)
     cfg = LatticeConfig(steps=args.steps, convergence=args.tolerance)
-    checks = validate_checks(m, c, cfg, args.perturb)
-    _emit_rows(checks, args.output)
-    failing = [r["check"] for r in checks if not r["passed"]]
-    if failing:
-        print(f"FAILED: {', '.join(failing)}", file=sys.stderr)
-        return 1
-    return 0
+    return validate_checks(m, c, cfg, args.perturb)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -252,62 +200,52 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser, contract: bool = True) -> None:
-    parser.add_argument("--spot", type=float, default=100.0)
-    parser.add_argument("--strike", type=float, default=100.0)
-    parser.add_argument("--rate", type=float, default=0.05)
-    parser.add_argument("--vol", type=float, default=0.5)
-    if contract:
-        parser.add_argument("--kind", choices=["call", "put"])
-        parser.add_argument("--amort", type=float)
-    parser.add_argument("--output", choices=["json", "csv", "table"], default="table")
-    parser.add_argument("--config")
+# (flag, add_argument keywords), in the order --help lists them
+_MARKET = (
+    ("--spot", {"type": float, "default": 100.0}),
+    ("--strike", {"type": float, "default": 100.0}),
+    ("--rate", {"type": float, "default": 0.05}),
+    ("--vol", {"type": float, "default": 0.5}),
+)
+_IO = (("--output", {"choices": ["json", "csv", "table"], "default": "table"}), ("--config", {}))
+_QUOTE = (*_MARKET, ("--kind", {"choices": ["call", "put"]}), ("--amort", {"type": float}), *_IO)
+# q-min and q-steps default per example (see _q_grid) and in optimize
+_Q_GRID = (
+    ("--q-min", {"type": float}),
+    ("--q-max", {"type": float, "default": 1.0}),
+    ("--q-steps", {"type": int}),
+    ("--budget", {"type": float, "default": 100.0}),
+)
+_LATTICE = (
+    ("--steps", {"type": int, "default": 4000}),
+    ("--tolerance", {"type": float, "default": 5e-3}),
+    ("--perturb", {"type": float, "default": 1.0}),
+)
+_EXAMPLE = ("example", {"type": int, "choices": [1, 2, 3]})
+_STRATEGY = ("--kind", {"choices": ["call", "put", "straddle"]})
 
-
-def _add_q_grid(parser: argparse.ArgumentParser) -> None:
-    # q-min and q-steps default per example (see _q_grid) and in optimize
-    parser.add_argument("--q-min", type=float)
-    parser.add_argument("--q-max", type=float, default=1.0)
-    parser.add_argument("--q-steps", type=int)
-    parser.add_argument("--budget", type=float, default=100.0)
+# subcommand: (help, builder of its record (a dict) or rows (a list), flags, set defaults)
+_COMMANDS = {
+    "price": ("premium, boundary, regime, exponents", _cmd_price, _QUOTE, {}),
+    "greeks": ("analytic Greeks", _cmd_greeks, _QUOTE, {}),
+    "statics": ("q-derivatives and mixed partial", _cmd_statics, _QUOTE, {}),
+    "examples": ("curve data for the case studies", _cmd_examples,
+                 (_EXAMPLE, *_MARKET, *_IO, *_Q_GRID), {}),
+    "optimize": ("best amortization rate per strategy", _cmd_optimize,
+                 (*_MARKET, *_IO, _STRATEGY, *_Q_GRID), {"q_min": 0.001, "q_steps": 201}),
+    "validate": ("oracle and consistency checks", _cmd_validate, (*_QUOTE, *_LATTICE), {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ampo", description="Amortizing perpetual option analytics")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
-
-    p = sub.add_parser("price", help="premium, boundary, regime, exponents")
-    _add_common(p)
-    p.set_defaults(func=_cmd_price)
-
-    p = sub.add_parser("greeks", help="analytic Greeks")
-    _add_common(p)
-    p.set_defaults(func=_cmd_greeks)
-
-    p = sub.add_parser("statics", help="q-derivatives and mixed partial")
-    _add_common(p)
-    p.set_defaults(func=_cmd_statics)
-
-    p = sub.add_parser("examples", help="curve data for the case studies")
-    p.add_argument("example", type=int, choices=[1, 2, 3])
-    _add_common(p, contract=False)
-    _add_q_grid(p)
-    p.set_defaults(func=_cmd_examples)
-
-    p = sub.add_parser("optimize", help="best amortization rate per strategy")
-    _add_common(p, contract=False)
-    p.add_argument("--kind", choices=["call", "put", "straddle"])
-    _add_q_grid(p)
-    p.set_defaults(func=_cmd_optimize, q_min=0.001, q_steps=201)
-
-    p = sub.add_parser("validate", help="oracle and consistency checks")
-    _add_common(p)
-    p.add_argument("--steps", type=int, default=4000)
-    p.add_argument("--tolerance", type=float, default=5e-3)
-    p.add_argument("--perturb", type=float, default=1.0)
-    p.set_defaults(func=_cmd_validate)
-
+    for name, (help_text, _, flags, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(**defaults)
     return parser
 
 
@@ -324,13 +262,22 @@ def main(argv=None) -> int:
             if args.config:
                 before += _read_config(args.config, parser.commands[args.command])
             args = parser.parse_args([argv[0], *before, *argv[1:]])
-        return args.func(args)
+        out = _COMMANDS[args.command][1](args)
     except (ValidationError, RegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AmpoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    if isinstance(out, dict):
+        _emit_record(out, args.output)
+        return 0
+    _emit_rows(out, args.output)
+    failing = [row["check"] for row in out if not row.get("passed", True)]
+    if failing:
+        print(f"FAILED: {', '.join(failing)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

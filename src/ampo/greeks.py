@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import ContractParams, MarketParams, ValidationError
+from .params import ContractParams, MarketParams, ValidationError, _require_finite
 from .pricing import _EXERCISE_NOW, _ClosedForm, _evaluate, _out_of_range
 
 
@@ -117,11 +117,6 @@ def vega(m: MarketParams, c: ContractParams) -> float:
     return greeks_report(m, c).vega
 
 
-def theta_explicit(m: MarketParams, c: ContractParams) -> float:
-    """dV/dt of the perpetual price: identically zero."""
-    return 0.0
-
-
 def theta_economic(m: MarketParams, c: ContractParams) -> float:
     """Position decay from amortization: -q * premium."""
     return -c.amort * _evaluate(m, c).premium
@@ -132,6 +127,8 @@ def dated_bs_call(m: MarketParams, strike: float, maturity: float) -> DatedGreek
 
     The normal CDF goes through math.erfc, relative-accurate in both tails.
     """
+    _require_finite("maturity", maturity)
+    _require_finite("strike", strike)
     if maturity <= 0:
         raise ValidationError(f"maturity must be > 0, got {maturity}")
     if strike <= 0:

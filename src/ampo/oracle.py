@@ -38,7 +38,7 @@ from .params import (
     _require_finite,
 )
 from .greeks import _delta, _gamma, _vega
-from .pricing import _closed_form, _evaluate, _exponents, ode_coefficients, to_equivalent_perpetual
+from .pricing import _closed_form, _evaluate, _exponents, to_equivalent_perpetual
 
 # the grid spans at most 12 log-spot units beyond the spot and the
 # strike, and its time step discounts by at most e^{-14/steps}
@@ -275,21 +275,21 @@ def pde_residual(
 ) -> list[float]:
     """Relative residual of the valuation ODE at each continuation spot.
 
-    Evaluates (1/2) sigma^2 S^2 V'' + drift*S*V' - discount*V with the
+    Evaluates (1/2) sigma^2 S^2 V'' + r*S*V' - (2r+q)*V with the
     analytic value and derivatives, all from one closed-form evaluation
     per spot on one exponent solve (the exponents do not depend on the
-    spot), normalized by discount*V. Each spot is checked as MarketParams
-    checks it, without building one. The coefficients come from
-    ode_coefficients. `premium_scale` multiplies the zeroth-order value
-    only; scaling it by 1.01 should surface a relative residual near 0.01,
-    a sanity check that the checker is live.
+    spot), normalized by (2r+q)*V. Each spot is checked as MarketParams
+    checks it, without building one. `premium_scale` multiplies the
+    zeroth-order value only; scaling it by 1.01 should surface a relative
+    residual near 0.01, a sanity check that the checker is live.
     """
-    drift, discount = ode_coefficients(m, c.amort)
+    _require_finite("premium_scale", premium_scale)
+    drift, discount = m.rate, 2.0 * m.rate + c.amort
     ex = _exponents(m, c.amort)
     out = []
     for s in spots:
+        _require_finite("spot", s)
         spot = float(s)
-        _require_finite("spot", spot)
         if spot <= 0:
             raise ValidationError(f"spot must be > 0, got {spot}")
         ms = _AtSpot(spot, m.rate, m.vol)
@@ -299,11 +299,11 @@ def pde_residual(
         v = premium_scale * f.premium
         dv = _delta(f, ms)
         d2v = _gamma(f, ms)
-        curvature = 0.5 * m.vol**2 * s * s * d2v
+        curvature = 0.5 * m.vol**2 * spot * spot * d2v
         if not curvature < math.inf:
             # sigma^2*S*S overflows before Gamma scales it down (vol 1e60, S 3e122)
-            curvature = 0.5 * m.vol**2 * (s * (s * d2v))
-        resid = curvature + drift * s * dv - discount * v
+            curvature = 0.5 * m.vol**2 * (spot * (spot * d2v))
+        resid = curvature + drift * spot * dv - discount * v
         out.append(abs(resid) / max(abs(discount * v), 1e-300))
     return out
 
@@ -356,6 +356,7 @@ def validate_checks(
     boundary, premium times `perturb`; 1e-8), then fd_delta, fd_gamma and
     fd_vega (central differences of the premium against the Greeks; 1e-5).
     """
+    _require_finite("perturb", perturb)
     f = _evaluate(m, c)
     checks = []
 

@@ -131,14 +131,6 @@ def _kind_sign(kind: OptionKind, alpha: float, gap: float) -> float:
     return sign
 
 
-def _log_moneyness(spot: float, strike: float, alpha: float, gap: float) -> float:
-    return math.log(gap * spot / (alpha * strike))
-
-
-def _power_law(sign: float, strike: float, alpha: float, gap: float, log_m: float) -> float:
-    return strike / gap * math.exp(sign * alpha * log_m)
-
-
 def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float, ex=None) -> _ClosedForm:
     """alpha_bar, sign, own exponent, alpha - s, boundary, regime, premium and L at rate q >= 0.
 
@@ -158,14 +150,14 @@ def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float, ex=
         alpha, gap = alpha_p, alpha_p + 1.0
     sign = _kind_sign(kind, alpha, gap)
     boundary = alpha * strike / gap
-    log_m = _log_moneyness(m.spot, strike, alpha, gap)
+    log_m = math.log(gap * m.spot / (alpha * strike))
     exercised = m.spot > boundary if kind == _CALL else m.spot < boundary
     if exercised:
         regime = _EXERCISE_NOW
         premium = intrinsic_value(kind, m.spot, strike)
     else:
         regime = _CONTINUATION
-        premium = _power_law(sign, strike, alpha, gap, log_m)
+        premium = strike / gap * math.exp(sign * alpha * log_m)
         # below K for a put and S for a call, unless K/gap overflowed
         if not premium < _INF:
             raise _out_of_range(m, "the premium")
@@ -203,21 +195,6 @@ def exercise_boundary(m: MarketParams, c: ContractParams) -> float:
     return _evaluate(m, c).boundary
 
 
-def premium_from_exponent(
-    kind: OptionKind, spot: float, strike: float, alpha: float
-) -> float:
-    """Continuation-region premium given the relevant exponent.
-
-    Call: K/(alpha-1) * ((alpha-1)S/(alpha K))^alpha, needs alpha > 1.
-    Put:  K/(1+alpha) * (alpha K/((1+alpha)S))^alpha, needs alpha > 0.
-    Powers go through exp(alpha*log(.)) so non-integer exponents of
-    positive arguments are handled without sign pitfalls.
-    """
-    gap = alpha - 1.0 if kind == _CALL else alpha + 1.0
-    sign = _kind_sign(kind, alpha, gap)
-    return _power_law(sign, strike, alpha, gap, _log_moneyness(spot, strike, alpha, gap))
-
-
 def price(m: MarketParams, c: ContractParams) -> Quote:
     """Premium, boundary and regime for an AmPO.
 
@@ -249,11 +226,6 @@ def to_equivalent_perpetual(c: ContractParams, m: MarketParams) -> EquivalentPer
         payoff_kind=c.kind,
         strike=c.strike,
     )
-
-
-def ode_coefficients(m: MarketParams, q: float) -> tuple[float, float]:
-    """(drift rate, discount rate) of the valuation ODE, i.e. (r, 2r+q)."""
-    return m.rate, 2.0 * m.rate + q
 
 
 def notional_at(s: AmortizationSchedule, t: float) -> float:

@@ -1,9 +1,10 @@
 """Comparative statics of AmPO values in the amortization rate q.
 
-The q-derivatives below are stated for the continuation region only
-(call spot <= boundary, put spot >= boundary); outside it the functions
-refuse with RegionError rather than silently returning the zero
-q-derivative of the intrinsic value.
+The premium's q-derivatives are stated for the continuation region only
+(call spot <= boundary, put spot >= boundary); outside it they refuse
+with RegionError rather than silently returning the zero q-derivative
+of the intrinsic value. The boundary does not depend on the spot, so
+d_boundary_dq is defined at every spot.
 
 Notation used throughout: with A = (alpha_c - 1) S / (alpha_c K) and
 B = (1 + alpha_p) S / (alpha_p K),

@@ -39,7 +39,6 @@ from ampo import (
     to_equivalent_perpetual,
     vega,
 )
-from ampo.pricing import premium_from_exponent
 from ampo.statics import LARGE_Q
 from conftest import record_criterion, sample_set
 from test_cli import run_cli
@@ -234,6 +233,14 @@ def atm_rate_error(premium: float, strike: float, alpha: float) -> float:
     above 1 flags it.
     """
     return abs(premium * math.e * alpha / strike - 1.0) * alpha
+
+
+def premium_from_exponent(kind: OptionKind, spot: float, strike: float, alpha: float) -> float:
+    """The continuation premium K/gap * (gap*S/(alpha*K))^(s*alpha), gap = alpha - s,
+    s = +1 for a call and -1 for a put, at any given exponent alpha."""
+    sign = 1.0 if kind == OptionKind.CALL else -1.0
+    gap = alpha - sign
+    return strike / gap * math.exp(sign * alpha * math.log(gap * spot / (alpha * strike)))
 
 
 def test_criterion_07_limits():

@@ -5,6 +5,7 @@ processes) is checked by the tests that use `run_cli`, and by
 criterion 12 in test_acceptance.py."""
 
 import ast
+import collections
 import json
 import math
 import os
@@ -223,6 +224,35 @@ def test_cli_imports_no_private_ampo_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_every_module_level_function_and_class_has_a_use():
+    # each is exported, read somewhere else in src/ampo, or an entry point
+    trees = [
+        (path.stem, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(Path(ampo.cli.__file__).parent.glob("*.py"))
+    ]
+
+    def reads(tree):
+        return collections.Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)
+        )
+
+    read = sum((reads(tree) for _, tree in trees), collections.Counter())
+    kept = {"main", "build_parser", "__getattr__", "__dir__"}
+    kept.update(name for names in ampo._EXPORTS.values() for name in names)
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in kept
+        and read[node.name] == reads(node)[node.name]
+    ]
+    assert unused == []
 
 
 def test_csv_golden_stability():
@@ -455,6 +485,146 @@ def test_statics_beyond_boundary_exits_2(cli):
     # spot 300 lies beyond the call boundary 266.67: a request error
     res = cli("statics", "--kind", "call", "--amort", "0.1", "--spot", "300")
     _assert_argument_error(res, "boundary")
+
+
+_QUOTE_HELP = """\
+usage: ampo {name} [-h] [--spot SPOT] [--strike STRIKE] [--rate RATE]
+{pad}[--vol VOL] [--kind {{call,put}}] [--amort AMORT]
+{pad}[--output {{json,csv,table}}] [--config CONFIG]
+
+options:
+  -h, --help            show this help message and exit
+  --spot SPOT
+  --strike STRIKE
+  --rate RATE
+  --vol VOL
+  --kind {{call,put}}
+  --amort AMORT
+  --output {{json,csv,table}}
+  --config CONFIG
+"""
+
+HELP = {
+    (): """\
+usage: ampo [-h] {price,greeks,statics,examples,optimize,validate} ...
+
+Amortizing perpetual option analytics
+
+positional arguments:
+  {price,greeks,statics,examples,optimize,validate}
+    price               premium, boundary, regime, exponents
+    greeks              analytic Greeks
+    statics             q-derivatives and mixed partial
+    examples            curve data for the case studies
+    optimize            best amortization rate per strategy
+    validate            oracle and consistency checks
+
+options:
+  -h, --help            show this help message and exit
+""",
+    **{
+        (name,): _QUOTE_HELP.format(name=name, pad=" " * len(f"usage: ampo {name} "))
+        for name in ("price", "greeks", "statics")
+    },
+    ("examples",): """\
+usage: ampo examples [-h] [--spot SPOT] [--strike STRIKE] [--rate RATE]
+                     [--vol VOL] [--output {json,csv,table}] [--config CONFIG]
+                     [--q-min Q_MIN] [--q-max Q_MAX] [--q-steps Q_STEPS]
+                     [--budget BUDGET]
+                     {1,2,3}
+
+positional arguments:
+  {1,2,3}
+
+options:
+  -h, --help            show this help message and exit
+  --spot SPOT
+  --strike STRIKE
+  --rate RATE
+  --vol VOL
+  --output {json,csv,table}
+  --config CONFIG
+  --q-min Q_MIN
+  --q-max Q_MAX
+  --q-steps Q_STEPS
+  --budget BUDGET
+""",
+    ("optimize",): """\
+usage: ampo optimize [-h] [--spot SPOT] [--strike STRIKE] [--rate RATE]
+                     [--vol VOL] [--output {json,csv,table}] [--config CONFIG]
+                     [--kind {call,put,straddle}] [--q-min Q_MIN]
+                     [--q-max Q_MAX] [--q-steps Q_STEPS] [--budget BUDGET]
+
+options:
+  -h, --help            show this help message and exit
+  --spot SPOT
+  --strike STRIKE
+  --rate RATE
+  --vol VOL
+  --output {json,csv,table}
+  --config CONFIG
+  --kind {call,put,straddle}
+  --q-min Q_MIN
+  --q-max Q_MAX
+  --q-steps Q_STEPS
+  --budget BUDGET
+""",
+    ("validate",): """\
+usage: ampo validate [-h] [--spot SPOT] [--strike STRIKE] [--rate RATE]
+                     [--vol VOL] [--kind {call,put}] [--amort AMORT]
+                     [--output {json,csv,table}] [--config CONFIG]
+                     [--steps STEPS] [--tolerance TOLERANCE]
+                     [--perturb PERTURB]
+
+options:
+  -h, --help            show this help message and exit
+  --spot SPOT
+  --strike STRIKE
+  --rate RATE
+  --vol VOL
+  --kind {call,put}
+  --amort AMORT
+  --output {json,csv,table}
+  --config CONFIG
+  --steps STEPS
+  --tolerance TOLERANCE
+  --perturb PERTURB
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP, ids=lambda c: " ".join(c) or "ampo")
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    # the flags of each subcommand, their order and their choices
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (HELP[command], "")
+
+
+_MARKET_DEFAULTS = [("spot", 100.0), ("strike", 100.0), ("rate", 0.05), ("vol", 0.5)]
+_QUOTE_DEFAULTS = [*_MARKET_DEFAULTS, ("kind", None), ("amort", None), ("output", "table"), ("config", None)]
+_Q_DEFAULTS = [("q_max", 1.0), ("q_steps", None), ("budget", 100.0)]
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (["price"], _QUOTE_DEFAULTS),
+        (["greeks"], _QUOTE_DEFAULTS),
+        (["statics"], _QUOTE_DEFAULTS),
+        (["examples", "1"], [("example", 1), *_MARKET_DEFAULTS, ("output", "table"), ("config", None),
+                             ("q_min", None), *_Q_DEFAULTS]),
+        (["optimize"], [*_MARKET_DEFAULTS, ("output", "table"), ("config", None), ("kind", None),
+                        ("q_min", 0.001), ("q_max", 1.0), ("q_steps", 201), ("budget", 100.0)]),
+        (["validate"], [*_QUOTE_DEFAULTS, ("steps", 4000), ("tolerance", 5e-3), ("perturb", 1.0)]),
+    ],
+)
+def test_parser_defaults_are_pinned(argv, defaults):
+    args = ampo.cli.build_parser().parse_args(argv)
+    assert list(vars(args).items()) == [("command", argv[0]), *defaults]
 
 
 def test_import_loads_neither_scipy_nor_numpy():

@@ -16,7 +16,6 @@ from ampo import (
     greeks_report,
     price,
     theta_economic,
-    theta_explicit,
     vega,
 )
 from conftest import sample_set
@@ -45,7 +44,6 @@ def test_vega_params_a(market_a, call_a, put_a):
 
 
 def test_theta(market_a, call_a, put_a):
-    assert theta_explicit(market_a, call_a) == 0.0
     assert theta_economic(market_a, put_a) == pytest.approx(-2.5, rel=1e-13)
     assert theta_economic(market_a, call_a) == pytest.approx(
         -0.1 * price(market_a, call_a).premium, abs=0.0
@@ -136,3 +134,21 @@ def test_dated_bs_call_deep_itm():
 def test_dated_bs_call_small_vol_limit():
     m = MarketParams(spot=100.0, rate=0.0, vol=1e-8)
     assert dated_bs_call(m, 100.0, 1.0).premium < 1e-6
+
+
+@pytest.mark.parametrize(
+    "strike, maturity, message",
+    [
+        # a nan maturity used to return an all-nan report
+        (100.0, float("nan"), "maturity must be finite, got nan"),
+        (100.0, float("inf"), "maturity must be finite, got inf"),
+        # an infinite strike used to end in "math domain error"
+        (float("inf"), 1.0, "strike must be finite, got inf"),
+        ("100", 1.0, "strike must be a real number, got '100'"),
+        (100.0, "1", "maturity must be a real number, got '1'"),
+    ],
+)
+def test_dated_bs_call_refuses_terms_that_are_not_finite_numbers(market_a, strike, maturity, message):
+    with pytest.raises(ValidationError) as exc:
+        dated_bs_call(market_a, strike, maturity)
+    assert str(exc.value) == message

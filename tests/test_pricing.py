@@ -25,7 +25,6 @@ from ampo import (
     greeks_report,
     intrinsic_value,
     notional_at,
-    ode_coefficients,
     price,
     statics_report,
     to_equivalent_perpetual,
@@ -225,12 +224,6 @@ def test_equivalent_perpetual_mapping(market_a, put_a):
     assert e.rate_eff - e.dividend_eff == pytest.approx(market_a.rate, abs=1e-15)
     assert e.payoff_kind == OptionKind.PUT
     assert e.strike == put_a.strike
-
-
-def test_ode_coefficients(market_a):
-    drift, discount = ode_coefficients(market_a, 0.1)
-    assert drift == 0.05
-    assert discount == pytest.approx(0.2, abs=1e-15)
 
 
 def test_notional_decay():
@@ -470,3 +463,41 @@ def test_threads_alternating_contracts_each_read_their_own():
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
+
+
+_M = MarketParams(spot=100.0, rate=0.05, vol=0.5)
+_PUT = ContractParams(strike=100.0, amort=0.1, kind=OptionKind.PUT)
+_SPEC = ampo.StrategySpec(kind="put", budget=100.0)
+# (function, argument) -> the function called with a bad value of that argument
+_WITH_BAD = {
+    ("pde_residual", "spots"): lambda x: ampo.pde_residual(_M, _PUT, [x]),
+    ("pde_residual", "premium_scale"): lambda x: ampo.pde_residual(_M, _PUT, [100.0], x),
+    ("validate_checks", "perturb"): lambda x: ampo.validate_checks(
+        _M, _PUT, ampo.LatticeConfig(steps=200), x
+    ),
+    ("positional_vega", "q"): lambda x: ampo.positional_vega(_M, 100.0, _SPEC, x),
+    ("positional_vega", "strike"): lambda x: ampo.positional_vega(_M, x, _SPEC, 0.1),
+    ("optimize_q", "q_range"): lambda x: ampo.optimize_q(_M, 100.0, _SPEC, x),
+    ("optimize_q", "grid_points"): lambda x: ampo.optimize_q(_M, 100.0, _SPEC, (0.01, 1.0), x),
+}
+
+
+@pytest.mark.parametrize(
+    "function, argument, bad, message",
+    [
+        # each used to raise TypeError or ValueError
+        ("pde_residual", "spots", "x", "spot must be a real number, got 'x'"),
+        ("pde_residual", "spots", None, "spot must be a real number, got None"),
+        ("pde_residual", "premium_scale", "x", "premium_scale must be a real number, got 'x'"),
+        ("validate_checks", "perturb", "x", "perturb must be a real number, got 'x'"),
+        # the amortization rate q is named amort, as ContractParams names it
+        ("positional_vega", "q", "x", "amort must be a real number, got 'x'"),
+        ("positional_vega", "strike", "x", "strike must be a real number, got 'x'"),
+        ("optimize_q", "q_range", ("a", "b"), "q_range must satisfy 0 < lo < hi < inf, got ('a', 'b')"),
+        ("optimize_q", "grid_points", "x", "grid_points must be an integer, got 'x'"),
+    ],
+)
+def test_a_bad_argument_raises_a_validation_error_naming_it(function, argument, bad, message):
+    with pytest.raises(ValidationError) as exc:
+        _WITH_BAD[function, argument](bad)
+    assert str(exc.value) == message
