@@ -16,7 +16,8 @@ from enum import Enum
 
 from .greeks import _dated_terms, _gamma
 from .params import MarketParams, NoSolutionError, OptionKind, ValidationError
-from .params import _check_terms, _member, _require_finite, intrinsic_value
+from .params import _check_terms, _member, _require_finite, _require_iterable
+from .params import intrinsic_value
 from .pricing import _CALL, _closed_form, _exponents, _kind_sign, _out_of_range
 
 
@@ -167,7 +168,7 @@ def _solve_maturity(m: MarketParams, strike: float, q: float, target: float) -> 
 
 
 def effective_notional_curve(m: MarketParams, strike: float, q_grid) -> list[MaturityResult]:
-    return [effective_maturity(m, strike, q) for q in q_grid]
+    return [effective_maturity(m, strike, q) for q in _require_iterable("q_grid", q_grid)]
 
 
 def ratio_study(m: MarketParams, strike: float, q_grid) -> list[RatioPoint]:
@@ -178,7 +179,7 @@ def ratio_study(m: MarketParams, strike: float, q_grid) -> list[RatioPoint]:
     instant the two contracts are directly comparable.
     """
     out = []
-    for q in q_grid:
+    for q in _require_iterable("q_grid", q_grid):
         _check_terms(strike, q)
         f = _closed_form(m, OptionKind.CALL, strike, q)
         res = _solve_maturity(m, strike, q, f.premium)
@@ -231,8 +232,8 @@ def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float,
     except (OverflowError, ZeroDivisionError):
         raise _out_of_range(m, "positional Vega") from None
     try:
-        strike_ok = 0.0 < strike < math.inf
-    except TypeError:
+        strike_ok = 0.0 < strike + 0.0 < math.inf
+    except (TypeError, OverflowError):
         strike_ok = False
     out = []
     for q in qs:

@@ -11,11 +11,13 @@ grid its value is the fixed point of one CRR step with early exercise,
 which the Brennan-Schwartz sweep solves exactly in two passes
 (Brennan & Schwartz 1977, J. Finance 32:449; proved correct for the
 American put by Jaillet, Lamberton & Lapeyre 1990, Acta Appl. Math.
-21:263). Its first pass stops at its recurrence's floating-point fixed
-point and keeps only that ratio and the node where it is reached, and
-the second bisects below it for the exercise boundary, so most nodes are
-never visited, with the same floats as a full walk. The ratios above
-that node, near the far continuation end, are rebuilt on first read.
+21:263). Its first pass starts just below the smaller root of its
+recurrence's quadratic and stops at the recurrence's floating-point
+fixed point, keeping only that ratio and a bound on the node where a
+walk from the far end reaches it; the second bisects below that node for
+the exercise boundary, so most nodes are never visited, with the same
+floats as a full walk. The ratios above that node, near the far
+continuation end, are rebuilt on first read.
 `LatticeConfig.steps` sets the grid resolution. The sweep uses only the
 lattice's own step constants and the payoff, never the closed form.
 """
@@ -36,6 +38,7 @@ from .params import (
     RegionError,
     ValidationError,
     _require_finite,
+    _require_iterable,
 )
 from .greeks import _delta, _gamma, _vega
 from .pricing import _closed_form, _evaluate, _exponents, to_equivalent_perpetual
@@ -103,6 +106,50 @@ class _AtSpot(NamedTuple):
     vol: float
 
 
+# pass 1 starts _START_MARGIN*u*r1/(1 - rho) below the recurrence's root r1,
+# u = 2^-53: its rounding drifts by at most about 3u*r1/(1 - rho), and r1 by
+# about u*r1/(2(1 - rho)) more
+_START_MARGIN = 16.0
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _fixed_point_start(to_exercise: float, to_continuation: float) -> tuple[int, float]:
+    """(i_max, start) of pass 1, as _perpetual_sweep's docstring derives them.
+
+    (0, 0.0), the walk from 0, where the bounds do not hold. With
+    s = sqrt(1 - 4*tc*te), r1 = 2te/(1 + s) and rho = tc*r1^2/te = r1/r2 =
+    (1 - s)/(1 + s). They need rho >= 1/2, so that te and tc are at least
+    1/9 and nothing underflows, and s >= 2^-14, so that the rounding of
+    1 - 4*tc*te moves s and 1 - rho = 2s/(1 + s) by under 2^-26 relative.
+    """
+    d = 1.0 - 4.0 * to_continuation * to_exercise
+    if not 2.0**-28 <= d <= 1.0 / 9.0:
+        return 0, 0.0
+    s = math.sqrt(d)
+    gap = 2.0 * s / (1.0 + s)
+    start = 2.0 * to_exercise / (1.0 + s) * (1.0 - _START_MARGIN * _UNIT_ROUNDOFF / gap)
+    # rho^j <= k/(1 + k) puts the exact iterate within (M - 4)u*r1/gap of r1,
+    # M = _START_MARGIN; the other 4u*r1/gap cover the float walk's lag and the
+    # rounding of r1, and the + 1 that of the logs
+    k = (_START_MARGIN - 4.0) * _UNIT_ROUNDOFF / (gap * gap)
+    return math.ceil(math.log1p(1.0 / k) / -math.log1p(-gap)) + 1, start
+
+
+def _first_pass(
+    to_exercise: float, to_continuation: float, first: int, ratio: float
+) -> tuple[int, float]:
+    """(top, B): pass 1 from `ratio` at node `first` until the map returns its input.
+
+    top is the node where it does, or 0 if it does not by node 1.
+    """
+    for k in range(first, 0, -1):
+        following = to_exercise / (1.0 - to_continuation * ratio)
+        if following == ratio:
+            return k, ratio
+        ratio = following
+    return 0, ratio
+
+
 def _perpetual_sweep(
     kind: OptionKind,
     spot: float,
@@ -133,14 +180,34 @@ def _perpetual_sweep(
     midpoint of the last exercised node and that one.
 
     B_k = b(1-c)/(1 - bc*B_{k+1}) is a fixed map, so once it returns the
-    float it was given at some node `top`, every B_k with k <= top is
-    that B and pass 1 stops, keeping only B and `top`, nothing per node.
-    On 1..top node k is exercised iff g_k >= B*g_{k-1}, for the put iff
-    (u - B)*S_{k-1} <= K*(1 - B) (the call mirrored): one flip as k rises,
-    so the exercised nodes form a prefix and pass 2 bisects for its end,
-    then walks on above `top`. The transient B_k above `top` are rebuilt,
-    from node n-1 by the same recurrence, only when pass 2 first reads
-    one, which the walk or the spot reaches on few grids.
+    float it was given, every B_k below is that B and pass 1 stops, keeping
+    only B and a node `top` at or below the one where B is first reached,
+    nothing per node. On 1..top node k is exercised iff g_k >= B*g_{k-1},
+    for the put iff (u - B)*S_{k-1} <= K*(1 - B) (the call mirrored): one
+    flip as k rises, so the exercised nodes form a prefix and pass 2
+    bisects for its end, then walks on above `top`. The B_k above `top`
+    are rebuilt, from node n-1 by the same recurrence, only when pass 2
+    first reads one, which the walk or the spot reaches on few grids.
+    Any `top` at or below the first node with B gives the same floats,
+    since the rebuilt ratios between the two are B as well.
+
+    Pass 1 starts next to B, not at 0. With te = b(1-c) and tc = bc, the
+    float map fl(te/fl(1 - fl(tc*B))) is monotone non-decreasing: each
+    correctly rounded step is, and 1 - tc*B >= 1/2 below r1, the smaller
+    root of tc*B^2 - B + te = 0. So the walk from 0 rises to the smallest
+    float fixed point B, and so does a walk from any float at or below B.
+    One step rounds by at most about 3u relative (u = 2^-53), and the
+    slope below r1 is at most rho = tc*r1^2/te < 1, so the walk from 0
+    stays within about 3u*r1/(1 - rho) of the exact iterate
+    r1 - (r2 - r1)*rho^(j+1)/(1 - rho^(j+1)), and every float below
+    r1*(1 - 3u/(1 - rho)) is moved up by the map: the start
+    r1*(1 - 16u/(1 - rho)) is at or below B. The exact iterate bounds the
+    steps i_max after which the walk from 0 is at or above the start; from
+    there, by monotonicity, it stays at or above the walk from the start,
+    so it reaches B within i_max + k steps if the walk from the start takes
+    k. `top` is node n-1-(i_max + k). Where that is below 1, or where
+    1 - rho < 2^-13 (near the double root) or rho < 1/2 puts the bounds
+    out of reach, pass 1 walks from 0 as it always did.
     """
     dx = min(_REACH / steps, vol * math.sqrt(_DISCOUNT / (steps * discount_rate)))
     reach = steps * dx
@@ -169,13 +236,11 @@ def _perpetual_sweep(
     n = below + above + 1
 
     to_exercise, to_continuation = b * (1.0 - c), b * c
-    ratio, top = 0.0, 0
-    for k in range(n - 1, 0, -1):
-        following = to_exercise / (1.0 - to_continuation * ratio)
-        if following == ratio:
-            top = k
-            break
-        ratio = following
+    i_max, start = _fixed_point_start(to_exercise, to_continuation)
+    top, ratio = _first_pass(to_exercise, to_continuation, n - 1 - i_max, start)
+    if top == 0 and i_max:
+        # the bound left no node to land on: walk from the far end instead
+        top, ratio = _first_pass(to_exercise, to_continuation, n - 1, 0.0)
     late = None
 
     def transient() -> list[float]:
@@ -232,6 +297,8 @@ def lattice_price(
     solved again at cfg.steps // 2 and ConvergenceError is raised when
     the relative price change exceeds it.
     """
+    for name in ("rate_eff", "dividend_eff", "strike"):
+        _require_finite(name, getattr(e, name))
     rate = e.rate_eff - e.dividend_eff
     # 2r+q and r+q round by half an ulp each: the rate is off by up to an ulp of rate_eff
     if abs(rate - m.rate) > 1e-12 * max(1.0, abs(m.rate)) + 2.0 * math.ulp(e.rate_eff):
@@ -287,7 +354,7 @@ def pde_residual(
     drift, discount = m.rate, 2.0 * m.rate + c.amort
     ex = _exponents(m, c.amort)
     out = []
-    for s in spots:
+    for s in _require_iterable("spots", spots):
         _require_finite("spot", s)
         spot = float(s)
         if spot <= 0:

@@ -38,12 +38,23 @@ class Regime(str, Enum):
 
 
 def _require_finite(name: str, value: float) -> None:
+    # + 0.0 refuses what float arithmetic refuses, such as a decimal.Decimal
     try:
-        finite = math.isfinite(value)
+        finite = math.isfinite(value + 0.0)
     except TypeError:
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:  # an int beyond the float range
+        finite = False
     if not finite:
         raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
+def _require_iterable(name: str, values):
+    """An iterator over `values`; ValidationError if they cannot be iterated."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence of numbers, got {values!r}") from None
 
 
 def _member(kind_enum: type[Enum], kind) -> Enum:

@@ -76,6 +76,9 @@ def _exponents(m: MarketParams, q: float) -> tuple[float, float, float]:
         radical = math.sqrt((x + 0.5) ** 2 + 2.0 * (m.rate + q) / s2)
     except (OverflowError, ZeroDivisionError):
         raise _out_of_range(m, "the exponent solve") from None
+    except TypeError:  # a q that compares but does not mix with floats, such as a Decimal
+        _require_finite("amort", q)
+        raise
     product = 2.0 * (2.0 * m.rate + q) / s2
     if x >= 0.5:
         alpha_p = radical + x - 0.5

@@ -1,6 +1,9 @@
+import collections
 import dataclasses
+import decimal
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -404,6 +407,24 @@ _ABOVE_TOP = [
 ]
 
 
+# full-domain draws whose spot lies above the node pass 1 reports after landing from its
+# start, so that pass 2 reads the ratios rebuilt from the far end
+_REBUILT = [
+    dict(spot=22.638741377080837, rate=0.0048614591836975305, vol=3.0839074639658315,
+         strike=0.05188719565722055, q=0.0012077025683622958, kind=OptionKind.CALL, steps=2000),
+    dict(spot=24121.243987762293, rate=0.013350181172208696, vol=0.16722637191010176,
+         strike=5466.0594126882415, q=3.0753007496974716e-05, kind=OptionKind.PUT, steps=50),
+]
+
+
+# 1 - 4*tc*te is about 6e-7 at 8000 steps, where pass 1 lands from its start,
+# and 2e-6 at 4000, where the bound leaves no node and it walks from 0
+_NEAR_DOUBLE_ROOT = [
+    dict(spot=100.0, rate=0.0, vol=0.5, strike=100.0, q=1e-6, kind=OptionKind.PUT, steps=8000),
+    dict(spot=100.0, rate=0.0, vol=0.5, strike=100.0, q=1e-6, kind=OptionKind.CALL, steps=4000),
+]
+
+
 def _sweep_cases(market_a):
     cases = [(market_a, ContractParams(100.0, 0.1, kind), 4000) for kind in OptionKind]
     for q in (1e2, 1e3, 1e4, 1e5):
@@ -481,3 +502,84 @@ def test_sweep_keeps_no_per_node_list(market_a, kind):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 1024
+
+
+def _line_events(args):
+    # line events per function of ampo.oracle during one _perpetual_sweep
+    counts = collections.Counter()
+
+    def local(frame, event, arg):
+        if event == "line":
+            counts[frame.f_code.co_name] += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename == oracle.__file__ else None
+
+    sys.settrace(tracer)
+    try:
+        oracle._perpetual_sweep(*args)
+    finally:
+        sys.settrace(None)
+    return counts
+
+
+@pytest.mark.parametrize("kind", list(OptionKind))
+def test_sweep_starts_pass_one_next_to_its_fixed_point(market_a, kind):
+    # walking pass 1 from 0 made about 14,000 line events on this grid
+    e = to_equivalent_perpetual(ContractParams(100.0, 0.1, kind), market_a)
+    args = (e.payoff_kind, market_a.spot, e.strike, e.rate_eff - e.dividend_eff, e.rate_eff, market_a.vol, 4000)
+    assert sum(_line_events(args).values()) < 4000
+
+
+def _sweep_args(spot, rate, vol, strike, q, kind, steps):
+    return kind, spot, strike, rate, 2.0 * rate + q, vol, steps
+
+
+@pytest.mark.parametrize(
+    "draw, walks, rebuilds",
+    [
+        # (draw, pass-1 walks as (start is 0.0, top >= 1), rebuilds the transient)
+        pytest.param(_REBUILT[0], [(False, True)], True, id="rebuilt-call"),
+        pytest.param(_REBUILT[1], [(False, True)], True, id="rebuilt-put"),
+        pytest.param(_NEAR_DOUBLE_ROOT[0], [(False, True)], True, id="double-root-lands"),
+        pytest.param(_NEAR_DOUBLE_ROOT[1], [(False, False), (True, False)], True, id="double-root-walks"),
+    ],
+)
+def test_sweep_examples_take_the_paths_they_cover(draw, walks, rebuilds, monkeypatch):
+    # the property test's examples of the rebuild and of the double root
+    first_pass, seen = oracle._first_pass, []
+
+    def recorded(to_exercise, to_continuation, first, ratio):
+        top, fixed = first_pass(to_exercise, to_continuation, first, ratio)
+        seen.append((ratio == 0.0, top >= 1))
+        return top, fixed
+
+    monkeypatch.setattr(oracle, "_first_pass", recorded)
+    lines = _line_events(_sweep_args(**draw))
+    assert seen == walks
+    assert (lines["transient"] > 0) == rebuilds
+
+
+def test_fixed_point_start_refuses_where_its_bounds_do_not_hold():
+    # the double root itself, 1 - 4*tc*te below 2^-28, and a slope below 1/2
+    for to_exercise, to_continuation in [(0.5, 0.5), (0.5, 0.5 - 2.0**-40), (0.9, 0.05)]:
+        assert oracle._fixed_point_start(to_exercise, to_continuation) == (0, 0.0)
+
+
+@pytest.mark.parametrize("field", ["rate_eff", "dividend_eff", "strike"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        pytest.param("x", "must be a real number, got 'x'", id="str"),
+        pytest.param(math.nan, "must be finite, got nan", id="nan"),
+        pytest.param(math.inf, "must be finite, got inf", id="inf"),
+        pytest.param(decimal.Decimal("0.1"), "must be a real number, got Decimal('0.1')", id="decimal"),
+    ],
+)
+def test_lattice_checks_the_equivalent_perpetual_first(market_a, put_a, field, bad, message):
+    # a nan rate_eff was reported as "amort must be finite", a str as TypeError
+    e = dataclasses.replace(to_equivalent_perpetual(put_a, market_a), **{field: bad})
+    with pytest.raises(ValidationError) as exc:
+        lattice_price(e, market_a, LatticeConfig(steps=200))
+    assert str(exc.value) == f"{field} {message}"

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import os
 import random
@@ -500,4 +501,55 @@ _WITH_BAD = {
 def test_a_bad_argument_raises_a_validation_error_naming_it(function, argument, bad, message):
     with pytest.raises(ValidationError) as exc:
         _WITH_BAD[function, argument](bad)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # each used to raise "unsupported operand type(s) for *: 'float' and 'decimal.Decimal'"
+        pytest.param(
+            lambda: ampo.price(MarketParams(spot=decimal.Decimal("100"), rate=0.05, vol=0.5), _PUT),
+            "spot must be a real number, got Decimal('100')",
+            id="market-spot",
+        ),
+        pytest.param(
+            lambda: ampo.price(_M, ContractParams(strike=decimal.Decimal("100"), amort=0.1, kind="put")),
+            "strike must be a real number, got Decimal('100')",
+            id="contract-strike",
+        ),
+        pytest.param(
+            lambda: ampo.positional_vega(_M, decimal.Decimal("100"), _SPEC, 0.1),
+            "strike must be a real number, got Decimal('100')",
+            id="positional-vega-strike",
+        ),
+        pytest.param(
+            lambda: ampo.compute_exponents(_M, decimal.Decimal("0.1")),
+            "amort must be a real number, got Decimal('0.1')",
+            id="exponents-q",
+        ),
+    ],
+)
+def test_a_decimal_is_refused_where_float_arithmetic_would_fail(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # each used to raise "'float' object is not iterable"
+        (lambda: ampo.pde_residual(_M, _PUT, 100.0), "spots must be a sequence of numbers, got 100.0"),
+        (
+            lambda: ampo.effective_notional_curve(_M, 100.0, 0.1),
+            "q_grid must be a sequence of numbers, got 0.1",
+        ),
+        (lambda: ampo.ratio_study(_M, 100.0, 0.1), "q_grid must be a sequence of numbers, got 0.1"),
+    ],
+    ids=["pde_residual", "effective_notional_curve", "ratio_study"],
+)
+def test_a_grid_that_is_not_iterable_raises_a_validation_error(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
     assert str(exc.value) == message

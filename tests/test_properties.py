@@ -10,7 +10,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ampo import (
@@ -35,6 +35,8 @@ from ampo import (
     statics_report,
     vega,
 )
+from ampo import oracle
+from test_oracle import _NEAR_DOUBLE_ROOT, _REBUILT, _linear_sweep
 
 EPS = sys.float_info.epsilon
 
@@ -201,3 +203,82 @@ def test_pde_residual_over_full_domain(rate, vol, q, spot, strike, kind):
     except AmpoError:
         return
     assert residual < 1e-8, residual
+
+
+def _grid_nodes(spot, strike, discount_rate, vol, steps):
+    # the node count n of oracle._perpetual_sweep's grid
+    dx = min(12.0 / steps, vol * math.sqrt(14.0 / (steps * discount_rate)))
+    x = math.log(spot / strike)
+    return math.ceil((max(x, 0.0) + steps * dx) / dx) + math.ceil((steps * dx - min(x, 0.0)) / dx) + 1
+
+
+def _sweep_outcome(sweep, args):
+    try:
+        value, boundary = sweep(*args)
+    except AmpoError as e:
+        return type(e), str(e)
+    return value.hex(), boundary.hex()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    rate=st.one_of(st.just(0.0), log_uniform(1e-6, 2.0)),
+    vol=log_uniform(1e-4, 5.0),
+    q=log_uniform(1e-8, 1e5),
+    spot=log_uniform(1e-3, 1e5),
+    strike=log_uniform(1e-2, 1e4),
+    kind=st.sampled_from(OptionKind),
+    steps=st.sampled_from([2, 3, 5, 50, 500, 2000, 4000, 8000]),
+)
+# the smallest steps, each kind
+@example(rate=0.05, vol=0.5, q=0.1, spot=100.0, strike=100.0, kind=OptionKind.PUT, steps=2)
+@example(rate=0.05, vol=0.5, q=0.1, spot=100.0, strike=100.0, kind=OptionKind.CALL, steps=3)
+@example(rate=0.05, vol=0.5, q=0.1, spot=100.0, strike=100.0, kind=OptionKind.PUT, steps=5)
+# near the double root, 1 - 4*tc*te about 6e-7 and 2e-6 (_NEAR_DOUBLE_ROOT)
+@example(**_NEAR_DOUBLE_ROOT[0])
+@example(**_NEAR_DOUBLE_ROOT[1])
+# the spot lies above the node pass 1 reports, so pass 2 reads rebuilt ratios
+@example(**_REBUILT[0])
+@example(**_REBUILT[1])
+def test_sweep_equals_linear_sweep_over_full_domain(rate, vol, q, spot, strike, kind, steps):
+    # the same floats as a walk over every node, or the same AmpoError; grids
+    # of more than 40,000 nodes are left out only because the reference
+    # keeps a list of one ratio per node
+    discount_rate = 2.0 * rate + q
+    assume(_grid_nodes(spot, strike, discount_rate, vol, steps) <= 40_000)
+    args = (kind, spot, strike, rate, discount_rate, vol, steps)
+    assert _sweep_outcome(oracle._perpetual_sweep, args) == _sweep_outcome(_linear_sweep, args)
+
+
+def _walk(to_exercise, to_continuation, ratio):
+    # pass 1's recurrence from `ratio` until it returns its input: (steps, ratio)
+    steps = 0
+    while True:
+        following = to_exercise / (1.0 - to_continuation * ratio)
+        if following == ratio:
+            return steps, ratio
+        ratio, steps = following, steps + 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    # b = e^{-R*dt} with R*dt up to 14/steps, c within 1/2 of 1/2; the double
+    # root is at b = 1, c = 1/2
+    discount=log_uniform(1e-8, 7.0),
+    tilt=st.one_of(
+        st.floats(-0.4999, 0.4999),
+        log_uniform(1e-12, 0.1),
+        log_uniform(1e-12, 0.1).map(lambda t: -t),
+    ),
+)
+def test_fixed_point_start_is_below_the_fixed_point_and_bounds_the_walk(discount, tilt):
+    # the walk from the start lands on the walk from 0's fixed point, and the
+    # walk from 0 takes at most i_max more steps than it to get there
+    b, c = math.exp(-discount), 0.5 + tilt
+    to_exercise, to_continuation = b * (1.0 - c), b * c
+    i_max, start = oracle._fixed_point_start(to_exercise, to_continuation)
+    assume(i_max)
+    steps, fixed = _walk(to_exercise, to_continuation, 0.0)
+    k, landed = _walk(to_exercise, to_continuation, start)
+    assert landed == fixed
+    assert steps <= i_max + k
