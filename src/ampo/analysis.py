@@ -4,7 +4,9 @@ Three analyses: the effective maturity of an AmPO (the dated ATM call
 maturity with the same premium) and the notional surviving to it; Gamma
 and time-decay ratios against that effectively dated call; and
 budget-constrained positional Vega over the amortization rate, with an
-optimizer for the best q per strategy.
+optimizer for the best q per strategy. Consecutive calls on one market,
+strike and q grid share their exponents, legs and maturities through
+one module-level entry (_sweep).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .greeks import _dated_terms, _gamma
 from .params import MarketParams, NoSolutionError, OptionKind, ValidationError
 from .params import _check_terms, _member, _require_finite, _require_iterable
 from .params import intrinsic_value
-from .pricing import _CALL, _closed_form, _exponents, _kind_sign, _out_of_range
+from .pricing import _CALL, _NOTHING, _closed_form, _exponents, _kind_sign, _out_of_range
 
 
 class StrategyKind(str, Enum):
@@ -134,10 +136,10 @@ def effective_maturity(m: MarketParams, strike: float, q: float) -> MaturityResu
 
     Solved by bracketing plus a safeguarded Newton (dC/dT = -theta) to
     1e-10 in premium; also returns the notional fraction e^{-qT}
-    surviving to T.
+    surviving to T. The grid (q,) shares its solve like any other grid
+    (see _columns).
     """
-    _check_terms(strike, q)
-    return _solve_maturity(m, strike, q, _closed_form(m, OptionKind.CALL, strike, q).premium)
+    return effective_notional_curve(m, strike, (q,))[0]
 
 
 def _solve_maturity(m: MarketParams, strike: float, q: float, target: float) -> MaturityResult:
@@ -167,8 +169,99 @@ def _solve_maturity(m: MarketParams, strike: float, q: float, target: float) -> 
     return MaturityResult(q=q, effective_maturity=t, effective_notional=math.exp(-q * t))
 
 
+# The last q grid evaluated on the last market, shared by the case
+# studies: (market, strike, grid, columns). The columns map "exponents"
+# to _exponents per q, "maturity" to the MaturityResult per q, and each
+# OptionKind to its (premium, Vega term) leg per q; each is filled whole
+# by the first call that needs it. The sentinel matches no market.
+_sweep = (_NOTHING, None, (), {})
+
+
+def _columns(m: MarketParams, strike: float, qs: tuple) -> dict:
+    """The shared entry's columns when it holds (m, strike, qs), else a new empty dict.
+
+    The market matches by identity (it is frozen and the entry holds it),
+    the strike and each q by type and then value, so a hit reads what
+    these same terms computed. Types come first: only types whose values
+    passed every check are ever stored, so == is not asked of others.
+    """
+    last_m, last_strike, last_qs, cols = _sweep
+    n = len(qs)
+    if (
+        m is last_m
+        and type(strike) is type(last_strike)
+        and n == len(last_qs)
+        and (
+            type(qs[0]) is type(last_qs[0])  # one q, without map's set-up cost
+            if n == 1
+            else all(map(operator.is_, map(type, qs), map(type, last_qs)))
+        )
+        and strike == last_strike
+        and qs == last_qs
+    ):
+        return cols
+    return {}
+
+
+def _keep(m: MarketParams, strike: float, qs: tuple, cols: dict, new: dict) -> None:
+    """Store a successful call's new columns: into `cols` on a hit, as a new entry on a miss.
+
+    Called only once the call has succeeded, so one that raises stores
+    nothing. An entry always holds a column, so only a miss has an empty
+    `cols`. A column list is complete when stored and never changed, so a
+    thread that read `cols` sees each column whole or not at all.
+    """
+    global _sweep
+    if cols:
+        cols.update(new)
+    else:
+        _sweep = (m, strike, qs, new)
+
+
+def _maturity_points(m: MarketParams, strike: float, q_grid):
+    """(q, AmPO call closed form, MaturityResult) per q of the grid, in its order.
+
+    Reads the shared exponents and maturities, and fills the ones it
+    solves into the entry after the last point is consumed. The grid is
+    copied into a tuple first; if iterating it raises, the points before
+    come first, as a lazy loop gives them, and nothing is shared.
+    """
+    it = _require_iterable("q_grid", q_grid)
+    qs, failed = [], None
+    try:
+        qs.extend(it)
+    except Exception as exc:
+        failed = exc
+    qs = tuple(qs)
+    cols = {} if failed is not None else _columns(m, strike, qs)
+    exs, mats = cols.get("exponents"), cols.get("maturity")
+    new = {}
+    if exs is None:
+        new["exponents"] = new_exs = []
+    if mats is None:
+        new["maturity"] = new_mats = []
+    for i, q in enumerate(qs):
+        if exs is None:
+            _check_terms(strike, q)
+            ex = _exponents(m, q)
+            new_exs.append(ex)
+        else:
+            ex = exs[i]
+        f = _closed_form(m, _CALL, strike, q, ex)
+        if mats is None:
+            res = _solve_maturity(m, strike, q, f.premium)
+            new_mats.append(res)
+        else:
+            res = mats[i]
+        yield q, f, res
+    if failed is not None:
+        raise failed
+    if new:
+        _keep(m, strike, qs, cols, new)
+
+
 def effective_notional_curve(m: MarketParams, strike: float, q_grid) -> list[MaturityResult]:
-    return [effective_maturity(m, strike, q) for q in _require_iterable("q_grid", q_grid)]
+    return [res for _, _, res in _maturity_points(m, strike, q_grid)]
 
 
 def ratio_study(m: MarketParams, strike: float, q_grid) -> list[RatioPoint]:
@@ -176,13 +269,13 @@ def ratio_study(m: MarketParams, strike: float, q_grid) -> list[RatioPoint]:
 
     The dated peer is the call with the matching effective maturity;
     both sides are evaluated at the initial spot at time zero, the only
-    instant the two contracts are directly comparable.
+    instant the two contracts are directly comparable. The maturities
+    and exponents are read from the shared entry where a call on the
+    same market, strike and grid (effective_notional_curve, say) solved
+    them.
     """
     out = []
-    for q in _require_iterable("q_grid", q_grid):
-        _check_terms(strike, q)
-        f = _closed_form(m, OptionKind.CALL, strike, q)
-        res = _solve_maturity(m, strike, q, f.premium)
+    for q, f, res in _maturity_points(m, strike, q_grid):
         _, _, dated_gamma, dated_theta, _ = _dated_terms(m, strike, res.effective_maturity)
         g_ratio = _gamma(f, m) / dated_gamma if dated_gamma else math.inf
         if not g_ratio < math.inf:
@@ -211,68 +304,103 @@ def positional_vega(m: MarketParams, strike: float, s: StrategySpec, q: float) -
     One point of the per-market kernel _positional_vega_curve, which also
     drives optimize_q's scan; where budget * vega overflows the ratio is
     taken as budget * (vega / premium), so a finite result stays finite.
+    The grid (q,) is shared like any other: after the call and the put at
+    one q, the straddle there solves and prices nothing.
     """
     return _positional_vega_curve(m, strike, _STRATEGY_KINDS[s.kind], s.budget, (q,))[0]
 
 
-def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float, qs) -> list[float]:
+def _positional_vega_curve(
+    m: MarketParams, strike: float, kinds, budget: float, qs: tuple, share: bool = True
+) -> list[float]:
     """budget * vega / premium of the kinds' combined position at each q in qs.
 
-    The market's terms are read once per call and the exponents solved once
-    per q for all kinds; each kind's closed form and Vega are then inlined
-    with _closed_form's and _vega's arithmetic in their order, so every
-    value and error is theirs. The terms are checked per q, in
-    _check_terms' order, and a point that fails raises at once.
+    The exponents are solved once per q for all kinds, and each kind's
+    leg, its premium and Vega term, once per q for every strategy: with
+    `share` both are read from the shared entry (see _columns) and the
+    ones computed are added to it once the call succeeds, so a put after
+    a call on the same grid solves no exponent, and a straddle after both
+    computes nothing but the ratios and does not read the market's terms.
+    A leg inlines _closed_form's and _vega's arithmetic in their order, so
+    every value and error is theirs. An exercised leg's Vega term is 0.0:
+    the sum of terms starts at +0.0, so adding it changes no bit. The
+    terms are checked per q, in _check_terms' order, and a point that
+    fails raises at once, before any later q is evaluated.
     """
-    spot, rate, vol = m.spot, m.rate, m.vol
-    try:
-        s2 = vol**2
-        x = rate / s2
-        vol3 = vol**3
-    except (OverflowError, ZeroDivisionError):
-        raise _out_of_range(m, "positional Vega") from None
-    try:
-        strike_ok = 0.0 < strike + 0.0 < math.inf
-    except (TypeError, OverflowError):
-        strike_ok = False
-    out = []
-    for q in qs:
+    cols = _columns(m, strike, qs) if share else {}
+    exs = cols.get("exponents")
+    # each kind's stored leg, or the new one this call fills: at q number
+    # i a new leg holds i entries, a stored one all of them
+    legs, new = [], {}
+    for kind in kinds:
+        leg = cols.get(kind)
+        if leg is None:
+            leg = new[kind] = []
+        legs.append((kind, leg))
+    if new:
+        spot, rate, vol = m.spot, m.rate, m.vol
         try:
-            in_range = strike_ok and 0.0 < q < math.inf
-        except TypeError:
-            in_range = False
-        if not in_range:
-            _check_terms(strike, q)  # raises
-        alpha_c, alpha_p, alpha_bar = _exponents(m, q)
-        prem = veg = 0.0
-        for kind in kinds:
-            call = kind is _CALL
-            if call:
-                sign, alpha = 1.0, alpha_c
-                # alpha_c - 1 without cancellation, as in _closed_form
-                gap = 2.0 * (rate + q) / s2 / (alpha_bar + x + 0.5)
-                resolved = gap > 0.0
-            else:
-                sign, alpha, gap = -1.0, alpha_p, alpha_p + 1.0
-                resolved = alpha > 0.0
-            if not resolved:
-                _kind_sign(kind, alpha, gap)  # raises
-            boundary = alpha * strike / gap
-            log_m = math.log(gap * spot / (alpha * strike))
-            if (spot > boundary) if call else (spot < boundary):
-                prem += intrinsic_value(kind, spot, strike)  # Vega is zero once exercised
-                continue
-            premium = strike / gap * math.exp(sign * alpha * log_m)
-            prem += premium
-            n = (alpha - 2.0 * sign) * rate - sign * q
+            s2 = vol**2
+            x = rate / s2
+            vol3 = vol**3
+        except (OverflowError, ZeroDivisionError):
+            raise _out_of_range(m, "positional Vega") from None
+    if exs is None:  # a new grid: no leg is stored either
+        new["exponents"] = new_exs = []
+        try:
+            strike_ok = 0.0 < strike + 0.0 < math.inf
+        except (TypeError, OverflowError):
+            strike_ok = False
+    out = []
+    for i, q in enumerate(qs):
+        if exs is None:
             try:
-                veg += 2.0 * premium * log_m * n / (vol3 * alpha_bar)
-            except ZeroDivisionError:
-                raise _out_of_range(m, "positional Vega") from None
+                in_range = strike_ok and 0.0 < q < math.inf
+            except TypeError:
+                in_range = False
+            if not in_range:
+                _check_terms(strike, q)  # raises
+            alpha_c, alpha_p, alpha_bar = ex = _exponents(m, q)
+            new_exs.append(ex)
+        elif new:
+            alpha_c, alpha_p, alpha_bar = exs[i]
+        prem = veg = 0.0
+        for kind, leg in legs:
+            if i < len(leg):
+                premium, term = leg[i]
+            else:
+                call = kind is _CALL
+                if call:
+                    sign, alpha = 1.0, alpha_c
+                    # alpha_c - 1 without cancellation, as in _closed_form
+                    gap = 2.0 * (rate + q) / s2 / (alpha_bar + x + 0.5)
+                    resolved = gap > 0.0
+                else:
+                    sign, alpha, gap = -1.0, alpha_p, alpha_p + 1.0
+                    resolved = alpha > 0.0
+                if not resolved:
+                    _kind_sign(kind, alpha, gap)  # raises
+                boundary = alpha * strike / gap
+                log_m = math.log(gap * spot / (alpha * strike))
+                if (spot > boundary) if call else (spot < boundary):
+                    # Vega is zero once exercised
+                    premium, term = intrinsic_value(kind, spot, strike), 0.0
+                else:
+                    premium = strike / gap * math.exp(sign * alpha * log_m)
+                    n = (alpha - 2.0 * sign) * rate - sign * q
+                    try:
+                        term = 2.0 * premium * log_m * n / (vol3 * alpha_bar)
+                    except ZeroDivisionError:
+                        raise _out_of_range(m, "positional Vega") from None
+                leg.append((premium, term))
+            prem += premium
+            veg += term
         if prem < 1e-12:
             raise NoSolutionError(f"degenerate strategy: premium {prem} below 1e-12")
         scaled = budget * veg
         out.append(scaled / prem if math.isfinite(scaled) else budget * (veg / prem))
+    if share and new:
+        _keep(m, strike, qs, cols, new)
     return out
 
 
@@ -309,8 +437,11 @@ def optimize_q(
     A coarse scan (>= 200 points) locates the structure; golden-section
     refinement to 1e-6 in q runs only when the scan shows a single
     interior peak. The scan is one pass of the per-market kernel behind
-    positional_vega and each golden step one positional_vega call, so
-    every value is positional_vega's at its q. An edge argmax is flagged
+    positional_vega, sharing its exponents and legs with the other
+    strategies' scans of the same grid, and each golden step one point
+    of that kernel that neither reads nor replaces the shared entry, so
+    every value is positional_vega's at its q and a refinement never
+    evicts the scan the next strategy reuses. An edge argmax is flagged
     as a boundary maximum and several interior peaks as multimodal
     (returning the grid argmax). A maximum that is not finite (the budget
     times Vega past the float range) raises NoSolutionError.
@@ -326,9 +457,11 @@ def optimize_q(
         n = max(operator.index(grid_points), 200)
     except TypeError:
         raise ValidationError(f"grid_points must be an integer, got {grid_points!r}") from None
-    qs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    f = lambda q: positional_vega(m, strike, s, q)
-    vs = _positional_vega_curve(m, strike, _STRATEGY_KINDS[s.kind], s.budget, qs)
+    qs = tuple([lo + (hi - lo) * i / (n - 1) for i in range(n)])
+    kinds = _STRATEGY_KINDS[s.kind]
+    # a golden step neither reads nor replaces the shared scan
+    f = lambda q: _positional_vega_curve(m, strike, kinds, s.budget, (q,), share=False)[0]
+    vs = _positional_vega_curve(m, strike, kinds, s.budget, qs)
     curve = list(zip(qs, vs))
     imax = max(range(n), key=vs.__getitem__)
     edge = imax in (0, n - 1)

@@ -278,8 +278,15 @@ def _perpetual_sweep(
     boundary = spot * math.exp((k - 0.5 - at_spot) * step)
     if at_spot < k:
         return payoff(at_spot), boundary
-    for _ in range(k, min(at_spot, top) + 1):
-        value *= ratio
+    # B once per node up to the spot's node or top; once one more factor B
+    # leaves the value as it is, so do all the rest (an underflowed price,
+    # say), which is tested once per 64 nodes to keep the loop itself bare
+    first, stop = k, min(at_spot, top) + 1
+    while first < stop and value * ratio != value:
+        last = min(stop, first + 64)
+        for _ in range(first, last):
+            value *= ratio
+        first = last
     for j in range(max(k, top + 1), at_spot + 1):
         value *= transient()[n - 1 - j]
     return value, boundary

@@ -1,10 +1,15 @@
 import dataclasses
+import decimal
+import fractions
 import math
 import random
 import re
+import sys
+import threading
 
 import pytest
 
+import ampo.analysis
 from ampo import (
     ContractParams,
     MarketParams,
@@ -383,14 +388,16 @@ def test_sweeps_solve_exponents_once_and_build_no_dated_records(market_a, monkey
     monkeypatch.setattr(ampo.analysis, "_closed_form", no_closed_form)
     monkeypatch.setattr(ampo.analysis, "_golden_section_max", counted_golden)
     for kind in StrategyKind:
+        # a market no earlier call evaluated, so nothing is shared yet
+        m = dataclasses.replace(market_a)
         spec = StrategySpec(kind=kind, budget=100.0)
         solves.clear()
-        positional_vega(market_a, 100.0, spec, 0.3)
+        positional_vega(m, 100.0, spec, 0.3)
         assert solves == [0.3]
         # one solve per evaluated q: the scan, each golden step, then q*
         solves.clear()
         golden_qs.clear()
-        res = optimize_q(market_a, 100.0, spec, (0.001, 1.0))
+        res = optimize_q(m, 100.0, spec, (0.001, 1.0))
         assert solves == [q for q, _ in res.curve] + golden_qs + ([res.q_star] if golden_qs else [])
         # the put has a single interior peak, which golden section refines
         assert bool(golden_qs) == (kind is StrategyKind.PUT_ONLY)
@@ -400,3 +407,254 @@ def test_sweeps_solve_exponents_once_and_build_no_dated_records(market_a, monkey
 def test_dated_bs_call_still_checks_its_terms(market_a, strike, maturity):
     with pytest.raises(ValidationError, match="must be > 0"):
         dated_bs_call(market_a, strike, maturity)
+
+
+# ---------------------------------------------------------------- shared q-grid entry
+
+
+def _outcome(fn, *args) -> list:
+    """Every value of fn(*args), floats as float.hex and each with its type, or the error."""
+
+    def flat(x):
+        if isinstance(x, (list, tuple)):
+            return [y for v in x for y in flat(v)]
+        if dataclasses.is_dataclass(x):
+            return flat([getattr(x, f.name) for f in dataclasses.fields(x)])
+        return [(type(x).__name__, x.hex() if isinstance(x, float) else str(x))]
+
+    try:
+        return flat(fn(*args))
+    except Exception as exc:
+        return [(type(exc).__name__, str(exc))]
+
+
+def _entry():
+    """The shared entry and the column lists it holds, as they are now."""
+    entry = ampo.analysis._sweep
+    return entry, dict(entry[-1])
+
+
+# each family's calls share one grid: a single q, a q grid, or a q range
+_STUDY_FAMILIES = {
+    "point": {
+        "effective_maturity": lambda m, k, qs: effective_maturity(m, k, qs[0]),
+        **{
+            f"positional_vega/{kind.value}": (
+                lambda kind: lambda m, k, qs: positional_vega(m, k, StrategySpec(kind, 100.0), qs[0])
+            )(kind)
+            for kind in StrategyKind
+        },
+    },
+    "grid": {"effective_notional_curve": effective_notional_curve, "ratio_study": ratio_study},
+    "range": {
+        f"optimize_q/{kind.value}": (
+            lambda kind: lambda m, k, qs: optimize_q(m, k, StrategySpec(kind, 100.0), (qs[0], qs[-1]))
+        )(kind)
+        for kind in StrategyKind
+    },
+}
+
+
+def test_interleaved_case_studies_match_fresh_evaluations(monkeypatch):
+    rng = random.Random(18)
+    markets = [
+        MarketParams(spot=100.0, rate=0.05, vol=0.5),
+        MarketParams(spot=100.0, rate=0.0, vol=0.3),
+        *_box_markets(1, 18),
+    ]
+    copies = [dataclasses.replace(m) for m in markets]
+    # the strike 1e-6 makes the put degenerate and exercises the call
+    strikes = [(100.0, 100, decimal.Decimal("100")), (1e-6,), (90.0,)]
+    # each grid with equal grids of other types, and grids that raise at a later q
+    grids = [
+        ((0.5, 1.5), (fractions.Fraction(1, 2), 1.5), (0.5, decimal.Decimal("1.5"))),
+        ((1.0, 2.0), (1, 2), (True, 2.0)),
+        ((0.3,), (decimal.Decimal("0.3"),)),
+        ((0.05, 0.2, 0.35), (0.05, 0.2, -0.35), (0.05, 0.2, math.nan), (0.05, 0.2, "x")),
+    ]
+    # a q equal in value to the one before but of another type
+    calls = [
+        ("point", "effective_maturity", 0, 100.0, grid, False)
+        for grid in ((1.0,), (1,), (True,), (1.0,), (0.5,), (fractions.Fraction(1, 2),))
+    ]
+    for _ in range(60):  # runs of calls on one market, strike and grid
+        family = rng.choice(sorted(_STUDY_FAMILIES))
+        i, ks, gs = rng.randrange(len(markets)), rng.choice(strikes), rng.choice(grids)
+        for _ in range(rng.randint(2, 6)):
+            k = ks[0] if rng.random() < 0.8 else rng.choice(ks)
+            grid = gs[0] if rng.random() < 0.7 else rng.choice(gs)
+            calls.append((family, rng.choice(sorted(_STUDY_FAMILIES[family])), i, k, grid, rng.random() < 0.15))
+    solves = []
+    exponents = ampo.analysis._exponents
+
+    def counted(m, q):
+        solves.append(q)
+        return exponents(m, q)
+
+    monkeypatch.setattr(ampo.analysis, "_exponents", counted)
+    want, fresh_solves = {}, 0
+    for family, name, i, k, grid, _ in calls:
+        key = name, i, type(k), k, tuple(map(type, grid)), grid
+        if key not in want:
+            # a market object no other call uses: nothing can be shared
+            fn = _STUDY_FAMILIES[family][name]
+            solves.clear()
+            want[key] = _outcome(fn, dataclasses.replace(markets[i]), k, list(grid)), len(solves)
+        fresh_solves += want[key][1]
+    assert {"float", "ValidationError", "NoSolutionError"} <= {w[0][0][0] for w in want.values()}
+    solves.clear()
+    for family, name, i, k, grid, copy in calls:
+        m = copies[i] if copy else markets[i]
+        got = _outcome(_STUDY_FAMILIES[family][name], m, k, list(grid))
+        assert got == want[name, i, type(k), k, tuple(map(type, grid)), grid][0], (name, i, k, grid)
+    # the calls shared their work: evaluated fresh they make 5,503 solves
+    # here, and in this order 3,176
+    assert len(solves) < 0.75 * fresh_solves, (len(solves), fresh_solves)
+
+
+def test_a_grid_changed_in_place_between_calls_gets_fresh_values(market_a):
+    grid = [0.1, 0.2]
+    effective_notional_curve(market_a, 100.0, grid)
+    grid[1] = 0.3
+    got = _outcome(ratio_study, market_a, 100.0, grid)
+    assert got == _outcome(ratio_study, dataclasses.replace(market_a), 100.0, [0.1, 0.3])
+    assert [pt.q for pt in ratio_study(market_a, 100.0, grid)] == [0.1, 0.3]
+
+
+def test_threads_alternating_markets_each_read_their_own():
+    markets = _box_markets(4, 19)
+    qs = [0.1, 0.2, 0.3, 0.4]
+    specs = [StrategySpec(kind, 100.0) for kind in StrategyKind]
+
+    def outcomes(m):
+        return [
+            *(_outcome(positional_vega, m, 100.0, s, q) for q in qs for s in specs),
+            _outcome(effective_notional_curve, m, 100.0, qs[:2]),
+            _outcome(ratio_study, m, 100.0, qs[:2]),
+        ]
+
+    want = [outcomes(dataclasses.replace(m)) for m in markets]
+    errors = []
+
+    def worker(mine):
+        for _ in range(100):
+            for i in mine:
+                if outcomes(markets[i]) != want[i]:
+                    errors.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # more threads than cores, each alternating two markets
+        pairs = ((0, 1), (2, 3), (1, 2), (3, 0))
+        threads = [threading.Thread(target=worker, args=(mine,)) for mine in pairs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+def test_a_call_stores_into_the_entry_it_read(market_a):
+    # a call interleaved with another (from another thread, say) adds its
+    # columns to the entry it read, never to one installed since
+    other = MarketParams(spot=100.0, rate=0.03, vol=0.4)
+    call = StrategySpec(StrategyKind.CALL_ONLY, 100.0)
+    positional_vega(market_a, 100.0, call, 0.1)
+    points = ampo.analysis._maturity_points(market_a, 100.0, [0.1])
+    next(points)  # market A's maturity at 0.1 is solved, not yet stored
+    positional_vega(other, 100.0, call, 0.1)
+    assert list(points) == []
+    got = _outcome(effective_maturity, other, 100.0, 0.1)
+    assert got == _outcome(effective_maturity, dataclasses.replace(other), 100.0, 0.1)
+
+
+def test_a_raising_call_leaves_the_entry_as_it_was(market_a):
+    call, put = (StrategySpec(kind, 100.0) for kind in (StrategyKind.CALL_ONLY, StrategyKind.PUT_ONLY))
+    # strike 1e-6: the call is exercised, the put's premium is below 1e-12
+    assert positional_vega(market_a, 1e-6, call, 0.3) == 0.0
+    optimize_q(market_a, 1e-6, call, (0.001, 1.0))
+
+    def raises(error, fn, *args):
+        before, columns = _entry()
+        with pytest.raises(error):
+            fn(*args)
+        after, after_columns = _entry()
+        assert after is before
+        assert after_columns.keys() == columns.keys()
+        assert all(after_columns[key] is columns[key] for key in columns)
+
+    # a hit whose new leg raises stores no leg
+    raises(NoSolutionError, optimize_q, market_a, 1e-6, put, (0.001, 1.0))
+    positional_vega(market_a, 1e-6, call, 0.3)
+    raises(NoSolutionError, positional_vega, market_a, 1e-6, put, 0.3)
+    # a miss that raises at a later q installs no entry
+    raises(ValidationError, ratio_study, market_a, 100.0, [0.1, -0.1])
+    raises(ValidationError, positional_vega, market_a, 100.0, put, -0.3)
+    raises(NoSolutionError, effective_notional_curve, market_a, 1e-12, [0.1, 0.001])
+
+    def grid(*qs):
+        yield from qs
+        raise LookupError("the grid broke")
+
+    # a grid whose iteration raises: its points come first, as in a lazy loop
+    raises(LookupError, effective_notional_curve, market_a, 100.0, grid(0.1))
+    raises(ValidationError, ratio_study, market_a, 100.0, grid(0.1, -0.1))
+
+
+def test_the_strategies_share_one_solve_per_q(market_a, monkeypatch):
+    solves, golden_qs = [], []
+    exponents, golden = ampo.analysis._exponents, ampo.analysis._golden_section_max
+
+    def counted(m, q):
+        solves.append(q)
+        return exponents(m, q)
+
+    def counted_golden(f, lo, hi, tol):
+        def g(q):
+            golden_qs.append(q)
+            return f(q)
+
+        return golden(g, lo, hi, tol)
+
+    monkeypatch.setattr(ampo.analysis, "_exponents", counted)
+    monkeypatch.setattr(ampo.analysis, "_golden_section_max", counted_golden)
+    # ampo examples 3's pattern: the three strategies at one q
+    m = dataclasses.replace(market_a)
+    specs = [StrategySpec(kind, 100.0) for kind in StrategyKind]
+    for q in (0.2, 0.3):
+        got = [positional_vega(m, 100.0, s, q) for s in specs]
+        assert solves == [q]
+        assert got == [positional_vega(dataclasses.replace(m), 100.0, s, q) for s in specs]
+        solves.clear()
+    # the three optimize_q scans: one solve per distinct q over all of them
+    results = [optimize_q(m, 100.0, s, (0.001, 1.0)) for s in specs]
+    scan = [q for q, _ in results[0].curve]
+    star = [r.q_star for r in results if not (r.boundary_maximum or r.multimodal)]
+    assert golden_qs and star
+    assert sorted(solves) == sorted({*scan, *golden_qs, *star})
+
+
+def test_ratio_study_reads_the_maturities_the_curve_solved(market_a, monkeypatch):
+    qs = [0.05 + 0.95 * i / 19 for i in range(20)]
+    m = dataclasses.replace(market_a)
+    solves = []
+    solve = ampo.analysis._solve_maturity
+
+    def counted(*args):
+        solves.append(args[2])
+        return solve(*args)
+
+    monkeypatch.setattr(ampo.analysis, "_solve_maturity", counted)
+    curve = effective_notional_curve(m, 100.0, qs)
+    assert solves == qs
+    solves.clear()
+    ratios = ratio_study(m, 100.0, list(qs))
+    assert solves == []
+    assert _outcome(lambda: ratios) == _outcome(ratio_study, dataclasses.replace(m), 100.0, qs)
+    assert [r.effective_maturity for r in curve] == [
+        effective_maturity(m, 100.0, q).effective_maturity for q in qs
+    ]

@@ -504,13 +504,20 @@ def test_sweep_keeps_no_per_node_list(market_a, kind):
     assert peak < 8 * 1024
 
 
-def _line_events(args):
-    # line events per function of ampo.oracle during one _perpetual_sweep
+class _TooManyLines(Exception):
+    pass
+
+
+def _line_events(args, cap=math.inf):
+    # line events per function of ampo.oracle during one _perpetual_sweep;
+    # past `cap` events the sweep is stopped by raising _TooManyLines
     counts = collections.Counter()
 
     def local(frame, event, arg):
         if event == "line":
             counts[frame.f_code.co_name] += 1
+            if counts.total() > cap:
+                raise _TooManyLines(f"more than {cap} line events")
         return local
 
     def tracer(frame, event, arg):
@@ -534,6 +541,16 @@ def test_sweep_starts_pass_one_next_to_its_fixed_point(market_a, kind):
 
 def _sweep_args(spot, rate, vol, strike, q, kind, steps):
     return kind, spot, strike, rate, 2.0 * rate + q, vol, steps
+
+
+def test_boundary_to_spot_product_stops_once_it_stops_changing():
+    # dx is about 4.7e-8 here and the spot about 1.9e8 nodes above the
+    # boundary: multiplying by B at every node took tens of seconds to
+    # reach the same subnormal, which no later factor B moves
+    args = _sweep_args(113.21, 1.306e-4, 3.34e-4, 0.01592, 87_735.0, OptionKind.PUT, 8000)
+    assert sum(_line_events(args, cap=100_000).values()) < 100_000  # 25,498 here
+    value, boundary = oracle._perpetual_sweep(*args)
+    assert (value.hex(), boundary.hex()) == ("0x0.0000000000008p-1022", "0x1.04d544e9b94adp-6")
 
 
 @pytest.mark.parametrize(

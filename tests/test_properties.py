@@ -4,7 +4,9 @@ conftest box: rate 0 or 1e-6..2, vol 1e-4..5, amort 1e-8..1e5, spot
 
 import dataclasses
 import math
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +284,25 @@ def test_fixed_point_start_is_below_the_fixed_point_and_bounds_the_walk(discount
     k, landed = _walk(to_exercise, to_continuation, start)
     assert landed == fixed
     assert steps <= i_max + k
+
+
+def test_a_failing_property_reports_its_example(tmp_path):
+    # on a failure hypothesis imports libcst to offer a patch, and that
+    # import warns; the suite's filterwarnings must let the example through
+    # instead of ending the run with INTERNALERROR
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 5\n"
+    )
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    out = run.stdout + run.stderr
+    assert "Falsifying example" in out, out
+    assert "INTERNALERROR" not in out, out
+    assert run.returncode == 1
