@@ -209,7 +209,9 @@ def _keep(m: MarketParams, strike: float, qs: tuple, cols: dict, new: dict) -> N
     Called only once the call has succeeded, so one that raises stores
     nothing. An entry always holds a column, so only a miss has an empty
     `cols`. A column list is complete when stored and never changed, so a
-    thread that read `cols` sees each column whole or not at all.
+    thread that read `cols` sees each column whole or not at all. No lock
+    is needed: a call writes only into the dict it read or into an entry
+    of its own terms, so threads racing here lose sharing, never values.
     """
     global _sweep
     if cols:
