@@ -450,8 +450,9 @@ def optimize_q(
     """
     try:
         lo, hi = q_range
-        in_range = 0.0 < lo < hi < math.inf
-    except (TypeError, ValueError):
+        # + 0.0 refuses what float arithmetic refuses, such as a decimal.Decimal
+        in_range = 0.0 < lo + 0.0 < hi + 0.0 < math.inf
+    except (TypeError, ValueError, OverflowError):
         in_range = False
     if not in_range:
         raise ValidationError(f"q_range must satisfy 0 < lo < hi < inf, got {q_range}")

@@ -41,7 +41,16 @@ from .params import (
     _require_iterable,
 )
 from .greeks import _delta, _gamma, _vega
-from .pricing import _closed_form, _evaluate, _exponents, to_equivalent_perpetual
+from .pricing import (
+    _CONTINUATION,
+    _closed_form,
+    _evaluate,
+    _exponents,
+    _out_of_range,
+    _shape,
+    _spot_terms,
+    to_equivalent_perpetual,
+)
 
 # the grid spans at most 12 log-spot units beyond the spot and the
 # strike, and its time step discounts by at most e^{-14/steps}
@@ -99,7 +108,7 @@ class OracleReport:
 
 
 class _AtSpot(NamedTuple):
-    """The market fields the closed form and its Greeks read, moved to one checked spot."""
+    """The market fields the closed form reads; fd_vega moves the vol in it, unchecked."""
 
     spot: float
     rate: float
@@ -350,33 +359,43 @@ def pde_residual(
     """Relative residual of the valuation ODE at each continuation spot.
 
     Evaluates (1/2) sigma^2 S^2 V'' + r*S*V' - (2r+q)*V with the
-    analytic value and derivatives, all from one closed-form evaluation
-    per spot on one exponent solve (the exponents do not depend on the
-    spot), normalized by (2r+q)*V. Each spot is checked as MarketParams
-    checks it, without building one. `premium_scale` multiplies the
-    zeroth-order value only; scaling it by 1.01 should surface a relative
-    residual near 0.01, a sanity check that the checker is live.
+    analytic value and derivatives, normalized by (2r+q)*V. The closed
+    form is a power law in the spot, so its spot-free terms (exponents,
+    sign, gap and boundary) are solved once per call and each spot costs
+    one log and one exp; V, Delta and Gamma are the closed form's,
+    _delta's and _gamma's floats. Each spot is checked as MarketParams
+    checks it, without building one, before those terms are first
+    needed. `premium_scale` multiplies the zeroth-order value only;
+    scaling it by 1.01 should surface a relative residual near 0.01, a
+    sanity check that the checker is live.
     """
     _require_finite("premium_scale", premium_scale)
     drift, discount = m.rate, 2.0 * m.rate + c.amort
+    kind, strike = c.kind, c.strike
     ex = _exponents(m, c.amort)
+    shape = None
     out = []
     for s in _require_iterable("spots", spots):
         _require_finite("spot", s)
         spot = float(s)
         if spot <= 0:
             raise ValidationError(f"spot must be > 0, got {spot}")
-        ms = _AtSpot(spot, m.rate, m.vol)
-        f = _closed_form(ms, c.kind, c.strike, c.amort, ex)
-        if f.regime != Regime.CONTINUATION:
+        if shape is None:
+            shape = _shape(m, kind, strike, c.amort, ex)
+            _, sign, alpha, gap, _ = shape
+            slope, bend, half_var = sign * alpha, alpha * gap, 0.5 * m.vol**2
+        regime, premium, _ = _spot_terms(m, kind, strike, shape, spot)
+        if regime is not _CONTINUATION:
             raise RegionError(f"spot {s} is outside the continuation region")
-        v = premium_scale * f.premium
-        dv = _delta(f, ms)
-        d2v = _gamma(f, ms)
-        curvature = 0.5 * m.vol**2 * spot * spot * d2v
+        v = premium_scale * premium
+        dv = slope * premium / spot
+        d2v = bend * (premium / spot) / spot
+        if not d2v < math.inf:
+            raise _out_of_range(m, "Gamma")
+        curvature = half_var * spot * spot * d2v
         if not curvature < math.inf:
             # sigma^2*S*S overflows before Gamma scales it down (vol 1e60, S 3e122)
-            curvature = 0.5 * m.vol**2 * (spot * (spot * d2v))
+            curvature = half_var * (spot * (spot * d2v))
         resid = curvature + drift * spot * dv - discount * v
         out.append(abs(resid) / max(abs(discount * v), 1e-300))
     return out
@@ -429,6 +448,9 @@ def validate_checks(
     In the continuation region: pde_residual (the worst of ten spots up to the
     boundary, premium times `perturb`; 1e-8), then fd_delta, fd_gamma and
     fd_vega (central differences of the premium against the Greeks; 1e-5).
+    The spot differences move only the spot, so they reuse the contract's
+    spot-free terms; the exponents are solved five times in all: for the
+    contract, the lattice's analytic price, the residual and the two vols.
     """
     _require_finite("perturb", perturb)
     f = _evaluate(m, c)
@@ -454,8 +476,11 @@ def validate_checks(
         spots = [lo * 1.001 + (1.5 * hi - lo * 1.001) * i / 9 for i in range(10)]
     check("pde_residual", max(pde_residual(m, c, spots, premium_scale=perturb)), 1e-8)
 
+    # f's first five fields are _shape's: a spot bump solves nothing again
+    shape = f[:5]
+
     def prem_of_spot(s: float) -> float:
-        return _closed_form(_AtSpot(s, m.rate, m.vol), c.kind, c.strike, c.amort).premium
+        return _spot_terms(m, c.kind, c.strike, shape, s)[1]
 
     def prem_of_vol(sig: float) -> float:
         return _closed_form(_AtSpot(m.spot, m.rate, sig), c.kind, c.strike, c.amort).premium

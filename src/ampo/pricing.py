@@ -35,6 +35,7 @@ _CALL = OptionKind.CALL
 _EXERCISE_NOW = Regime.EXERCISE_NOW
 _CONTINUATION = Regime.CONTINUATION
 _INF = math.inf
+_TUPLE_NEW = tuple.__new__
 
 
 def compute_exponents(m: MarketParams, q: float) -> Exponents:
@@ -134,13 +135,11 @@ def _kind_sign(kind: OptionKind, alpha: float, gap: float) -> float:
     return sign
 
 
-def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float, ex=None) -> _ClosedForm:
-    """alpha_bar, sign, own exponent, alpha - s, boundary, regime, premium and L at rate q >= 0.
+def _shape(m: MarketParams, kind: OptionKind, strike: float, q: float, ex=None) -> tuple[float, ...]:
+    """The closed form's spot-free terms (alpha_bar, sign, alpha, gap, boundary) at rate q >= 0.
 
-    ex is _exponents(m, q) when the caller has it (a straddle's two kinds).
-    The power law is evaluated only in the continuation region, where
-    s*L <= 0 keeps it bounded by K/(alpha - s); beyond the boundary the
-    premium is the intrinsic value.
+    ex is _exponents(m, q) when the caller has it. Only m.rate and m.vol
+    are read, so one shape serves every spot of a market.
     """
     alpha_c, alpha_p, alpha_bar = _exponents(m, q) if ex is None else ex
     if kind == _CALL:
@@ -152,19 +151,38 @@ def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float, ex=
     else:
         alpha, gap = alpha_p, alpha_p + 1.0
     sign = _kind_sign(kind, alpha, gap)
-    boundary = alpha * strike / gap
-    log_m = math.log(gap * m.spot / (alpha * strike))
-    exercised = m.spot > boundary if kind == _CALL else m.spot < boundary
+    return alpha_bar, sign, alpha, gap, alpha * strike / gap
+
+
+def _spot_terms(
+    m: MarketParams, kind: OptionKind, strike: float, shape: tuple[float, ...], spot: float
+) -> tuple[Regime, float, float]:
+    """(regime, premium, L) of the closed form with spot-free terms `shape` at `spot`.
+
+    The power law is evaluated only in the continuation region, where
+    s*L <= 0 keeps it bounded by K/(alpha - s); beyond the boundary the
+    premium is the intrinsic value. m names the market in an error.
+    """
+    _, sign, alpha, gap, boundary = shape
+    log_m = math.log(gap * spot / (alpha * strike))
+    exercised = spot > boundary if kind == _CALL else spot < boundary
     if exercised:
-        regime = _EXERCISE_NOW
-        premium = intrinsic_value(kind, m.spot, strike)
-    else:
-        regime = _CONTINUATION
-        premium = strike / gap * math.exp(sign * alpha * log_m)
-        # below K for a put and S for a call, unless K/gap overflowed
-        if not premium < _INF:
-            raise _out_of_range(m, "the premium")
-    return _ClosedForm(alpha_bar, sign, alpha, gap, boundary, regime, premium, log_m)
+        return _EXERCISE_NOW, intrinsic_value(kind, spot, strike), log_m
+    premium = strike / gap * math.exp(sign * alpha * log_m)
+    # below K for a put and S for a call, unless K/gap overflowed
+    if not premium < _INF:
+        raise _out_of_range(m, "the premium")
+    return _CONTINUATION, premium, log_m
+
+
+def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float, ex=None) -> _ClosedForm:
+    """_shape's spot-free terms and _spot_terms's regime, premium and L at m.spot.
+
+    ex is _exponents(m, q) when the caller has it (a straddle's two kinds).
+    """
+    shape = _shape(m, kind, strike, q, ex)
+    # what _ClosedForm._make does, without its method call and length check
+    return _TUPLE_NEW(_ClosedForm, shape + _spot_terms(m, kind, strike, shape, m.spot))
 
 
 # (market, contract, contract.amort, exponents, closed form) of the last

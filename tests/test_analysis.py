@@ -173,7 +173,8 @@ def test_optimize_q_bad_range(market_a):
         optimize_q(market_a, 100.0, spec, (0.5, 0.1))
 
 
-@pytest.mark.parametrize("q_range", [(0.001, math.inf), (0.001, math.nan), (math.nan, 1.0)])
+# an int past the float range used to raise OverflowError from the scan grid
+@pytest.mark.parametrize("q_range", [(0.001, math.inf), (0.001, math.nan), (math.nan, 1.0), (0.001, 10**400)])
 def test_optimize_q_rejects_non_finite_range(market_a, q_range):
     # refused up front, not by the amort check of a scan point
     spec = StrategySpec(kind=StrategyKind.PUT_ONLY, budget=100.0)

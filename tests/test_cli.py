@@ -255,6 +255,16 @@ def test_every_module_level_function_and_class_has_a_use():
     assert unused == []
 
 
+def test_sources_parse_as_the_oldest_python_pyproject_allows():
+    # requires-python = ">=3.10": no syntax from a later version
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=3.10"' in pyproject
+    paths = sorted(Path(ampo.cli.__file__).parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 def test_csv_golden_stability():
     a = run_cli("examples", "1", "--q-steps", "8", "--output", "csv")
     b = run_cli("examples", "1", "--q-steps", "8", "--output", "csv")

@@ -15,6 +15,7 @@ from ampo import (
     LatticeConfig,
     MarketParams,
     OptionKind,
+    Regime,
     RegionError,
     ValidationError,
     delta,
@@ -28,6 +29,7 @@ from ampo import (
     validate_checks,
     vega,
 )
+import ampo
 from ampo import oracle
 from conftest import sample_set
 
@@ -202,6 +204,99 @@ def test_pde_residual_survives_sigma_squared_spot_squared_overflow():
     assert max(pde_residual(m, c, [100.0, 0.5 * bd, 0.999 * bd])) < 1e-8
 
 
+def _residual_from_views(m, c, spots, premium_scale=1.0):
+    """pde_residual rebuilt per spot from the public views, or its error as (type, message).
+
+    The exponents are solved first, as pde_residual does before it reads
+    a spot; each spot is then checked by building its market, priced,
+    refused outside the continuation region, and differentiated through
+    delta and gamma, with the sigma^2*S*S overflow fallback.
+    """
+    drift, discount = m.rate, 2.0 * m.rate + c.amort
+    out = []
+    try:
+        ampo.compute_exponents(m, c.amort)
+        for s in spots:
+            ms = dataclasses.replace(m, spot=s)
+            quote = price(ms, c)
+            if quote.regime is not Regime.CONTINUATION:
+                raise RegionError(f"spot {s} is outside the continuation region")
+            v = premium_scale * quote.premium
+            d2v = gamma(ms, c)
+            curvature = 0.5 * m.vol**2 * s * s * d2v
+            if not curvature < math.inf:
+                curvature = 0.5 * m.vol**2 * (s * (s * d2v))
+            resid = curvature + drift * s * delta(ms, c) - discount * v
+            out.append(abs(resid) / max(abs(discount * v), 1e-300))
+    except AmpoError as exc:
+        return type(exc), str(exc)
+    return [r.hex() for r in out]
+
+
+def _pde_outcome(m, c, spots, premium_scale=1.0):
+    try:
+        return [r.hex() for r in pde_residual(m, c, spots, premium_scale)]
+    except AmpoError as exc:
+        return type(exc), str(exc)
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pde_residual_equals_the_public_views_over_the_full_domain(seed):
+    # the property tests' ranges; spots on either side of the boundary,
+    # now and then a bad, an out-of-region or no spot at all
+    rng = random.Random(seed)
+    outcomes = collections.Counter()
+    for _ in range(300):
+        rate = 0.0 if rng.random() < 0.1 else _log_uniform(rng, 1e-6, 2.0)
+        m = MarketParams(spot=100.0, rate=rate, vol=_log_uniform(rng, 1e-4, 5.0))
+        kind = rng.choice(list(OptionKind))
+        c = ContractParams(
+            strike=_log_uniform(rng, 1e-2, 1e4), amort=_log_uniform(rng, 1e-8, 1e5), kind=kind
+        )
+        try:
+            bd = exercise_boundary(m, c)
+        except AmpoError:
+            bd = c.strike
+        side = (1e-3, 1.0) if kind is OptionKind.CALL else (1.0, 50.0)
+        spots = [bd * rng.uniform(*side) for _ in range(rng.randrange(9, 11))]
+        u = rng.random()
+        if u < 0.05:
+            spots = []
+        elif u < 0.15:
+            bad = rng.choice([math.nan, math.inf, 0.0, -1.0, bd * (2.0 if kind is OptionKind.CALL else 0.5)])
+            spots.insert(rng.randrange(len(spots) + 1), bad)
+        scale = rng.choice([1.0, 1.01])
+        got = _pde_outcome(m, c, spots, scale)
+        assert got == _residual_from_views(m, c, spots, scale), (m, c, spots, scale)
+        outcomes[got[0] if isinstance(got, tuple) else list] += 1
+    assert outcomes.keys() == {list, RegionError, ValidationError}, outcomes
+
+
+@pytest.mark.parametrize(
+    "market, c, spots",
+    [
+        # alpha_p underflows to 0: a bad first spot is reported before the closed form's error
+        (MarketParams(100.0, 0.0, 1e100), ContractParams(100.0, 1e-300, OptionKind.PUT), [math.nan, 80.0]),
+        (MarketParams(100.0, 0.0, 1e100), ContractParams(100.0, 1e-300, OptionKind.PUT), [80.0]),
+        (MarketParams(100.0, 0.0, 1e100), ContractParams(100.0, 1e-300, OptionKind.CALL), []),
+        # the exponent solve overflows before any spot is read
+        (MarketParams(100.0, 0.05, 1e-80), ContractParams(100.0, 0.1, OptionKind.PUT), [math.nan]),
+        (MarketParams(100.0, 0.05, 1e-80), ContractParams(100.0, 0.1, OptionKind.PUT), []),
+        (MarketParams(100.0, 0.05, 0.5), ContractParams(100.0, 0.1, OptionKind.PUT), []),
+        (MarketParams(100.0, 0.05, 0.5), ContractParams(100.0, 0.1, OptionKind.PUT), [80.0, 40.0, -1.0]),
+        (MarketParams(100.0, 0.05, 0.5), ContractParams(100.0, 0.1, OptionKind.CALL), [60.0, 300.0]),
+        (MarketParams(100.0, 0.05, 1e60), ContractParams(100.0, 0.1, OptionKind.CALL), [100.0, 3e122]),
+    ],
+)
+@pytest.mark.parametrize("scale", [1.0, 1.01])
+def test_pde_residual_equals_the_public_views_at_its_edges(market, c, spots, scale):
+    assert _pde_outcome(market, c, spots, scale) == _residual_from_views(market, c, spots, scale)
+
+
 _CHECKS = ["lattice_price", "lattice_boundary", "pde_residual", "fd_delta", "fd_gamma", "fd_vega"]
 _CFG = LatticeConfig(steps=4000, convergence=5e-3)
 
@@ -249,6 +344,48 @@ def test_validate_checks_build_no_market_per_evaluation(market_a, put_a, monkeyp
     monkeypatch.setattr(MarketParams, "__post_init__", counted)
     assert all(r["passed"] for r in validate_checks(market_a, put_a, _CFG))
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "kind, values",
+    [
+        (
+            OptionKind.PUT,
+            ["0x1.505f095c28f5ap-20", "0x1.b02781965570ap-10", "0x1.f4fc7ee28de74p-53",
+             "0x1.579f000000000p-27", "0x1.9187fff400000p-27", "0x1.c988c2a6625b5p-32"],
+        ),
+        (
+            OptionKind.CALL,
+            ["0x1.7c0b6c8fd9c7dp-20", "0x1.5c3965e79799ap-10", "0x1.1e60383308f7ep-52",
+             "0x1.b71418d20b925p-32", "0x1.676082b39909dp-27", "0x1.7a0c3465895f8p-32"],
+        ),
+    ],
+)
+def test_validate_checks_values_at_market_a_are_pinned(market_a, kind, values):
+    checks = validate_checks(market_a, ContractParams(100.0, 0.1, kind), _CFG)
+    assert [r["check"] for r in checks] == _CHECKS
+    assert [r["value"].hex() for r in checks] == values
+
+
+@pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
+def test_validate_checks_solve_the_exponents_five_times(market_a, kind, monkeypatch):
+    # _evaluate, lattice_price, pde_residual and fd_vega's two vols; the
+    # spot differences reuse _evaluate's terms
+    import ampo.pricing
+
+    solves = []
+    exponents = ampo.pricing._exponents
+
+    def counted(m, q):
+        solves.append((m.vol, q))
+        return exponents(m, q)
+
+    monkeypatch.setattr(ampo.pricing, "_exponents", counted)
+    monkeypatch.setattr(oracle, "_exponents", counted)
+    m, c = dataclasses.replace(market_a), ContractParams(100.0, 0.1, kind)
+    validate_checks(m, c, _CFG)
+    assert len(solves) == 5
+    assert [vol for vol, _ in solves].count(m.vol) == 3
 
 
 @pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])

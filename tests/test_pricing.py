@@ -495,6 +495,15 @@ _WITH_BAD = {
         ("positional_vega", "q", "x", "amort must be a real number, got 'x'"),
         ("positional_vega", "strike", "x", "strike must be a real number, got 'x'"),
         ("optimize_q", "q_range", ("a", "b"), "q_range must satisfy 0 < lo < hi < inf, got ('a', 'b')"),
+        # each used to raise "unsupported operand type(s) for -" from the scan grid
+        (
+            "optimize_q", "q_range", (0.2, decimal.Decimal("0.3")),
+            "q_range must satisfy 0 < lo < hi < inf, got (0.2, Decimal('0.3'))",
+        ),
+        (
+            "optimize_q", "q_range", (decimal.Decimal("0.2"), 0.3),
+            "q_range must satisfy 0 < lo < hi < inf, got (Decimal('0.2'), 0.3)",
+        ),
         ("optimize_q", "grid_points", "x", "grid_points must be an integer, got 'x'"),
     ],
 )
