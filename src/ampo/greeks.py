@@ -104,17 +104,17 @@ def delta(m: MarketParams, c: ContractParams) -> float:
 
     Smooth pasting makes both branches meet at the boundary.
     """
-    return greeks_report(m, c).delta
+    return _delta(_evaluate(m, c), m)
 
 
 def gamma(m: MarketParams, c: ContractParams) -> float:
     """d2V/dS2 = alpha*(alpha - s)*V/S^2; zero in the exercise region (payoff is linear there)."""
-    return greeks_report(m, c).gamma
+    return _gamma(_evaluate(m, c), m)
 
 
 def vega(m: MarketParams, c: ContractParams) -> float:
     """dV/dsigma per unit of sigma (see _vega); zero in the exercise region."""
-    return greeks_report(m, c).vega
+    return _vega(_evaluate(m, c), m, c.amort)
 
 
 def theta_economic(m: MarketParams, c: ContractParams) -> float:

@@ -14,10 +14,12 @@ American put by Jaillet, Lamberton & Lapeyre 1990, Acta Appl. Math.
 21:263). Its first pass starts just below the smaller root of its
 recurrence's quadratic and stops at the recurrence's floating-point
 fixed point, keeping only that ratio and a bound on the node where a
-walk from the far end reaches it; the second bisects below that node for
-the exercise boundary, so most nodes are never visited, with the same
-floats as a full walk. The ratios above that node, near the far
-continuation end, are rebuilt on first read.
+walk from the far end reaches it. The second takes the exercise boundary
+below that node from Brennan and Schwartz's exercise condition, which
+that ratio turns into a closed form, confirms it with two float tests and
+bisects only where rounding could move it; so most nodes are never
+visited, with the same floats as a full walk. The ratios above that
+node, near the far continuation end, are rebuilt on first read.
 `LatticeConfig.steps` sets the grid resolution. The sweep uses only the
 lattice's own step constants and the payoff, never the closed form.
 """
@@ -45,9 +47,9 @@ from .pricing import (
     _CONTINUATION,
     _closed_form,
     _evaluate,
-    _exponents,
     _out_of_range,
     _shape,
+    _solved,
     _spot_terms,
     to_equivalent_perpetual,
 )
@@ -159,6 +161,57 @@ def _first_pass(
     return 0, ratio
 
 
+def _flip_node(
+    spot: float, strike: float, x: float, u: float, step: float, ratio: float, at_spot: int,
+    span: float,
+) -> int | None:
+    """The first node k >= 1 where pass 2's exercise test fails, or None where rounding could move it.
+
+    With B = ratio and a = u - B for the put (step > 0) or 1/u - B for the
+    call, the exact test at node k holds iff a*S_{k-1} > K(1 - B) (put) or
+    a*S_{k-1} < K(1 - B) (call), so the guess is the first node past the
+    root S_{k-1} = K(1 - B)/a. The float test payoff(k) < B*payoff(k - 1)
+    is off from the exact one by at most e1*S_{k-1} + e2*K, with
+    e1 = (span + 16)*u0*(u + 1), e2 = 8*u0, u0 = 2^-53 and span the largest
+    |(k - at_spot)*dx| on the grid, given an exp within one ulp and S_k and
+    K in the normal range; the margins cover the rounding of a and 1 - B
+    too. So the two agree outside an interval of S around the root whose
+    ends are in the ratio (1 - B + e2)(a + e1)/((1 - B - e2)(a - e1)).
+    Where that is below 1 + (u - 1)/4, under one grid step after this
+    check's own rounding, at most one node lies inside it, next to the
+    root, and the float test flips exactly once: a guess that it confirms
+    at k - 1 and k is the node a bisection finds. None elsewhere, a <= e1
+    included (a call whose 1/u is below, at or just above B).
+    """
+    # the grid reaches at most e^(reach + dx) <= e^18 beyond the spot and the
+    # strike, so these keep every S_k normal
+    if not (1e-280 < min(spot, strike) and max(spot, strike) < 1e280):
+        return None
+    held = 1.0 - ratio
+    slope = (u if step > 0.0 else 1.0 / u) - ratio
+    e1 = (span + 16.0) * _UNIT_ROUNDOFF * (u + 1.0)
+    e2 = 8.0 * _UNIT_ROUNDOFF
+    if not (
+        held > e2
+        and slope > e1
+        and (held + e2) * (slope + e1) < (held - e2) * (slope - e1) * (1.0 + 0.25 * (u - 1.0))
+    ):
+        return None
+    return math.floor((math.log(held / slope) - x) / step) + at_spot + 2
+
+
+def _bisect_flip(payoff, ratio: float, top: int) -> int:
+    """The first node of 1..top where payoff(k) < ratio*payoff(k - 1), or top + 1, by bisection."""
+    lo, hi = 1, top + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if payoff(mid) < ratio * payoff(mid - 1):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _perpetual_sweep(
     kind: OptionKind,
     spot: float,
@@ -192,9 +245,13 @@ def _perpetual_sweep(
     float it was given, every B_k below is that B and pass 1 stops, keeping
     only B and a node `top` at or below the one where B is first reached,
     nothing per node. On 1..top node k is exercised iff g_k >= B*g_{k-1},
-    for the put iff (u - B)*S_{k-1} <= K*(1 - B) (the call mirrored): one
-    flip as k rises, so the exercised nodes form a prefix and pass 2
-    bisects for its end, then walks on above `top`. The B_k above `top`
+    for the put iff (u - B)*S_{k-1} <= K*(1 - B), for the call iff
+    (1/u - B)*S_{k-1} >= K*(1 - B): one flip as k rises, so the exercised
+    nodes form a prefix. Pass 2 guesses its end from that condition
+    (_flip_node), confirms the guess with the float test at the last
+    exercised node and the first held one, and bisects for the end
+    instead where the guess is refused or not confirmed; then it walks on
+    above `top`. The B_k above `top`
     are rebuilt, from node n-1 by the same recurrence, only when pass 2
     first reads one, which the walk or the spot reaches on few grids.
     Any `top` at or below the first node with B gives the same floats,
@@ -265,15 +322,21 @@ def _perpetual_sweep(
     def payoff(k: int) -> float:
         return sign * (spot * math.exp((k - at_spot) * step) - strike)
 
-    lo, hi = 1, top + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if payoff(mid) < ratio * payoff(mid - 1):
-            hi = mid
-        else:
-            lo = mid + 1
-    # lo <= top is a node the bisection found not exercised; above top walk on
-    value, k = payoff(lo - 1), lo
+    # lo is the first node of 1..top not exercised, or top + 1: the exercise
+    # condition's guess where the test confirms it, else the bisection's
+    lo = _flip_node(spot, strike, x, u, step, ratio, at_spot, n * dx)
+    if lo is not None:
+        lo = min(max(lo, 1), top + 1)
+        value = payoff(lo - 1)
+        if (lo > 1 and value < ratio * payoff(lo - 2)) or (
+            lo <= top and not payoff(lo) < ratio * value
+        ):
+            lo = None
+    if lo is None:
+        lo = _bisect_flip(payoff, ratio, top)
+        value = payoff(lo - 1)
+    # lo <= top is a node found not exercised; above top walk on
+    k = lo
     while top < k < n:
         g = payoff(k)
         if g < transient()[n - 1 - k] * value:
@@ -361,7 +424,8 @@ def pde_residual(
     Evaluates (1/2) sigma^2 S^2 V'' + r*S*V' - (2r+q)*V with the
     analytic value and derivatives, normalized by (2r+q)*V. The closed
     form is a power law in the spot, so its spot-free terms (exponents,
-    sign, gap and boundary) are solved once per call and each spot costs
+    sign, gap and boundary) are solved once per call, or read from the
+    last _evaluate when m and c.amort are its objects, and each spot costs
     one log and one exp; V, Delta and Gamma are the closed form's,
     _delta's and _gamma's floats. Each spot is checked as MarketParams
     checks it, without building one, before those terms are first
@@ -372,7 +436,7 @@ def pde_residual(
     _require_finite("premium_scale", premium_scale)
     drift, discount = m.rate, 2.0 * m.rate + c.amort
     kind, strike = c.kind, c.strike
-    ex = _exponents(m, c.amort)
+    ex = _solved(m, c.amort)
     shape = None
     out = []
     for s in _require_iterable("spots", spots):
@@ -448,9 +512,10 @@ def validate_checks(
     In the continuation region: pde_residual (the worst of ten spots up to the
     boundary, premium times `perturb`; 1e-8), then fd_delta, fd_gamma and
     fd_vega (central differences of the premium against the Greeks; 1e-5).
-    The spot differences move only the spot, so they reuse the contract's
-    spot-free terms; the exponents are solved five times in all: for the
-    contract, the lattice's analytic price, the residual and the two vols.
+    The residual reads the contract's solve and the spot differences move
+    only the spot, reusing its spot-free terms; the exponents are solved
+    four times in all: for the contract, the lattice's analytic price and
+    the two vols.
     """
     _require_finite("perturb", perturb)
     f = _evaluate(m, c)

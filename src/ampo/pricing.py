@@ -56,10 +56,15 @@ def compute_exponents(m: MarketParams, q: float) -> Exponents:
     to alpha_c = 1, alpha_p = 0 and is not valid for pricing.
     The solve of the last _evaluate is reused when m and q are its objects.
     """
+    return Exponents(*_solved(m, q))
+
+
+def _solved(m: MarketParams, q: float) -> tuple[float, float, float]:
+    """_exponents(m, q), read from the last _evaluate when m and q are its objects."""
     last_m, _, last_q, ex, _ = _last
     if m is last_m and q is last_q:
-        return Exponents(*ex)
-    return Exponents(*_exponents(m, q))
+        return ex
+    return _exponents(m, q)
 
 
 def _exponents(m: MarketParams, q: float) -> tuple[float, float, float]:
@@ -194,16 +199,33 @@ _last = (_NOTHING, _NOTHING, _NOTHING, None, None)
 def _evaluate(m: MarketParams, c: ContractParams) -> _ClosedForm:
     """_closed_form of the contract, shared by consecutive calls on the same objects.
 
-    One entry: the last (m, c) evaluated, matched by identity. Both are
+    One entry: the last (m, c) evaluated. On the same objects it is read
+    whole. On the same contract object and another market whose rate and
+    vol match the entry's by type and then value, only the spot differs,
+    so the entry's spot-free terms (its first five fields) and exponents
+    are reused and _spot_terms alone runs at m.spot. Both inputs are
     frozen and the entry holds them, so a match means the same inputs
-    (mutating one through object.__setattr__ is unsupported). The entry is
-    read once and replaced whole, so a thread never mixes two entries, and
-    an evaluation that raises leaves it as it was.
+    (mutating one through object.__setattr__ is unsupported); types come
+    first, so == is asked only of types whose values passed every check.
+    The entry is read once and replaced whole, so a thread never mixes two
+    entries, and an evaluation that raises leaves it as it was.
     """
     global _last
-    last_m, last_c, _, _, f = _last
-    if m is last_m and c is last_c:
-        return f
+    last_m, last_c, q, ex, f = _last
+    if c is last_c:
+        if m is last_m:
+            return f
+        rate, vol, last_rate, last_vol = m.rate, m.vol, last_m.rate, last_m.vol
+        if (
+            type(rate) is type(last_rate)
+            and type(vol) is type(last_vol)
+            and rate == last_rate
+            and vol == last_vol
+        ):
+            shape = f[:5]
+            f = _TUPLE_NEW(_ClosedForm, shape + _spot_terms(m, c.kind, c.strike, shape, m.spot))
+            _last = (m, c, q, ex, f)
+            return f
     kind, strike, q = c.kind, c.strike, c.amort
     ex = _exponents(m, q)
     f = _closed_form(m, kind, strike, q, ex)

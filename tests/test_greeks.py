@@ -18,6 +18,8 @@ from ampo import (
     theta_economic,
     vega,
 )
+from ampo.greeks import _delta, _vega
+from ampo.pricing import _closed_form
 from conftest import sample_set
 
 
@@ -58,6 +60,20 @@ def test_gamma_refuses_overflow_naming_the_vol():
     for fn in (gamma, greeks_report):
         with pytest.raises(ValidationError, match=r"^vol 1e-80 out of range at rate 1e-06: Gamma "):
             fn(m, c)
+
+
+def test_delta_and_vega_return_their_values_where_gamma_overflows():
+    # the premium underflows to 0 while alpha*(alpha + 1) overflows, so Gamma
+    # is inf*0; delta and vega raised Gamma's error although theirs are finite
+    m = MarketParams(spot=20.127183366784813, rate=0.0016078202964622112, vol=3.901360353939844e-79)
+    c = ContractParams(strike=18.711934899744794, amort=6.6843448508372765, kind=OptionKind.PUT)
+    f = _closed_form(m, c.kind, c.strike, c.amort)
+    assert (delta(m, c).hex(), vega(m, c).hex()) == (_delta(f, m).hex(), _vega(f, m, c.amort).hex())
+    message = f"vol {m.vol!r} out of range at rate {m.rate!r}: Gamma overflows or underflows a float"
+    for fn in (gamma, greeks_report):
+        with pytest.raises(ValidationError) as exc:
+            fn(m, c)
+        assert str(exc.value) == message
 
 
 def test_greeks_report_fields(market_a, put_a):

@@ -187,7 +187,6 @@ def test_pde_residual_solves_the_exponents_once(market_a, put_a, call_a, monkeyp
     cases = ((put_a, [60.0, 80.0, 100.0, 140.0]), (call_a, [60.0, 100.0, 200.0, 260.0]))
     want = [[r.hex() for r in from_views(c, spots)] for c, spots in cases]
     monkeypatch.setattr(ampo.pricing, "_exponents", counted)
-    monkeypatch.setattr(oracle, "_exponents", counted)
     for (c, spots), hexes in zip(cases, want):
         solves.clear()
         assert [r.hex() for r in pde_residual(market_a, c, spots)] == hexes
@@ -368,9 +367,9 @@ def test_validate_checks_values_at_market_a_are_pinned(market_a, kind, values):
 
 
 @pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
-def test_validate_checks_solve_the_exponents_five_times(market_a, kind, monkeypatch):
-    # _evaluate, lattice_price, pde_residual and fd_vega's two vols; the
-    # spot differences reuse _evaluate's terms
+def test_validate_checks_solve_the_exponents_four_times(market_a, kind, monkeypatch):
+    # _evaluate, lattice_price and fd_vega's two vols; pde_residual reads
+    # _evaluate's solve and the spot differences reuse its terms
     import ampo.pricing
 
     solves = []
@@ -381,11 +380,10 @@ def test_validate_checks_solve_the_exponents_five_times(market_a, kind, monkeypa
         return exponents(m, q)
 
     monkeypatch.setattr(ampo.pricing, "_exponents", counted)
-    monkeypatch.setattr(oracle, "_exponents", counted)
     m, c = dataclasses.replace(market_a), ContractParams(100.0, 0.1, kind)
     validate_checks(m, c, _CFG)
-    assert len(solves) == 5
-    assert [vol for vol, _ in solves].count(m.vol) == 3
+    assert len(solves) == 4
+    assert [vol for vol, _ in solves].count(m.vol) == 2
 
 
 @pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
@@ -609,7 +607,8 @@ def test_sweep_matches_linear_walk(market_a, convergence, monkeypatch):
 
 @pytest.mark.parametrize("kind", list(OptionKind))
 def test_sweep_work_is_logarithmic_below_the_fixed_point(market_a, kind, monkeypatch):
-    # full grid plus half grid; a walk over every node makes about 5,600 calls
+    # full grid plus half grid; a walk over every node makes about 5,600 calls,
+    # bisecting for the exercise flip 59 and guessing it from the exercise condition 15
     calls = 0
     exp = math.exp
 
@@ -622,7 +621,7 @@ def test_sweep_work_is_logarithmic_below_the_fixed_point(market_a, kind, monkeyp
     monkeypatch.setattr(math, "exp", counted)
     lattice_price(e, market_a, LatticeConfig(steps=4000, convergence=5e-3))
     monkeypatch.undo()
-    assert calls < 300
+    assert calls < 40
 
 
 
@@ -713,6 +712,61 @@ def test_sweep_examples_take_the_paths_they_cover(draw, walks, rebuilds, monkeyp
     lines = _line_events(_sweep_args(**draw))
     assert seen == walks
     assert (lines["transient"] > 0) == rebuilds
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        # 1/u - B is about 1e-11, so the exercise test's error bound spans many
+        # nodes; every node is held and the lattice refuses
+        pytest.param(dict(spot=100.0, rate=0.0, vol=3.0, strike=100.0, q=1e-8, kind=OptionKind.CALL,
+                          steps=4000), id="call-slope-near-zero"),
+        # dx is about 1.3e-13, below the test's rounding at the boundary
+        pytest.param(dict(spot=100.0, rate=0.0, vol=1e-9, strike=100.0, q=1e5, kind=OptionKind.PUT,
+                          steps=8000), id="put-spacing-below-rounding"),
+    ],
+)
+def test_sweep_bisects_where_the_exercise_condition_cannot_place_the_flip(draw, monkeypatch):
+    bisect, bisections = oracle._bisect_flip, []
+
+    def recorded(payoff, ratio, top):
+        bisections.append(top)
+        return bisect(payoff, ratio, top)
+
+    monkeypatch.setattr(oracle, "_bisect_flip", recorded)
+    args = _sweep_args(**draw)
+    try:
+        got = oracle._perpetual_sweep(*args)
+    except AmpoError as exc:
+        got = type(exc), str(exc)
+    monkeypatch.undo()
+    assert len(bisections) == 1
+    try:
+        want = _linear_sweep(*args)
+    except AmpoError as exc:
+        want = type(exc), str(exc)
+    assert got == want
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("kind", list(OptionKind))
+def test_sweep_bisects_where_the_float_test_refutes_the_guess(market_a, kind, shift, monkeypatch):
+    # a guess one node off fails the float test on one side; the bisection
+    # then finds the node, with the same floats as a walk
+    e = to_equivalent_perpetual(ContractParams(100.0, 0.1, kind), market_a)
+    args = (e.payoff_kind, market_a.spot, e.strike, e.rate_eff - e.dividend_eff, e.rate_eff, market_a.vol, 4000)
+    flip_node, bisect, bisections = oracle._flip_node, oracle._bisect_flip, []
+
+    def recorded(payoff, ratio, top):
+        bisections.append(top)
+        return bisect(payoff, ratio, top)
+
+    monkeypatch.setattr(oracle, "_flip_node", lambda *a: flip_node(*a) + shift)
+    monkeypatch.setattr(oracle, "_bisect_flip", recorded)
+    got = oracle._perpetual_sweep(*args)
+    monkeypatch.undo()
+    assert len(bisections) == 1
+    assert got == _linear_sweep(*args)
 
 
 def test_fixed_point_start_refuses_where_its_bounds_do_not_hold():

@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import math
+from fractions import Fraction
 import os
 import random
 import subprocess
@@ -22,13 +23,17 @@ from ampo import (
     ValidationError,
     compute_exponents,
     d_boundary_dq,
+    delta,
     exercise_boundary,
+    gamma,
     greeks_report,
     intrinsic_value,
     notional_at,
+    pde_residual,
     price,
     statics_report,
     to_equivalent_perpetual,
+    vega,
 )
 from conftest import sample_set
 
@@ -464,6 +469,144 @@ def test_threads_alternating_contracts_each_read_their_own():
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
+
+
+# ---------------------------------------------------------------- spot-free terms across calls
+
+
+def _views(m, c) -> list:
+    """price, greeks_report, statics_report, compute_exponents, delta, gamma and vega of (m, c)."""
+    out = []
+    for fn in (price, greeks_report, statics_report, lambda m, c: compute_exponents(m, c.amort),
+               delta, gamma, vega):
+        try:
+            res = fn(m, c)
+            out.append(res.hex() if isinstance(res, float) else _fields(res))
+        except AmpoError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def _after_price(m, c, markets) -> tuple[list, list]:
+    """_views of each market with c, called in turn after price(m, c), and each evaluated fresh."""
+    fresh = [_views(*_copy(other, c)) for other in markets]
+    price(m, c)
+    return [_views(other, c) for other in markets], fresh
+
+
+@pytest.mark.parametrize("kind", list(OptionKind))
+def test_a_spot_ladder_across_the_boundary_matches_fresh_evaluations(market_a, kind):
+    c = ContractParams(strike=100.0, amort=0.1, kind=kind)
+    bd = exercise_boundary(market_a, c)
+    spots = [bd * f for f in (0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 2.0)] + [market_a.spot]
+    got, fresh = _after_price(market_a, c, [dataclasses.replace(market_a, spot=s) for s in spots])
+    assert got == fresh
+    assert {view[0][2] for view in got} == {"Regime.CONTINUATION", "Regime.EXERCISE_NOW"}
+
+
+def test_rate_and_vol_match_by_type_and_then_value(monkeypatch):
+    # -0.0 equals 0.0 (a hit); an int rate 0 is another type (a miss)
+    import ampo.pricing
+
+    m = MarketParams(spot=100.0, rate=0.0, vol=0.5)
+    c = ContractParams(strike=100.0, amort=0.1, kind=OptionKind.CALL)
+    markets = [MarketParams(spot=s, rate=r, vol=0.5) for s, r in ((95.0, -0.0), (105.0, 0.0), (90.0, 0))]
+    fresh = [_views(*_copy(other, c)) for other in markets]
+    solves = []
+    exponents = ampo.pricing._exponents
+    monkeypatch.setattr(ampo.pricing, "_exponents", lambda m, q: solves.append(m.rate) or exponents(m, q))
+    price(m, c)
+    assert [_views(other, c) for other in markets] == fresh
+    assert [repr(rate) for rate in solves] == ["0.0", "0"]
+
+
+def test_another_contract_or_vol_is_a_miss(market_a, call_a, put_a):
+    moved = dataclasses.replace(market_a, spot=90.0)
+    for other in (dataclasses.replace(call_a), put_a, dataclasses.replace(call_a, strike=120.0)):
+        want = _views(*_copy(moved, other))
+        price(market_a, call_a)
+        assert _views(moved, other) == want
+    got, fresh = _after_price(market_a, call_a, [dataclasses.replace(market_a, vol=0.5001),
+                                                 dataclasses.replace(market_a, rate=0.0501)])
+    assert got == fresh
+
+
+def test_a_ladder_spot_whose_premium_overflows_names_its_own_market():
+    # alpha_c is about 1e18, so the log-moneyness rounding up by an ulp at this
+    # spot next to the boundary makes exp(alpha*L) overflow K/gap; the first
+    # market is exercised and prices
+    vol, strike, q = 8.461471497192527e-19, 1.471031736065205e238, 1.0579474304328549
+    m = MarketParams(spot=1e300, rate=0.0, vol=vol)
+    c = ContractParams(strike=strike, amort=q, kind=OptionKind.CALL)
+    ladder = [MarketParams(spot=1.4710317360652053e238, rate=r, vol=vol) for r in (-0.0, 0.0)]
+    got, fresh = _after_price(m, c, ladder)
+    assert got == fresh
+    assert [view[0] for view in got] == [
+        ("ValidationError", f"vol {vol!r} out of range at rate {r}: the premium overflows or underflows a float")
+        for r in ("-0.0", "0.0")
+    ]
+
+
+def test_threads_laddering_one_contract_on_two_vols_each_read_their_own():
+    # both threads reuse the entry of the same contract object; a thread must
+    # never combine its spot with the other market's spot-free terms
+    c = ContractParams(strike=100.0, amort=0.1, kind=OptionKind.PUT)
+    ladders = [[MarketParams(spot=s, rate=0.05, vol=vol) for s in (70.0, 90.0, 110.0, 150.0)]
+               for vol in (0.3, 0.6)]
+    want = [[_views(*_copy(m, c)) for m in ladder] for ladder in ladders]
+    errors = []
+
+    def worker(i):
+        for _ in range(300):
+            for m, w in zip(ladders[i], want[i]):
+                if _fields(price(m, c)) != w[0]:
+                    errors.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+def test_a_spot_ladder_solves_nothing_and_a_vol_bump_once(market_a, monkeypatch):
+    import ampo.pricing
+
+    solves = []
+    exponents = ampo.pricing._exponents
+
+    def counted(m, q):
+        solves.append(q)
+        return exponents(m, q)
+
+    monkeypatch.setattr(ampo.pricing, "_exponents", counted)
+    for kind in OptionKind:
+        c = ContractParams(strike=100.0, amort=0.1, kind=kind)
+        m = dataclasses.replace(market_a)
+        price(m, c)
+        solves.clear()
+        for s in (60.0, 90.0, 100.0, 130.0, 400.0):
+            bumped = dataclasses.replace(m, spot=s)
+            if _views(bumped, c)[0][2] == "Regime.CONTINUATION":
+                pde_residual(bumped, c, [s])
+        assert solves == []
+        for v in (0.45, 0.55):
+            _views(dataclasses.replace(m, vol=v), c)
+        assert solves == [0.1, 0.1]
+
+
+@pytest.mark.parametrize("rate", [Fraction(-1, 10**400), -1e-300])
+def test_market_params_refuse_a_negative_rate_that_rounds_to_zero(rate):
+    # rate + 0.0 is -0.0 for the Fraction, which passes 0 <= rate + 0.0
+    with pytest.raises(ValidationError, match="^rate must be >= 0, got "):
+        MarketParams(spot=100.0, rate=rate, vol=0.5)
 
 
 _M = MarketParams(spot=100.0, rate=0.05, vol=0.5)

@@ -39,6 +39,7 @@ from ampo import (
 )
 from ampo import oracle
 from test_oracle import _NEAR_DOUBLE_ROOT, _REBUILT, _linear_sweep
+from test_pricing import _views
 
 EPS = sys.float_info.epsilon
 
@@ -110,6 +111,34 @@ def test_closed_forms_over_full_domain(rate, vol, q, spot, strike, kind):
     assert abs(quote.premium - intrinsic) <= tol * intrinsic
     target = 1.0 if kind == OptionKind.CALL else -1.0
     assert abs(delta(on, c) - target) <= tol
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    rate=st.one_of(st.just(0.0), log_uniform(1e-6, 2.0)),
+    vol=log_uniform(1e-4, 5.0),
+    q=log_uniform(1e-8, 1e5),
+    spot=log_uniform(1e-3, 1e5),
+    strike=log_uniform(1e-2, 1e4),
+    kind=st.sampled_from(OptionKind),
+    # a factor on the spot, or None for the spot on the boundary
+    bump=st.one_of(st.none(), log_uniform(1e-2, 1e2)),
+)
+def test_a_bumped_spot_reprices_as_a_fresh_evaluation_over_full_domain(
+    rate, vol, q, spot, strike, kind, bump
+):
+    # after price(m, c) a market that moves only the spot reuses the contract's
+    # spot-free terms; every view must equal a fresh evaluation, bit for bit
+    m = MarketParams(spot=spot, rate=rate, vol=vol)
+    c = ContractParams(strike=strike, amort=q, kind=kind)
+    try:
+        boundary = price(m, c).boundary
+    except AmpoError:
+        return
+    moved = boundary if bump is None else spot * bump
+    want = _views(MarketParams(spot=moved, rate=rate, vol=vol), ContractParams(strike, q, kind))
+    price(m, c)
+    assert _views(dataclasses.replace(m, spot=moved), c) == want
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
