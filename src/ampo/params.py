@@ -89,20 +89,6 @@ class MarketParams:
     vol: float
 
     def __post_init__(self):
-        # one range test that passes only what the checks below pass: + 0.0
-        # fails where _require_finite does, and rate == 0 admits a zero rate
-        # but not a negative Fraction that rounds to -0.0; on any failure
-        # the checks run and word the error
-        try:
-            rate = self.rate
-            if (
-                0.0 < self.spot + 0.0 < math.inf
-                and (0.0 < rate + 0.0 < math.inf or rate == 0)
-                and 0.0 < self.vol + 0.0 < math.inf
-            ):
-                return
-        except (TypeError, ValueError, OverflowError):
-            pass
         for name in ("spot", "rate", "vol"):
             _require_finite(name, getattr(self, name))
         if self.spot <= 0:

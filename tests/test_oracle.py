@@ -166,14 +166,15 @@ def test_pde_residual_solves_the_exponents_once(market_a, put_a, call_a, monkeyp
     import ampo.pricing
 
     def from_views(c, spots):
-        # the residual built per spot from the public views, each of which
-        # solves the exponents itself
+        # the residual built per spot from the public views; a new contract
+        # object per spot makes each spot's evaluation solve the exponents
+        # itself, not reuse another spot's terms
         drift, discount = market_a.rate, 2.0 * market_a.rate + c.amort
         out = []
         for s in spots:
-            ms = dataclasses.replace(market_a, spot=s)
-            v = price(ms, c).premium
-            resid = 0.5 * market_a.vol**2 * s * s * gamma(ms, c) + drift * s * delta(ms, c) - discount * v
+            ms, cs = dataclasses.replace(market_a, spot=s), dataclasses.replace(c)
+            v = price(ms, cs).premium
+            resid = 0.5 * market_a.vol**2 * s * s * gamma(ms, cs) + drift * s * delta(ms, cs) - discount * v
             out.append(abs(resid) / max(abs(discount * v), 1e-300))
         return out
 
@@ -209,23 +210,25 @@ def _residual_from_views(m, c, spots, premium_scale=1.0):
     The exponents are solved first, as pde_residual does before it reads
     a spot; each spot is then checked by building its market, priced,
     refused outside the continuation region, and differentiated through
-    delta and gamma, with the sigma^2*S*S overflow fallback.
+    delta and gamma, with the sigma^2*S*S overflow fallback. Each spot
+    gets a new contract object, so its evaluation is a fresh one and
+    reuses no other spot's terms.
     """
     drift, discount = m.rate, 2.0 * m.rate + c.amort
     out = []
     try:
         ampo.compute_exponents(m, c.amort)
         for s in spots:
-            ms = dataclasses.replace(m, spot=s)
-            quote = price(ms, c)
+            ms, cs = dataclasses.replace(m, spot=s), dataclasses.replace(c)
+            quote = price(ms, cs)
             if quote.regime is not Regime.CONTINUATION:
                 raise RegionError(f"spot {s} is outside the continuation region")
             v = premium_scale * quote.premium
-            d2v = gamma(ms, c)
+            d2v = gamma(ms, cs)
             curvature = 0.5 * m.vol**2 * s * s * d2v
             if not curvature < math.inf:
                 curvature = 0.5 * m.vol**2 * (s * (s * d2v))
-            resid = curvature + drift * s * delta(ms, c) - discount * v
+            resid = curvature + drift * s * delta(ms, cs) - discount * v
             out.append(abs(resid) / max(abs(discount * v), 1e-300))
     except AmpoError as exc:
         return type(exc), str(exc)

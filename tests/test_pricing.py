@@ -604,7 +604,8 @@ def test_a_spot_ladder_solves_nothing_and_a_vol_bump_once(market_a, monkeypatch)
 
 @pytest.mark.parametrize("rate", [Fraction(-1, 10**400), -1e-300])
 def test_market_params_refuse_a_negative_rate_that_rounds_to_zero(rate):
-    # rate + 0.0 is -0.0 for the Fraction, which passes 0 <= rate + 0.0
+    # rate + 0.0 is -0.0 for the Fraction, so a range test on the float
+    # would pass it; the comparison on the value itself refuses it
     with pytest.raises(ValidationError, match="^rate must be >= 0, got "):
         MarketParams(spot=100.0, rate=rate, vol=0.5)
 
