@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 
 from .greeks import _dated_terms, _gamma
 from .params import MarketParams, NoSolutionError, OptionKind, ValidationError
-from .params import _check_terms, _member, _require_finite, _require_iterable
+from .params import _check_terms, _member, _record, _require_finite, _require_iterable
 from .params import intrinsic_value
 from .pricing import _CALL, _NOTHING, _closed_form, _exponents, _kind_sign, _out_of_range
+from .pricing import _split_log
 
 
 class StrategyKind(str, Enum):
@@ -29,7 +29,7 @@ class StrategyKind(str, Enum):
     STRADDLE = "straddle"
 
 
-@dataclass(frozen=True)
+@_record
 class StrategySpec:
     """A budget-constrained position: ``kind`` call, put or straddle, and
     ``budget`` the premium spent, so the notional held is budget / premium."""
@@ -45,7 +45,7 @@ class StrategySpec:
             object.__setattr__(self, "kind", _member(StrategyKind, self.kind))
 
 
-@dataclass(frozen=True)
+@_record
 class MaturityResult:
     """Effective maturity at amortization rate ``q`` (per year).
 
@@ -59,7 +59,7 @@ class MaturityResult:
     effective_notional: float
 
 
-@dataclass(frozen=True)
+@_record
 class RatioPoint:
     """AmPO call against its effectively dated call at ``q`` (per year).
 
@@ -73,7 +73,7 @@ class RatioPoint:
     theta_ratio: float
 
 
-@dataclass(frozen=True)
+@_record
 class OptimizationResult:
     """Best amortization rate for a strategy's positional Vega.
 
@@ -383,7 +383,10 @@ def _positional_vega_curve(
                 if not resolved:
                     _kind_sign(kind, alpha, gap)  # raises
                 boundary = alpha * strike / gap
-                log_m = math.log(gap * spot / (alpha * strike))
+                try:
+                    log_m = math.log(gap * spot / (alpha * strike))
+                except (ValueError, ZeroDivisionError):
+                    log_m = _split_log(spot, strike, gap, alpha)
                 if (spot > boundary) if call else (spot < boundary):
                     # Vega is zero once exercised
                     premium, term = intrinsic_value(kind, spot, strike), 0.0

@@ -9,13 +9,12 @@ the amortizing notional, captured by the economic Theta -q*V.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .params import ContractParams, MarketParams, ValidationError, _require_finite
+from .params import ContractParams, MarketParams, ValidationError, _record, _require_finite
 from .pricing import _EXERCISE_NOW, _ClosedForm, _evaluate, _out_of_range
 
 
-@dataclass(frozen=True)
+@_record
 class GreeksReport:
     """Sensitivities of the premium (per unit of current notional).
 
@@ -31,7 +30,7 @@ class GreeksReport:
     vega: float
 
 
-@dataclass(frozen=True)
+@_record
 class DatedGreeksReport:
     """Black-Scholes European call with a fixed maturity, per unit notional.
 

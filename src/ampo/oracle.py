@@ -27,7 +27,7 @@ lattice's own step constants and the payoff, never the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from typing import NamedTuple
 
 from .params import (
@@ -39,6 +39,7 @@ from .params import (
     Regime,
     RegionError,
     ValidationError,
+    _record,
     _require_finite,
     _require_iterable,
 )
@@ -58,9 +59,10 @@ from .pricing import (
 # strike, and its time step discounts by at most e^{-14/steps}
 _REACH = 12.0
 _DISCOUNT = 14.0
+_LOG_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
+@_record
 class LatticeConfig:
     """Lattice settings.
 
@@ -94,7 +96,7 @@ class LatticeConfig:
                 )
 
 
-@dataclass(frozen=True)
+@_record
 class OracleReport:
     """Lattice price against the closed form, premia per unit of current notional.
 
@@ -292,7 +294,15 @@ def _perpetual_sweep(
         )
     p = (math.exp(growth * dt) - 1.0 / u) / (u - 1.0 / u)
     b = math.exp(-discount_rate * dt)
-    x = math.log(spot / strike)
+    # node j is the spot times e^(j*dx), |j*dx| <= |x| + reach + dx, so that
+    # factor must be a float; a ratio that over- or underflows refuses too
+    moneyness = spot / strike
+    x = math.log(moneyness) if 0.0 < moneyness < math.inf else math.inf
+    if not abs(x) + reach + dx < _LOG_MAX:
+        raise ValidationError(
+            f"spot-to-strike ratio {spot!r}/{strike!r} out of the lattice's range: "
+            f"its grid would reach past e^{_LOG_MAX:.4g} or e^-{_LOG_MAX:.4g} times the spot"
+        )
     below = math.ceil((max(x, 0.0) + reach) / dx)
     above = math.ceil((reach - min(x, 0.0)) / dx)
     if kind == OptionKind.PUT:
@@ -374,7 +384,8 @@ def lattice_price(
     amortization rate is dividend_eff - rate, with rate preserved as
     rate_eff - dividend_eff). With cfg.convergence set, the lattice is
     solved again at cfg.steps // 2 and ConvergenceError is raised when
-    the relative price change exceeds it.
+    the relative price change exceeds it. A spot-to-strike ratio whose
+    grid would leave the float range raises ValidationError.
     """
     for name in ("rate_eff", "dividend_eff", "strike"):
         _require_finite(name, getattr(e, name))

@@ -169,7 +169,10 @@ def _spot_terms(
     premium is the intrinsic value. m names the market in an error.
     """
     _, sign, alpha, gap, boundary = shape
-    log_m = math.log(gap * spot / (alpha * strike))
+    try:
+        log_m = math.log(gap * spot / (alpha * strike))
+    except (ValueError, ZeroDivisionError):  # the quotient or alpha*K underflowed to 0
+        log_m = _split_log(spot, strike, gap, alpha)
     exercised = spot > boundary if kind == _CALL else spot < boundary
     if exercised:
         return _EXERCISE_NOW, intrinsic_value(kind, spot, strike), log_m
@@ -178,6 +181,11 @@ def _spot_terms(
     if not premium < _INF:
         raise _out_of_range(m, "the premium")
     return _CONTINUATION, premium, log_m
+
+
+def _split_log(spot: float, strike: float, gap: float, alpha: float) -> float:
+    """L = log(gap*S/(alpha*K)) summed from logs, where the quotient leaves the float range."""
+    return math.log(spot) - math.log(strike) + math.log(gap / alpha)
 
 
 def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float, ex=None) -> _ClosedForm:

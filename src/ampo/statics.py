@@ -25,13 +25,12 @@ of the prefactor 1/(sigma^2 alpha_bar):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .params import ContractParams, MarketParams, RegionError, intrinsic_value
+from .params import ContractParams, MarketParams, RegionError, _record, intrinsic_value
 from .pricing import _CALL, _EXERCISE_NOW, _ClosedForm, _closed_form, _evaluate, _out_of_range
 
 
-@dataclass(frozen=True)
+@_record
 class MixedPartialFactors:
     """Chain-rule pieces of d2V/(dsigma dq), exposed for sign checks."""
 
@@ -42,7 +41,7 @@ class MixedPartialFactors:
     explicit_sigma_term: float
 
 
-@dataclass(frozen=True)
+@_record
 class StaticsReport:
     """Sensitivities to the amortization rate q (per year), continuation region only.
 
@@ -58,7 +57,7 @@ class StaticsReport:
     intermediates: MixedPartialFactors
 
 
-@dataclass(frozen=True)
+@_record
 class LimitReport:
     """Small-q and large-q behavior of the premium.
 

@@ -280,6 +280,16 @@ def test_positional_vega_in_exercise_region(market_a, kind):
             assert expected == 0.0
 
 
+def test_positional_vega_where_the_log_moneyness_underflows():
+    # gap*S/(alpha*K) underflows to 0: the put leg is exercised (Vega 0),
+    # the call leg worth 0.0, as price quotes them
+    m = MarketParams(spot=1e-300, rate=0.05, vol=0.5)
+    for kind in (StrategyKind.PUT_ONLY, StrategyKind.STRADDLE):
+        assert positional_vega(m, 1e300, StrategySpec(kind=kind, budget=1.0), 0.1) == 0.0
+    with pytest.raises(NoSolutionError, match="degenerate"):
+        positional_vega(m, 1e300, StrategySpec(kind="call", budget=1.0), 0.1)
+
+
 def test_ratio_study_equals_public_views():
     qs = [0.05 + 0.95 * i / 9 for i in range(10)]
     for m in _box_markets(8, seed=3):

@@ -113,6 +113,15 @@ def test_greeks_extreme_spot_finite(cli, kind, spot):
         assert math.isfinite(out[name]), (name, out[name])
 
 
+def test_price_where_the_log_moneyness_underflows_prints_the_intrinsic_value():
+    # gap*S/(alpha*K) underflows to 0; the put is deep in its exercise region
+    res = run_cli("price", "--kind", "put", "--spot", "1e-300", "--strike", "1e300", "--amort", "0.1")
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+    out = dict(line.split(None, 1) for line in res.stdout.splitlines())
+    assert (out["premium"], out["regime"]) == ("1e+300", "exercise_now")
+
+
 def test_statics_json(cli):
     res = cli("statics", "--kind", "put", "--amort", "0.1", *BASE, "--output", "json")
     out = json.loads(res.stdout)

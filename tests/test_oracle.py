@@ -92,6 +92,30 @@ def test_lattice_unreached_exercise_region():
         lattice_price(to_equivalent_perpetual(c, m), m, LatticeConfig(steps=4000))
 
 
+@pytest.mark.parametrize(
+    "kind, spot, strike",
+    [
+        (OptionKind.CALL, 1e300, 1e-10),  # spot/strike overflows
+        (OptionKind.PUT, 1e-10, 1e300),  # its mirror: the grid's factor e^(|x| + reach) overflows
+        (OptionKind.PUT, 1e-300, 1e300),  # spot/strike underflows to 0
+    ],
+)
+def test_lattice_refuses_a_spot_to_strike_ratio_beyond_the_float_range(kind, spot, strike):
+    m = MarketParams(spot=spot, rate=0.05, vol=0.5)
+    c = ContractParams(strike=strike, amort=0.1, kind=kind)
+    e = to_equivalent_perpetual(c, m)
+    with pytest.raises(ValidationError, match=r"^spot-to-strike ratio .* out of the lattice's range"):
+        lattice_price(e, m, LatticeConfig(steps=50))
+
+
+def test_lattice_prices_a_wide_spot_to_strike_ratio_inside_the_float_range():
+    # |log(S/K)| = 690.8: the grid's factors stay below e^709.78
+    m = MarketParams(spot=1e-150, rate=0.05, vol=0.5)
+    c = ContractParams(strike=1e150, amort=0.1, kind=OptionKind.PUT)
+    rep = lattice_price(to_equivalent_perpetual(c, m), m, LatticeConfig(steps=50))
+    assert rep.oracle_price == rep.analytic_price == 1e150
+
+
 def test_lattice_rejects_inconsistent_rate(market_a, put_a):
     e = to_equivalent_perpetual(put_a, market_a)
     bad = dataclasses.replace(market_a, rate=0.07)

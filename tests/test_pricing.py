@@ -324,6 +324,25 @@ def test_every_vol_prices_or_raises_an_ampo_error():
 
 
 @pytest.mark.parametrize(
+    "m, c, want",
+    [
+        # gap*S/(alpha*K) underflows to 0: a put deep in its exercise region
+        (MarketParams(1e-300, 0.05, 0.5), ContractParams(1e300, 0.1, "put"),
+         Quote(1e300, 5e299, Regime.EXERCISE_NOW)),
+        (MarketParams(1e-300, 0.05, 0.5), ContractParams(1e300, 0.1, "call"),
+         Quote(0.0, 2.6666666666666665e300, Regime.CONTINUATION)),
+        # alpha_p*K underflows to 0 (alpha_p = 2e-306)
+        (MarketParams(1.0, 0.0, 1e3), ContractParams(1e-300, 1e-300, "put"),
+         Quote(1e-300, 0.0, Regime.CONTINUATION)),
+    ],
+)
+def test_a_log_moneyness_beyond_the_float_range_is_summed_from_logs(m, c, want):
+    assert price(m, c) == want
+    for fn in (greeks_report, statics_report, d_boundary_dq):
+        _priced_or_refused(fn, m, c)
+
+
+@pytest.mark.parametrize(
     "vol, rate, quote, greeks",
     [
         # near-deterministic call: boundary K(2r+q)/r = 120
