@@ -382,16 +382,20 @@ def _positional_vega_curve(
                     resolved = alpha > 0.0
                 if not resolved:
                     _kind_sign(kind, alpha, gap)  # raises
-                boundary = alpha * strike / gap
+                ak = alpha * strike
+                boundary = ak / gap if ak < math.inf else alpha / gap * strike
                 try:
-                    log_m = math.log(gap * spot / (alpha * strike))
+                    log_m = math.log(gap * spot / ak)
                 except (ValueError, ZeroDivisionError):
+                    log_m = math.inf
+                if not log_m < math.inf:
                     log_m = _split_log(spot, strike, gap, alpha)
                 if (spot > boundary) if call else (spot < boundary):
                     # Vega is zero once exercised
                     premium, term = intrinsic_value(kind, spot, strike), 0.0
                 else:
-                    premium = strike / gap * math.exp(sign * alpha * log_m)
+                    power = sign * alpha * log_m
+                    premium = strike / gap * math.exp(power if power < 0.0 else 0.0)
                     n = (alpha - 2.0 * sign) * rate - sign * q
                     try:
                         term = 2.0 * premium * log_m * n / (vol3 * alpha_bar)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
 
 from .params import (
     ContractParams,
@@ -43,7 +42,7 @@ from .params import (
     _require_finite,
     _require_iterable,
 )
-from .greeks import _delta, _gamma, _vega
+from .greeks import delta, gamma, vega
 from .pricing import (
     _CONTINUATION,
     _closed_form,
@@ -52,6 +51,7 @@ from .pricing import (
     _shape,
     _solved,
     _spot_terms,
+    price,
     to_equivalent_perpetual,
 )
 
@@ -109,14 +109,6 @@ class OracleReport:
     analytic_price: float
     rel_error: float
     boundary_estimate: float
-
-
-class _AtSpot(NamedTuple):
-    """The market fields the closed form reads; fd_vega moves the vol in it, unchecked."""
-
-    spot: float
-    rate: float
-    vol: float
 
 
 # pass 1 starts _START_MARGIN*u*r1/(1 - rho) below the recurrence's root r1,
@@ -276,6 +268,14 @@ def _perpetual_sweep(
     k. `top` is node n-1-(i_max + k). Where that is below 1, or where
     1 - rho < 2^-13 (near the double root) or rho < 1/2 puts the bounds
     out of reach, pass 1 walks from 0 as it always did.
+
+    A limit: where dx is below about 1e-14, a grid step is below the
+    rounding of the float exercise test, which can then flip more than
+    once. The bisection assumes one flip, so its boundary node can differ
+    from a full walk's by a few: in tests/test_oracle.py's case (a call at
+    dx about 1e-15) the boundaries differ by 2.6e-15 relative and the
+    prices agree bit for bit. A walk instead would visit every node, about
+    1e14 of them for a spot far from the strike at such a dx.
     """
     dx = min(_REACH / steps, vol * math.sqrt(_DISCOUNT / (steps * discount_rate)))
     reach = steps * dx
@@ -522,11 +522,13 @@ def validate_checks(
     failed lattice_convergence record holding the ConvergenceError's message.
     In the continuation region: pde_residual (the worst of ten spots up to the
     boundary, premium times `perturb`; 1e-8), then fd_delta, fd_gamma and
-    fd_vega (central differences of the premium against the Greeks; 1e-5).
-    The residual reads the contract's solve and the spot differences move
-    only the spot, reusing its spot-free terms; the exponents are solved
-    four times in all: for the contract, the lattice's analytic price and
-    the two vols.
+    fd_vega (central differences of price(...).premium at a bumped spot or
+    vol against delta, gamma and vega; 1e-5). The residual reads the
+    contract's solve, and price re-prices a bumped spot from the contract's
+    spot-free terms (pricing._evaluate), so the exponents are solved four
+    times in all: for the contract, the lattice's analytic price and the
+    two vols. A bumped spot or vol is a MarketParams, checked as any other;
+    a put whose boundary underflows to 0 raises ValidationError.
     """
     _require_finite("perturb", perturb)
     f = _evaluate(m, c)
@@ -538,6 +540,9 @@ def validate_checks(
     try:
         rep = lattice_price(to_equivalent_perpetual(c, m), m, cfg)
         check("lattice_price", rep.rel_error, 5e-3)
+        if not f.boundary > 0.0:
+            raise ValidationError(f"the {c.kind.value} boundary at strike {c.strike!r} "
+                                  "underflows to 0: lattice_boundary is undefined")
         check("lattice_boundary", abs(rep.boundary_estimate - f.boundary) / f.boundary, 0.02)
     except ConvergenceError as exc:
         checks.append({"check": "lattice_convergence", "value": str(exc),
@@ -552,22 +557,16 @@ def validate_checks(
         spots = [lo * 1.001 + (1.5 * hi - lo * 1.001) * i / 9 for i in range(10)]
     check("pde_residual", max(pde_residual(m, c, spots, premium_scale=perturb)), 1e-8)
 
-    # f's first five fields are _shape's: a spot bump solves nothing again
-    shape = f[:5]
-
-    def prem_of_spot(s: float) -> float:
-        return _spot_terms(m, c.kind, c.strike, shape, s)[1]
-
-    def prem_of_vol(sig: float) -> float:
-        return _closed_form(_AtSpot(m.spot, m.rate, sig), c.kind, c.strike, c.amort).premium
+    prem_of_spot = lambda s: price(MarketParams(s, m.rate, m.vol), c).premium
+    prem_of_vol = lambda sig: price(MarketParams(m.spot, m.rate, sig), c).premium
 
     # the truncation error of the spot differences grows like (alpha*h)^2
     margin = abs(f.boundary - m.spot) / m.spot
     h = min(1e-4, 1e-3 / f.alpha, max(margin / 4.0, 1e-7))
     fd_checks = (
-        ("fd_delta", _delta(f, m), finite_difference(prem_of_spot, m.spot, 1, "central", h)),
-        ("fd_gamma", _gamma(f, m), finite_difference(prem_of_spot, m.spot, 2, "central", h)),
-        ("fd_vega", _vega(f, m, c.amort), finite_difference(prem_of_vol, m.vol, 1, "central", 1e-4)),
+        ("fd_delta", delta(m, c), finite_difference(prem_of_spot, m.spot, 1, "central", h)),
+        ("fd_gamma", gamma(m, c), finite_difference(prem_of_spot, m.spot, 2, "central", h)),
+        ("fd_vega", vega(m, c), finite_difference(prem_of_vol, m.vol, 1, "central", 1e-4)),
     )
     for name, analytic, fd in fd_checks:
         check(name, abs(analytic - fd) / max(abs(analytic), 1e-12), 1e-5)

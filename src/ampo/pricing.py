@@ -156,7 +156,9 @@ def _shape(m: MarketParams, kind: OptionKind, strike: float, q: float, ex=None) 
     else:
         alpha, gap = alpha_p, alpha_p + 1.0
     sign = _kind_sign(kind, alpha, gap)
-    return alpha_bar, sign, alpha, gap, alpha * strike / gap
+    # where alpha*K overflows, the boundary itself need not
+    boundary = alpha * strike / gap if alpha * strike < _INF else alpha / gap * strike
+    return alpha_bar, sign, alpha, gap, boundary
 
 
 def _spot_terms(
@@ -165,18 +167,24 @@ def _spot_terms(
     """(regime, premium, L) of the closed form with spot-free terms `shape` at `spot`.
 
     The power law is evaluated only in the continuation region, where
-    s*L <= 0 keeps it bounded by K/(alpha - s); beyond the boundary the
-    premium is the intrinsic value. m names the market in an error.
+    s*L <= 0 keeps it bounded by K/(alpha - s); a power s*alpha*L that
+    rounds above 0 next to the boundary is taken as 0. Beyond the boundary
+    the premium is the intrinsic value. m names the market in an error.
     """
     _, sign, alpha, gap, boundary = shape
     try:
         log_m = math.log(gap * spot / (alpha * strike))
     except (ValueError, ZeroDivisionError):  # the quotient or alpha*K underflowed to 0
+        log_m = _INF
+    if not log_m < _INF:  # that, or gap*S overflowed and the quotient is inf or nan
         log_m = _split_log(spot, strike, gap, alpha)
     exercised = spot > boundary if kind == _CALL else spot < boundary
     if exercised:
         return _EXERCISE_NOW, intrinsic_value(kind, spot, strike), log_m
-    premium = strike / gap * math.exp(sign * alpha * log_m)
+    # s*L <= 0 here, so a positive power is the boundary's rounding (at
+    # vol 1e-20 it can overflow exp): value matching gives K/gap there
+    power = sign * alpha * log_m
+    premium = strike / gap * math.exp(power if power < 0.0 else 0.0)
     # below K for a put and S for a call, unless K/gap overflowed
     if not premium < _INF:
         raise _out_of_range(m, "the premium")

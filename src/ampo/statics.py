@@ -98,6 +98,22 @@ def _d_boundary_dq(f: _ClosedForm, m: MarketParams, strike: float) -> float:
         raise _out_of_range(m, "a q-derivative") from None
 
 
+def _d_premium_dq(f: _ClosedForm, m: MarketParams, c: ContractParams) -> float:
+    """dV/dq = s*V*L/(sigma^2 alpha_bar); RegionError once exercised.
+
+    Where the exponents were solved sigma^2 is a float and alpha_bar >= 1/2
+    (>= 3/2 where sigma^2 is the smallest subnormal), so the product is not
+    0 and nothing but RegionError is raised here.
+    """
+    alpha_bar, sign, _, _, boundary, regime, premium, log_m = f
+    if regime is _EXERCISE_NOW:
+        raise RegionError(
+            f"spot {m.spot} beyond {c.kind.value} boundary {boundary}: "
+            "q-derivatives are defined on the continuation region only"
+        )
+    return sign * premium * log_m / (m.vol**2 * alpha_bar)
+
+
 def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
     """dV/dq, dS_bar/dq and d2V/(dsigma dq) from one closed-form evaluation.
 
@@ -106,19 +122,14 @@ def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
     f3 = -(dV/dq)/alpha_bar and explicit = -(2/sigma) dV/dq.
     """
     f = _evaluate(m, c)
-    if f.regime is _EXERCISE_NOW:
-        raise RegionError(
-            f"spot {m.spot} beyond {c.kind.value} boundary {f.boundary}: "
-            "q-derivatives are defined on the continuation region only"
-        )
+    dv_dq = _d_premium_dq(f, m, c)
+    ab, s, a, gap, _, _, v, log_m = f
     r, sig, q = m.rate, m.vol, c.amort
-    v, s, a, ab, log_m = f.premium, f.sign, f.alpha, f.alpha_bar, f.log_m
     try:
         s2ab = sig**2 * ab
-        dv_dq = s * v * log_m / s2ab
         # dalpha_bar/dsigma and the shared numerator 2r^2 + sigma^2 (3r + 2q)
         num = 2.0 * r**2 + sig**2 * (3.0 * r + 2.0 * q)
-        f1 = v / s2ab * (log_m**2 + 1.0 / (a * f.gap))
+        f1 = v / s2ab * (log_m**2 + 1.0 / (a * gap))
         f2 = (2.0 * s * r - num / s2ab) / sig**3
         f3 = -dv_dq / ab
         f4 = -num / (sig**5 * ab)
@@ -134,8 +145,12 @@ def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
 
 
 def d_premium_dq(m: MarketParams, c: ContractParams) -> float:
-    """dV/dq = s*V*L/(sigma^2 alpha_bar) in the continuation region; <= 0 for both kinds."""
-    return statics_report(m, c).d_premium_dq
+    """dV/dq = s*V*L/(sigma^2 alpha_bar) in the continuation region; <= 0 for both kinds.
+
+    Its own value wherever it is a float, even where the mixed partial
+    of statics_report over- or underflows.
+    """
+    return _d_premium_dq(_evaluate(m, c), m, c)
 
 
 def d_boundary_dq(m: MarketParams, c: ContractParams) -> float:

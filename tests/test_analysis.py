@@ -290,6 +290,22 @@ def test_positional_vega_where_the_log_moneyness_underflows():
         positional_vega(m, 1e300, StrategySpec(kind="call", budget=1.0), 0.1)
 
 
+@pytest.mark.parametrize(
+    "spot, strike, kind, q",
+    [
+        # gap*S overflows (put, alpha_p = 10), and alpha*K (call, alpha_c = 100)
+        (1e308, 1e308, StrategyKind.PUT_ONLY, 55.0),
+        (1.5e307, 1e307, StrategyKind.CALL_ONLY, 4950.0),
+        (1.005e307, 1e307, StrategyKind.CALL_ONLY, 4950.0),
+    ],
+)
+def test_positional_vega_at_the_top_of_the_float_range_equals_the_views(spot, strike, kind, q):
+    m = MarketParams(spot=spot, rate=0.0, vol=1.0)
+    c = ContractParams(strike=strike, amort=q, kind=STRATEGY_KINDS[kind][0])
+    want = vega(m, c) / price(m, c).premium
+    assert positional_vega(m, strike, StrategySpec(kind=kind, budget=1.0), q) == want
+
+
 def test_ratio_study_equals_public_views():
     qs = [0.05 + 0.95 * i / 9 for i in range(10)]
     for m in _box_markets(8, seed=3):

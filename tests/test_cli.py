@@ -122,6 +122,27 @@ def test_price_where_the_log_moneyness_underflows_prints_the_intrinsic_value():
     assert (out["premium"], out["regime"]) == ("1e+300", "exercise_now")
 
 
+def test_price_next_to_the_boundary_at_tiny_vol_prints_one_row():
+    # at vol 1.6e-21 the log-moneyness of this spot on the boundary rounds up
+    # by an ulp, and alpha*L = 1.4e19*2.2e-16 would overflow exp; the premium
+    # is K/gap there, as value matching gives
+    from ampo.pricing import _evaluate
+
+    spot = strike = 0.2788563601778613
+    vol, q = 1.6268149269322304e-21, 0.0002779811518416014
+    res = run_cli(
+        "price", "--kind", "call", "--spot", repr(spot), "--rate", "0", "--vol", repr(vol),
+        "--strike", repr(strike), "--amort", repr(q), "--output", "csv",
+    )
+    assert (res.returncode, res.stderr) == (0, "")
+    header, *rows = res.stdout.splitlines()
+    assert len(rows) == 1
+    out = dict(zip(header.split(","), rows[0].split(",")))
+    f = _evaluate(MarketParams(spot, 0.0, vol), ContractParams(strike, q, "call"))
+    assert out["regime"] == "continuation"
+    assert float(out["premium"]) == strike / f.gap
+
+
 def test_statics_json(cli):
     res = cli("statics", "--kind", "put", "--amort", "0.1", *BASE, "--output", "json")
     out = json.loads(res.stdout)

@@ -796,6 +796,18 @@ def test_sweep_bisects_where_the_float_test_refutes_the_guess(market_a, kind, sh
     assert got == _linear_sweep(*args)
 
 
+def test_sweep_below_float_resolution_of_dx_keeps_the_walks_price():
+    # at dx of about 1e-15 the float exercise test flips more than once, so
+    # the bisection and a walk over every node stop at different nodes a few
+    # ulps apart: the price is the walk's bit for bit, the boundary within
+    # 1e-13 (a documented limit of _perpetual_sweep)
+    args = (OptionKind.CALL, 100.00000001000001, 100.0, 0.0, 1e5, 1e-11, 8000)
+    value, boundary = oracle._perpetual_sweep(*args)
+    want_value, want_boundary = _linear_sweep(*args)
+    assert value == want_value
+    assert abs(boundary - want_boundary) <= 1e-13 * want_boundary
+
+
 def test_fixed_point_start_refuses_where_its_bounds_do_not_hold():
     # the double root itself, 1 - 4*tc*te below 2^-28, and a slope below 1/2
     for to_exercise, to_continuation in [(0.5, 0.5), (0.5, 0.5 - 2.0**-40), (0.9, 0.05)]:

@@ -343,6 +343,33 @@ def test_a_log_moneyness_beyond_the_float_range_is_summed_from_logs(m, c, want):
 
 
 @pytest.mark.parametrize(
+    "spot, kind, q",
+    [
+        # a put with alpha_p = 10: gap*S = 11e308 overflows, so the quotient's
+        # log is inf, where the premium is 0.385 K/gap
+        (1e308, OptionKind.PUT, 55.0),
+        # a call with alpha_c = 100: alpha*K = 1e309 overflows, while the
+        # boundary, 100/99 K, does not; the spot is beyond it
+        (1.5e307, OptionKind.CALL, 4950.0),
+        (1.005e307, OptionKind.CALL, 4950.0),
+    ],
+)
+def test_terms_that_overflow_at_the_top_of_the_float_range_scale_from_below(spot, kind, q):
+    # the closed form is homogeneous of degree 1 in (S, K): the quote at the
+    # top of the float range is 1e300 times the quote 1e300 times lower. L
+    # summed from logs near 707 is off by about an ulp of 707, 1.1e-13,
+    # which alpha <= 100 turns into up to 1.1e-11 on the premium and Delta
+    strike = 1e308 if kind is OptionKind.PUT else 1e307
+    m, c = MarketParams(spot, 0.0, 1.0), ContractParams(strike, q, kind)
+    low_m, low_c = MarketParams(spot * 1e-300, 0.0, 1.0), ContractParams(strike * 1e-300, q, kind)
+    high, low = price(m, c), price(low_m, low_c)
+    assert high.regime == low.regime
+    assert math.isclose(high.boundary, low.boundary * 1e300, rel_tol=1e-14)
+    assert math.isclose(high.premium, low.premium * 1e300, rel_tol=1e-10)
+    assert math.isclose(delta(m, c), delta(low_m, low_c), rel_tol=1e-10)
+
+
+@pytest.mark.parametrize(
     "vol, rate, quote, greeks",
     [
         # near-deterministic call: boundary K(2r+q)/r = 120
@@ -550,20 +577,21 @@ def test_another_contract_or_vol_is_a_miss(market_a, call_a, put_a):
     assert got == fresh
 
 
-def test_a_ladder_spot_whose_premium_overflows_names_its_own_market():
+def test_a_ladder_spot_whose_power_rounds_above_zero_prices_k_over_gap():
     # alpha_c is about 1e18, so the log-moneyness rounding up by an ulp at this
-    # spot next to the boundary makes exp(alpha*L) overflow K/gap; the first
-    # market is exercised and prices
+    # spot next to the boundary would make exp(alpha*L) overflow K/gap; the
+    # power is clamped to 0 in the continuation region, so the ladder spot
+    # prices K/gap, as value matching gives, on the reused spot-free terms
+    # as on a fresh evaluation; the first market is exercised and prices
     vol, strike, q = 8.461471497192527e-19, 1.471031736065205e238, 1.0579474304328549
     m = MarketParams(spot=1e300, rate=0.0, vol=vol)
     c = ContractParams(strike=strike, amort=q, kind=OptionKind.CALL)
     ladder = [MarketParams(spot=1.4710317360652053e238, rate=r, vol=vol) for r in (-0.0, 0.0)]
     got, fresh = _after_price(m, c, ladder)
     assert got == fresh
-    assert [view[0] for view in got] == [
-        ("ValidationError", f"vol {vol!r} out of range at rate {r}: the premium overflows or underflows a float")
-        for r in ("-0.0", "0.0")
-    ]
+    f = ampo.pricing._evaluate(*_copy(ladder[1], c))
+    assert f.regime is Regime.CONTINUATION and strike / f.gap * math.exp(f.alpha * f.log_m) == math.inf
+    assert [view[0] for view in got] == [[(strike / f.gap).hex(), f.boundary.hex(), str(Regime.CONTINUATION)]] * 2
 
 
 def test_threads_laddering_one_contract_on_two_vols_each_read_their_own():

@@ -24,17 +24,23 @@ from ampo import (
     Regime,
     StrategyKind,
     StrategySpec,
+    LatticeConfig,
     compute_exponents,
+    d_premium_dq,
     dated_bs_call,
     delta,
     effective_maturity,
+    gamma,
     greeks_report,
     intrinsic_value,
+    lattice_price,
     limit_suite,
     pde_residual,
     positional_vega,
     price,
     statics_report,
+    to_equivalent_perpetual,
+    validate_checks,
     vega,
 )
 from ampo import oracle
@@ -111,6 +117,55 @@ def test_closed_forms_over_full_domain(rate, vol, q, spot, strike, kind):
     assert abs(quote.premium - intrinsic) <= tol * intrinsic
     target = 1.0 if kind == OptionKind.CALL else -1.0
     assert abs(delta(on, c) - target) <= tol
+
+
+# every positive finite float, the subnormals and the largest float included
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_CFG = LatticeConfig(steps=50)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    rate=st.one_of(st.just(0.0), _POSITIVE, log_uniform(1e-300, 1e10)),
+    vol=st.one_of(_POSITIVE, log_uniform(1e-80, 1e60)),
+    q=st.one_of(_POSITIVE, log_uniform(1e-300, 1e300)),
+    spot=st.one_of(_POSITIVE, log_uniform(1e-300, 1e300)),
+    strike=st.one_of(_POSITIVE, log_uniform(1e-300, 1e300)),
+    kind=st.sampled_from(OptionKind),
+    # or a spot on the boundary, or an ulp or two off it, at a vol below 1e-8,
+    # where the log-moneyness rounds and alpha*L can pass exp's range
+    near=st.one_of(st.none(), st.tuples(log_uniform(1e-25, 1e-8), st.integers(-2, 2))),
+)
+def test_every_accepted_input_prices_or_is_refused_by_name(rate, vol, q, spot, strike, kind, near):
+    # over every value MarketParams and ContractParams accept, each public
+    # function returns or raises an AmpoError; nothing else escapes
+    if near is not None:
+        vol, ulps = near
+        try:
+            spot = price(MarketParams(1.0, rate, vol), ContractParams(strike, q, kind)).boundary
+        except AmpoError:
+            return
+        spot *= 1.0 + ulps * EPS
+        if not 0.0 < spot < math.inf:
+            return
+    m = MarketParams(spot=spot, rate=rate, vol=vol)
+    c = ContractParams(strike=strike, amort=q, kind=kind)
+    calls = [
+        lambda: price(m, c), lambda: greeks_report(m, c), lambda: delta(m, c),
+        lambda: gamma(m, c), lambda: vega(m, c), lambda: statics_report(m, c),
+        lambda: d_premium_dq(m, c), lambda: limit_suite(m, c),
+        lambda: pde_residual(m, c, [spot]),
+        lambda: lattice_price(to_equivalent_perpetual(c, m), m, _CFG),
+        lambda: validate_checks(m, c, _CFG),
+    ] + [
+        lambda spec=StrategySpec(kind=k, budget=1.0): positional_vega(m, strike, spec, q)
+        for k in StrategyKind
+    ]
+    for call in calls:
+        try:
+            call()
+        except AmpoError:
+            pass
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)

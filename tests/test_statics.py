@@ -9,6 +9,7 @@ from ampo import (
     MarketParams,
     OptionKind,
     RegionError,
+    ValidationError,
     compute_exponents,
     d2_premium_dsigma_dq,
     d_boundary_dq,
@@ -27,6 +28,23 @@ from conftest import sample_set
 def test_d_premium_dq_params_a(market_a, call_a, put_a):
     assert d_premium_dq(market_a, call_a) == pytest.approx(-104.71498313217022, rel=1e-12)
     assert d_premium_dq(market_a, put_a) == pytest.approx(-53.31901388922656, rel=1e-12)
+
+
+@pytest.mark.parametrize("vol", [1e-70, 1e-65, 1e62, 1e70])
+@pytest.mark.parametrize("kind", list(OptionKind))
+def test_d_premium_dq_is_finite_where_the_mixed_partial_leaves_the_float_range(vol, kind):
+    # sigma^5 in the mixed partial over- or underflows, so statics_report
+    # refuses; dV/dq = s*V*L/(sigma^2 alpha_bar) is a float and is returned
+    m = MarketParams(spot=100.0, rate=0.05, vol=vol)
+    c = ContractParams(strike=100.0, amort=0.1, kind=kind)
+    with pytest.raises(ValidationError, match="a q-derivative"):
+        statics_report(m, c)
+    got = d_premium_dq(m, c)
+    assert math.isfinite(got) and got <= 0.0
+    if vol < 1.0 and kind is OptionKind.CALL:
+        # the near-deterministic call: its premium is smooth in q
+        fd = finite_difference(lambda q: price(m, dataclasses.replace(c, amort=q)).premium, 0.1)
+        assert got == pytest.approx(fd, rel=1e-8)
 
 
 def test_d_premium_dq_zero_at_boundary(market_a, call_a):
