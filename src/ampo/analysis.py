@@ -344,7 +344,6 @@ def _positional_vega_curve(
         try:
             s2 = vol**2
             x = rate / s2
-            vol3 = vol**3
         except (OverflowError, ZeroDivisionError):
             raise _out_of_range(m, "positional Vega") from None
     if exs is None:  # a new grid: no leg is stored either
@@ -396,11 +395,11 @@ def _positional_vega_curve(
                 else:
                     power = sign * alpha * log_m
                     premium = strike / gap * math.exp(power if power < 0.0 else 0.0)
-                    n = (alpha - 2.0 * sign) * rate - sign * q
-                    try:
-                        term = 2.0 * premium * log_m * n / (vol3 * alpha_bar)
-                    except ZeroDivisionError:
-                        raise _out_of_range(m, "positional Vega") from None
+                    if not premium < math.inf:
+                        raise _out_of_range(m, "the premium")
+                    term = -sign * (premium * log_m) * alpha * gap / (vol * alpha_bar)
+                    if not abs(term) < math.inf:
+                        raise _out_of_range(m, "Vega")
                 leg.append((premium, term))
             prem += premium
             veg += term

@@ -73,16 +73,19 @@ def _gamma(f: _ClosedForm, m: MarketParams) -> float:
     return gamma
 
 
-def _vega(f: _ClosedForm, m: MarketParams, q: float) -> float:
-    """2*V*L*n/(sigma^3*alpha_bar), n = (alpha_c - 2)r - q (call) or
-    (2 + alpha_p)r + q (put), L the log-moneyness; zero once exercised."""
+def _vega(f: _ClosedForm, m: MarketParams) -> float:
+    """-s*(V*L)*alpha*gap/(sigma*alpha_bar), zero once exercised; ValidationError
+    where that is not a finite float.
+
+    d(ln V)/d(alpha) = s*L and d(alpha)/d(sigma) = -alpha*gap/(sigma*alpha_bar)
+    (the exponent quadratic differentiated in sigma), so no term cancels.
+    """
     if f.regime is _EXERCISE_NOW:
         return 0.0
-    n = (f.alpha - 2.0 * f.sign) * m.rate - f.sign * q
-    try:
-        return 2.0 * f.premium * f.log_m * n / (m.vol**3 * f.alpha_bar)
-    except (OverflowError, ZeroDivisionError):
-        raise _out_of_range(m, "Vega") from None
+    vega = -f.sign * (f.premium * f.log_m) * f.alpha * f.gap / (m.vol * f.alpha_bar)
+    if not abs(vega) < math.inf:
+        raise _out_of_range(m, "Vega")
+    return vega
 
 
 def greeks_report(m: MarketParams, c: ContractParams) -> GreeksReport:
@@ -94,8 +97,7 @@ def greeks_report(m: MarketParams, c: ContractParams) -> GreeksReport:
     pricing._ClosedForm. Once exercised Delta = s and Gamma = Vega = 0.
     """
     f = _evaluate(m, c)
-    q = c.amort
-    return GreeksReport(_delta(f, m), _gamma(f, m), 0.0, -q * f.premium, _vega(f, m, q))
+    return GreeksReport(_delta(f, m), _gamma(f, m), 0.0, -c.amort * f.premium, _vega(f, m))
 
 
 def delta(m: MarketParams, c: ContractParams) -> float:
@@ -113,7 +115,7 @@ def gamma(m: MarketParams, c: ContractParams) -> float:
 
 def vega(m: MarketParams, c: ContractParams) -> float:
     """dV/dsigma per unit of sigma (see _vega); zero in the exercise region."""
-    return _vega(_evaluate(m, c), m, c.amort)
+    return _vega(_evaluate(m, c), m)
 
 
 def theta_economic(m: MarketParams, c: ContractParams) -> float:

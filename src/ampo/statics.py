@@ -12,14 +12,20 @@ B = (1 + alpha_p) S / (alpha_p K),
     dC0/dq =  C0/(sigma^2 alpha_bar) * log A
     dP0/dq = -P0/(sigma^2 alpha_bar) * log B
 
-and the mixed partial d2V/(dsigma dq) is assembled from chain-rule
-factors through (alpha, alpha_bar) plus the explicit sigma-dependence
-of the prefactor 1/(sigma^2 alpha_bar):
+The mixed partial d2V/(dsigma dq) has chain-rule factors through
+(alpha, alpha_bar) plus the explicit sigma-dependence of the prefactor
+1/(sigma^2 alpha_bar):
 
     d2V/(dsigma dq) = f1*f2 + f3*f4 + explicit, with
-    f1 = d/dalpha (dV/dq)        f2 = dalpha/dsigma
+    f1 = d/dalpha (dV/dq)        f2 = dalpha/dsigma = -alpha*gap/(sigma alpha_bar)
     f3 = d/dalpha_bar (dV/dq)    f4 = dalpha_bar/dsigma
     explicit = -(2/sigma) dV/dq.
+
+f3*f4 and explicit cancel at small vol, so the sum is taken as f1*f2 + g,
+g = -(dV/dq)(3r + 2q + sigma^2/2)/(sigma * sigma^2 alpha_bar * alpha_bar),
+which equals f3*f4 + explicit exactly: with f4 = -(2r^2 + sigma^2 (3r + 2q))
+/(sigma^5 alpha_bar), 2r^2 + sigma^2 (3r + 2q) - 2 sigma^4 alpha_bar^2 =
+-sigma^2 (3r + 2q + sigma^2/2).
 """
 
 from __future__ import annotations
@@ -32,7 +38,12 @@ from .pricing import _CALL, _EXERCISE_NOW, _ClosedForm, _closed_form, _evaluate,
 
 @_record
 class MixedPartialFactors:
-    """Chain-rule pieces of d2V/(dsigma dq), exposed for sign checks."""
+    """Chain-rule pieces of d2V/(dsigma dq), exposed for sign checks.
+
+    d2V/(dsigma dq) is d_dq_premium_dalpha * dalpha_dsigma plus a term equal
+    to d_dq_premium_dalphabar * dalphabar_dsigma + explicit_sigma_term,
+    computed without their cancelling difference (see the module notes).
+    """
 
     d_dq_premium_dalpha: float
     dalpha_dsigma: float
@@ -119,27 +130,33 @@ def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
 
     With s = +1 (call) / -1 (put), alpha the kind's own exponent and L the
     log-moneyness of pricing._ClosedForm: dV/dq = s*V*L/(sigma^2 alpha_bar),
-    f3 = -(dV/dq)/alpha_bar and explicit = -(2/sigma) dV/dq.
+    f3 = -(dV/dq)/alpha_bar and explicit = -(2/sigma) dV/dq. The mixed
+    partial is f1*f2 + g (see the module notes); ValidationError where it
+    is not a finite float.
     """
     f = _evaluate(m, c)
     dv_dq = _d_premium_dq(f, m, c)
-    ab, s, a, gap, _, _, v, log_m = f
+    ab, _, a, gap, _, _, v, log_m = f
     r, sig, q = m.rate, m.vol, c.amort
     try:
         s2ab = sig**2 * ab
-        # dalpha_bar/dsigma and the shared numerator 2r^2 + sigma^2 (3r + 2q)
-        num = 2.0 * r**2 + sig**2 * (3.0 * r + 2.0 * q)
+        u = 3.0 * r + 2.0 * q
         f1 = v / s2ab * (log_m**2 + 1.0 / (a * gap))
-        f2 = (2.0 * s * r - num / s2ab) / sig**3
+        f2 = -a * gap / (sig * ab)
         f3 = -dv_dq / ab
-        f4 = -num / (sig**5 * ab)
+        f4 = -(2.0 * r**2 + sig**2 * u) / (sig**5 * ab)
         explicit = -2.0 / sig * dv_dq
+        # f3*f4 + explicit without their cancelling difference (module notes)
+        g = -dv_dq * (u + 0.5 * sig**2) / (sig * s2ab * ab)
     except (OverflowError, ZeroDivisionError):
         raise _out_of_range(m, "a q-derivative") from None
+    mixed = f1 * f2 + g
+    if not abs(mixed) < math.inf:
+        raise _out_of_range(m, "a q-derivative")
     return StaticsReport(
         dv_dq,
         _d_boundary_dq(f, m, c.strike),
-        f1 * f2 + f3 * f4 + explicit,
+        mixed,
         MixedPartialFactors(f1, f2, f3, f4, explicit),
     )
 

@@ -350,7 +350,9 @@ def test_case_studies_reject_bad_terms_like_contract_params(market_a, study, str
 
 def test_sweep_kernel_values_are_pinned(market_a):
     # float.hex of the q-sweep outputs at market A, from the kernel that
-    # evaluated each kind's closed form and each dated call on its own
+    # evaluated each kind's closed form and each dated call on its own; the
+    # positional Vegas from Vega = -s*(V*L)*alpha*gap/(sigma*alpha_bar), each
+    # within 4e-16 of a 60-digit reference
     k = 100.0
     assert [effective_maturity(market_a, k, q).effective_maturity.hex() for q in (0.1, 0.5)] == [
         "0x1.380d86535c6d7p+1",
@@ -366,14 +368,14 @@ def test_sweep_kernel_values_are_pinned(market_a):
         for kind in StrategyKind
     }
     assert pv == {
-        StrategyKind.CALL_ONLY: "0x1.4ca9e87b9ff2fp+7",
-        StrategyKind.PUT_ONLY: "0x1.a99f8d91731ebp+7",
-        StrategyKind.STRADDLE: "0x1.75e1681141c8bp+7",
+        StrategyKind.CALL_ONLY: "0x1.4ca9e87b9ff2dp+7",
+        StrategyKind.PUT_ONLY: "0x1.a99f8d91731ecp+7",
+        StrategyKind.STRADDLE: "0x1.75e1681141c89p+7",
     }
     res = optimize_q(market_a, k, StrategySpec(kind=StrategyKind.PUT_ONLY, budget=100.0), (0.001, 1.0))
     assert (res.q_star.hex(), res.positional_vega_at_star.hex()) == (
         "0x1.24126a82964bcp-3",
-        "0x1.aac82cefd69f4p+7",
+        "0x1.aac82cefd69f6p+7",
     )
 
 
@@ -685,3 +687,37 @@ def test_ratio_study_reads_the_maturities_the_curve_solved(market_a, monkeypatch
     assert [r.effective_maturity for r in curve] == [
         effective_maturity(m, 100.0, q).effective_maturity for q in qs
     ]
+
+
+def test_positional_vega_refuses_where_price_refuses_the_premium():
+    # gap = 2q/sigma^2 = 2e-300 for the call, so K/gap overflows and price
+    # refuses it; the put's premium is K/(1 + alpha_p), a float
+    m = MarketParams(spot=1e300, rate=0.0, vol=1.0)
+    call = ContractParams(strike=1e300, amort=1e-300, kind=OptionKind.CALL)
+    with pytest.raises(ValidationError) as want:
+        price(m, call)
+    assert "the premium overflows" in str(want.value)
+    for kind in (StrategyKind.CALL_ONLY, StrategyKind.STRADDLE):
+        spec = StrategySpec(kind=kind, budget=100.0)
+        with pytest.raises(ValidationError, match=re.escape(str(want.value))):
+            positional_vega(m, 1e300, spec, 1e-300)
+        with pytest.raises(ValidationError, match=re.escape(str(want.value))):
+            optimize_q(m, 1e300, spec, (1e-300, 1e-10))
+    put = dataclasses.replace(call, kind=OptionKind.PUT)
+    spec = StrategySpec(kind=StrategyKind.PUT_ONLY, budget=100.0)
+    assert positional_vega(m, 1e300, spec, 1e-300) == 100.0 * vega(m, put) / price(m, put).premium
+    assert optimize_q(m, 1e300, spec, (1e-300, 1e-10)).positional_vega_at_star > 0.0
+
+
+def test_positional_vega_refuses_where_vega_refuses():
+    # the put's premium is a float but its Vega, -s*(V*L)*alpha*gap/(sigma*alpha_bar),
+    # is not: vega and every strategy holding the put refuse with one message
+    m = MarketParams(spot=2e306, rate=0.0, vol=3e-4)
+    put = ContractParams(strike=4e305, amort=6e-8, kind=OptionKind.PUT)
+    assert price(m, put).premium < math.inf
+    with pytest.raises(ValidationError) as want:
+        vega(m, put)
+    assert "Vega overflows" in str(want.value)
+    for kind in (StrategyKind.PUT_ONLY, StrategyKind.STRADDLE):
+        with pytest.raises(ValidationError, match=re.escape(str(want.value))):
+            positional_vega(m, 4e305, StrategySpec(kind=kind, budget=1.0), 6e-8)

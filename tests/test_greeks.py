@@ -68,7 +68,7 @@ def test_delta_and_vega_return_their_values_where_gamma_overflows():
     m = MarketParams(spot=20.127183366784813, rate=0.0016078202964622112, vol=3.901360353939844e-79)
     c = ContractParams(strike=18.711934899744794, amort=6.6843448508372765, kind=OptionKind.PUT)
     f = _closed_form(m, c.kind, c.strike, c.amort)
-    assert (delta(m, c).hex(), vega(m, c).hex()) == (_delta(f, m).hex(), _vega(f, m, c.amort).hex())
+    assert (delta(m, c).hex(), vega(m, c).hex()) == (_delta(f, m).hex(), _vega(f, m).hex())
     message = f"vol {m.vol!r} out of range at rate {m.rate!r}: Gamma overflows or underflows a float"
     for fn in (gamma, greeks_report):
         with pytest.raises(ValidationError) as exc:

@@ -26,6 +26,7 @@ from ampo import (
     StrategySpec,
     LatticeConfig,
     compute_exponents,
+    d2_premium_dsigma_dq,
     d_premium_dq,
     dated_bs_call,
     delta,
@@ -151,21 +152,26 @@ def test_every_accepted_input_prices_or_is_refused_by_name(rate, vol, q, spot, s
     m = MarketParams(spot=spot, rate=rate, vol=vol)
     c = ContractParams(strike=strike, amort=q, kind=kind)
     calls = [
-        lambda: price(m, c), lambda: greeks_report(m, c), lambda: delta(m, c),
-        lambda: gamma(m, c), lambda: vega(m, c), lambda: statics_report(m, c),
+        lambda: price(m, c), lambda: delta(m, c), lambda: gamma(m, c),
         lambda: d_premium_dq(m, c), lambda: limit_suite(m, c),
         lambda: pde_residual(m, c, [spot]),
         lambda: lattice_price(to_equivalent_perpetual(c, m), m, _CFG),
         lambda: validate_checks(m, c, _CFG),
+    ]
+    # and these return a finite float where they return
+    finite = [
+        lambda: vega(m, c), lambda: greeks_report(m, c).vega,
+        lambda: d2_premium_dsigma_dq(m, c),
     ] + [
         lambda spec=StrategySpec(kind=k, budget=1.0): positional_vega(m, strike, spec, q)
         for k in StrategyKind
     ]
-    for call in calls:
+    for call in calls + finite:
         try:
-            call()
+            value = call()
         except AmpoError:
-            pass
+            continue
+        assert call not in finite or math.isfinite(value), value
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)

@@ -138,16 +138,20 @@ def test_proof_factor_signs():
         assert f.dalphabar_dsigma < 0.0
 
 
-def test_statics_report_assembles_factors(market_a, put_a):
-    rep = statics_report(market_a, put_a)
-    f = rep.intermediates
-    assembled = (
-        f.d_dq_premium_dalpha * f.dalpha_dsigma
-        + f.d_dq_premium_dalphabar * f.dalphabar_dsigma
-        + f.explicit_sigma_term
-    )
-    assert rep.d2_premium_dsigma_dq == assembled
-    assert rep.d_premium_dq == d_premium_dq(market_a, put_a)
+def test_statics_report_assembles_factors(market_a):
+    # f1*f2 plus f3*f4 + explicit taken as one term, which has no cancelling
+    # difference: g = -(dV/dq)(3r + 2q + sigma^2/2)/(sigma * sigma^2 alpha_bar * alpha_bar)
+    r, sig = market_a.rate, market_a.vol
+    for kind in OptionKind:
+        c = ContractParams(strike=100.0, amort=0.1, kind=kind)
+        rep = statics_report(market_a, c)
+        f = rep.intermediates
+        ab = compute_exponents(market_a, c.amort).alpha_bar
+        g = -rep.d_premium_dq * (3.0 * r + 2.0 * c.amort + 0.5 * sig**2) / (sig * (sig**2 * ab) * ab)
+        assert rep.d2_premium_dsigma_dq == f.d_dq_premium_dalpha * f.dalpha_dsigma + g
+        cancelling = f.d_dq_premium_dalphabar * f.dalphabar_dsigma + f.explicit_sigma_term
+        assert math.isclose(cancelling, g, rel_tol=1e-14)
+        assert rep.d_premium_dq == d_premium_dq(market_a, c)
 
 
 def test_monotone_scan(market_a):
