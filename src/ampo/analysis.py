@@ -6,7 +6,8 @@ and time-decay ratios against that effectively dated call; and
 budget-constrained positional Vega over the amortization rate, with an
 optimizer for the best q per strategy. Consecutive calls on one market,
 strike and q grid share their exponents, legs and maturities through
-one module-level entry (_sweep).
+one module-level entry (_sweep), and positional Vega calls at one point
+through another (_point).
 """
 
 from __future__ import annotations
@@ -186,16 +187,11 @@ def _columns(m: MarketParams, strike: float, qs: tuple) -> dict:
     passed every check are ever stored, so == is not asked of others.
     """
     last_m, last_strike, last_qs, cols = _sweep
-    n = len(qs)
     if (
         m is last_m
         and type(strike) is type(last_strike)
-        and n == len(last_qs)
-        and (
-            type(qs[0]) is type(last_qs[0])  # one q, without map's set-up cost
-            if n == 1
-            else all(map(operator.is_, map(type, qs), map(type, last_qs)))
-        )
+        and len(qs) == len(last_qs)
+        and all(map(operator.is_, map(type, qs), map(type, last_qs)))
         and strike == last_strike
         and qs == last_qs
     ):
@@ -298,69 +294,126 @@ _STRATEGY_KINDS = {
 }
 
 
+# The last point positional_vega evaluated: (market, strike, q, terms,
+# legs), terms = (sigma^2, r/sigma^2, alpha_c, alpha_p, alpha_bar) and legs
+# each kind's (premium, Vega term) there, filled one kind at a time. The
+# sentinel matches no market.
+_point = (_NOTHING, None, None, None, None)
+
+
 def positional_vega(m: MarketParams, strike: float, s: StrategySpec, q: float) -> float:
     """Vega of a budget-constrained position: budget * vega / premium.
 
     The straddle holds equal notional of the ATM call and put at the same
-    q (one exponent solve), so its ratio uses the combined premium and vega.
-    One point of the per-market kernel _positional_vega_curve, which also
-    drives optimize_q's scan; where budget * vega overflows the ratio is
-    taken as budget * (vega / premium), so a finite result stays finite.
-    The grid (q,) is shared like any other: after the call and the put at
-    one q, the straddle there solves and prices nothing.
+    q, so its ratio uses the combined premium and vega; where budget * vega
+    overflows the ratio is taken as budget * (vega / premium), so a finite
+    result stays finite. Each leg is _leg, as on optimize_q's scan, so the
+    value at a q is the scan's there, bit for bit. The last point is kept
+    (_point): the market matches by identity and the strike and q by type
+    and then value, as in _columns, so the call, put and straddle at one q
+    solve the exponents once and the straddle computes no leg. The entry is
+    replaced whole on a miss, and a leg is added only once computed, so
+    racing threads lose sharing, never values.
     """
-    return _positional_vega_curve(m, strike, _STRATEGY_KINDS[s.kind], s.budget, (q,))[0]
+    global _point
+    kinds, budget = _STRATEGY_KINDS[s.kind], s.budget
+    last_m, last_strike, last_q, terms, legs = _point
+    # types first: == is asked only of types whose values passed every check
+    if not (m is last_m and type(strike) is type(last_strike) and type(q) is type(last_q)
+            and strike == last_strike and q == last_q):
+        s2, x = _vol_terms(m)
+        _check_terms(strike, q)
+        terms, legs = (s2, x, *_exponents(m, q)), {}
+        _point = (m, strike, q, terms, legs)
+    prem = veg = 0.0
+    for kind in kinds:
+        leg = legs.get(kind)
+        if leg is None:
+            leg = legs[kind] = _leg(m, kind, strike, q, *terms)
+        prem += leg[0]
+        veg += leg[1]
+    if prem < 1e-12:
+        raise NoSolutionError(f"degenerate strategy: premium {prem} below 1e-12")
+    scaled = budget * veg
+    return scaled / prem if math.isfinite(scaled) else budget * (veg / prem)
 
 
-def _positional_vega_curve(
-    m: MarketParams, strike: float, kinds, budget: float, qs: tuple, share: bool = True
-) -> list[float]:
-    """budget * vega / premium of the kinds' combined position at each q in qs.
+def _vol_terms(m: MarketParams) -> tuple[float, float]:
+    """(sigma^2, r/sigma^2), refused by name where either leaves the float range."""
+    try:
+        s2 = m.vol**2
+        return s2, m.rate / s2
+    except (OverflowError, ZeroDivisionError):
+        raise _out_of_range(m, "positional Vega") from None
+
+
+def _leg(m, kind, strike, q, s2, x, alpha_c, alpha_p, alpha_bar) -> tuple[float, float]:
+    """(premium, Vega term) of one kind at q, from s2 = sigma^2, x = r/sigma^2
+    and the exponents.
+
+    _closed_form's and _vega's arithmetic inlined in their order, so every
+    value and error is theirs. An exercised leg's term is 0.0: the sum of
+    terms starts at +0.0, so adding it changes no bit.
+    """
+    spot = m.spot
+    call = kind is _CALL
+    if call:
+        sign, alpha = 1.0, alpha_c
+        # alpha_c - 1 without cancellation, as in _shape
+        gap = 2.0 * (m.rate + q) / s2 / (alpha_bar + x + 0.5)
+    else:
+        sign, alpha, gap = -1.0, alpha_p, alpha_p + 1.0
+    if not (gap > 0.0 if call else alpha > 0.0):
+        _kind_sign(kind, alpha, gap)  # raises
+    ak = alpha * strike
+    boundary = ak / gap if ak < math.inf else alpha / gap * strike
+    try:
+        log_m = math.log(gap * spot / ak)
+    except (ValueError, ZeroDivisionError):
+        log_m = math.inf
+    if not log_m < math.inf:
+        log_m = _split_log(spot, strike, gap, alpha)
+    if (spot > boundary) if call else (spot < boundary):
+        return intrinsic_value(kind, spot, strike), 0.0
+    power = sign * alpha * log_m
+    premium = strike / gap * math.exp(power if power < 0.0 else 0.0)
+    if not premium < math.inf:
+        raise _out_of_range(m, "the premium")
+    term = -sign * (premium * log_m) * alpha * gap / (m.vol * alpha_bar)
+    if not abs(term) < math.inf:
+        raise _out_of_range(m, "Vega")
+    return premium, term
+
+
+def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float, qs: tuple):
+    """positional_vega of the kinds' combined position at each q in qs.
 
     The exponents are solved once per q for all kinds, and each kind's
-    leg, its premium and Vega term, once per q for every strategy: with
-    `share` both are read from the shared entry (see _columns) and the
-    ones computed are added to it once the call succeeds, so a put after
-    a call on the same grid solves no exponent, and a straddle after both
-    computes nothing but the ratios and does not read the market's terms.
-    A leg inlines _closed_form's and _vega's arithmetic in their order, so
-    every value and error is theirs. An exercised leg's Vega term is 0.0:
-    the sum of terms starts at +0.0, so adding it changes no bit. The
-    terms are checked per q, in _check_terms' order, and a point that
-    fails raises at once, before any later q is evaluated.
+    leg once per q for every strategy: both are read from the shared entry
+    (see _columns) and the ones computed are added to it once the call
+    succeeds, so a put after a call on the same grid solves no exponent,
+    and a straddle after both computes nothing but the ratios. qs is
+    optimize_q's grid, so every q is at least the first, a checked q > 0:
+    the terms are checked at the first q, in _check_terms' order, and a
+    later q that overflowed to inf fails _exponents' own check. A point
+    that fails raises at once, before any later q is evaluated.
     """
-    cols = _columns(m, strike, qs) if share else {}
+    cols = _columns(m, strike, qs)
     exs = cols.get("exponents")
     # each kind's stored leg, or the new one this call fills: at q number
     # i a new leg holds i entries, a stored one all of them
-    legs, new = [], {}
-    for kind in kinds:
-        leg = cols.get(kind)
-        if leg is None:
-            leg = new[kind] = []
-        legs.append((kind, leg))
+    new = {kind: [] for kind in kinds if kind not in cols}
+    legs = [(kind, cols.get(kind) or new[kind]) for kind in kinds]
     if new:
-        spot, rate, vol = m.spot, m.rate, m.vol
-        try:
-            s2 = vol**2
-            x = rate / s2
-        except (OverflowError, ZeroDivisionError):
-            raise _out_of_range(m, "positional Vega") from None
+        s2, x = _vol_terms(m)
     if exs is None:  # a new grid: no leg is stored either
         new["exponents"] = new_exs = []
-        try:
-            strike_ok = 0.0 < strike + 0.0 < math.inf
-        except (TypeError, OverflowError):
-            strike_ok = False
+        # every q of optimize_q's grid is at least its first, a checked q > 0,
+        # so past the strike's check only _exponents' own can fail
+        _check_terms(strike, qs[0])
     out = []
     for i, q in enumerate(qs):
         if exs is None:
-            try:
-                in_range = strike_ok and 0.0 < q < math.inf
-            except TypeError:
-                in_range = False
-            if not in_range:
-                _check_terms(strike, q)  # raises
             alpha_c, alpha_p, alpha_bar = ex = _exponents(m, q)
             new_exs.append(ex)
         elif new:
@@ -370,44 +423,15 @@ def _positional_vega_curve(
             if i < len(leg):
                 premium, term = leg[i]
             else:
-                call = kind is _CALL
-                if call:
-                    sign, alpha = 1.0, alpha_c
-                    # alpha_c - 1 without cancellation, as in _closed_form
-                    gap = 2.0 * (rate + q) / s2 / (alpha_bar + x + 0.5)
-                    resolved = gap > 0.0
-                else:
-                    sign, alpha, gap = -1.0, alpha_p, alpha_p + 1.0
-                    resolved = alpha > 0.0
-                if not resolved:
-                    _kind_sign(kind, alpha, gap)  # raises
-                ak = alpha * strike
-                boundary = ak / gap if ak < math.inf else alpha / gap * strike
-                try:
-                    log_m = math.log(gap * spot / ak)
-                except (ValueError, ZeroDivisionError):
-                    log_m = math.inf
-                if not log_m < math.inf:
-                    log_m = _split_log(spot, strike, gap, alpha)
-                if (spot > boundary) if call else (spot < boundary):
-                    # Vega is zero once exercised
-                    premium, term = intrinsic_value(kind, spot, strike), 0.0
-                else:
-                    power = sign * alpha * log_m
-                    premium = strike / gap * math.exp(power if power < 0.0 else 0.0)
-                    if not premium < math.inf:
-                        raise _out_of_range(m, "the premium")
-                    term = -sign * (premium * log_m) * alpha * gap / (vol * alpha_bar)
-                    if not abs(term) < math.inf:
-                        raise _out_of_range(m, "Vega")
-                leg.append((premium, term))
+                premium, term = pt = _leg(m, kind, strike, q, s2, x, alpha_c, alpha_p, alpha_bar)
+                leg.append(pt)
             prem += premium
             veg += term
         if prem < 1e-12:
             raise NoSolutionError(f"degenerate strategy: premium {prem} below 1e-12")
         scaled = budget * veg
         out.append(scaled / prem if math.isfinite(scaled) else budget * (veg / prem))
-    if share and new:
+    if new:
         _keep(m, strike, qs, cols, new)
     return out
 
@@ -444,12 +468,12 @@ def optimize_q(
 
     A coarse scan (>= 200 points) locates the structure; golden-section
     refinement to 1e-6 in q runs only when the scan shows a single
-    interior peak. The scan is one pass of the per-market kernel behind
-    positional_vega, sharing its exponents and legs with the other
-    strategies' scans of the same grid, and each golden step one point
-    of that kernel that neither reads nor replaces the shared entry, so
-    every value is positional_vega's at its q and a refinement never
-    evicts the scan the next strategy reuses. An edge argmax is flagged
+    interior peak. The scan is one pass of _positional_vega_curve, sharing
+    its exponents and legs with the other strategies' scans of the same
+    grid (_sweep), and each golden step is a positional_vega call, which
+    keeps only its one-point entry (_point), so a refinement never evicts
+    the scan the next strategy reuses. Both evaluate each leg with _leg,
+    so every value is positional_vega's at its q. An edge argmax is flagged
     as a boundary maximum and several interior peaks as multimodal
     (returning the grid argmax). A maximum that is not finite (the budget
     times Vega past the float range) raises NoSolutionError.
@@ -467,11 +491,8 @@ def optimize_q(
     except TypeError:
         raise ValidationError(f"grid_points must be an integer, got {grid_points!r}") from None
     qs = tuple([lo + (hi - lo) * i / (n - 1) for i in range(n)])
-    kinds = _STRATEGY_KINDS[s.kind]
-    # a golden step neither reads nor replaces the shared scan
-    f = lambda q: _positional_vega_curve(m, strike, kinds, s.budget, (q,), share=False)[0]
-    vs = _positional_vega_curve(m, strike, kinds, s.budget, qs)
-    curve = list(zip(qs, vs))
+    f = lambda q: positional_vega(m, strike, s, q)
+    vs = _positional_vega_curve(m, strike, _STRATEGY_KINDS[s.kind], s.budget, qs)
     imax = max(range(n), key=vs.__getitem__)
     edge = imax in (0, n - 1)
     peaks = 0 if edge else sum(
@@ -489,7 +510,7 @@ def optimize_q(
     return OptimizationResult(
         q_star=q_star,
         positional_vega_at_star=v_star,
-        curve=curve,
+        curve=list(zip(qs, vs)),
         boundary_maximum=edge,
         multimodal=not edge and peaks != 1,
     )

@@ -97,7 +97,7 @@ def greeks_report(m: MarketParams, c: ContractParams) -> GreeksReport:
     pricing._ClosedForm. Once exercised Delta = s and Gamma = Vega = 0.
     """
     f = _evaluate(m, c)
-    return GreeksReport(_delta(f, m), _gamma(f, m), 0.0, -c.amort * f.premium, _vega(f, m))
+    return GreeksReport(_delta(f, m), _gamma(f, m), 0.0, _theta_economic(f, c), _vega(f, m))
 
 
 def delta(m: MarketParams, c: ContractParams) -> float:
@@ -120,7 +120,18 @@ def vega(m: MarketParams, c: ContractParams) -> float:
 
 def theta_economic(m: MarketParams, c: ContractParams) -> float:
     """Position decay from amortization: -q * premium."""
-    return -c.amort * _evaluate(m, c).premium
+    return _theta_economic(_evaluate(m, c), c)
+
+
+def _theta_economic(f: _ClosedForm, c: ContractParams) -> float:
+    """-q*V; ValidationError where that product overflows a float."""
+    theta = -c.amort * f.premium
+    if not theta > -math.inf:
+        raise ValidationError(
+            f"amort {c.amort!r} out of range at premium {f.premium!r}: "
+            "the economic Theta -amort*premium overflows a float"
+        )
+    return theta
 
 
 def dated_bs_call(m: MarketParams, strike: float, maturity: float) -> DatedGreeksReport:

@@ -551,10 +551,13 @@ def validate_checks(
         return checks
 
     lo, hi = sorted((m.spot, f.boundary))
-    if c.kind == OptionKind.CALL:
-        spots = [0.5 * lo + (hi * 0.999 - 0.5 * lo) * i / 9 for i in range(10)]
-    else:
-        spots = [lo * 1.001 + (1.5 * hi - lo * 1.001) * i / 9 for i in range(10)]
+    # from half the spot to just below the call's boundary, or from just
+    # above the put's boundary to 1.5 times the spot
+    a, b = (0.5 * lo, hi * 0.999) if c.kind == OptionKind.CALL else (lo * 1.001, 1.5 * hi)
+    spots = [a + (b - a) * i / 9 for i in range(10)]
+    if not spots[-1] < math.inf:  # (b - a) * i overflows past about 2e307
+        b = min(b, sys.float_info.max)
+        spots = [a + (b - a) * (i / 9) for i in range(10)]
     check("pde_residual", max(pde_residual(m, c, spots, premium_scale=perturb)), 1e-8)
 
     prem_of_spot = lambda s: price(MarketParams(s, m.rate, m.vol), c).premium

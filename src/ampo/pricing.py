@@ -192,8 +192,14 @@ def _spot_terms(
 
 
 def _split_log(spot: float, strike: float, gap: float, alpha: float) -> float:
-    """L = log(gap*S/(alpha*K)) summed from logs, where the quotient leaves the float range."""
-    return math.log(spot) - math.log(strike) + math.log(gap / alpha)
+    """L = log(gap*S/(alpha*K)) summed from logs, where the quotient leaves the float range.
+
+    gap/alpha itself overflows where alpha is below about 1/max float (a put
+    at q/sigma^2 near 1e-308), so its log is split there too.
+    """
+    ratio = gap / alpha
+    log_ratio = math.log(ratio) if ratio < _INF else math.log(gap) - math.log(alpha)
+    return math.log(spot) - math.log(strike) + log_ratio
 
 
 def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float, ex=None) -> _ClosedForm:

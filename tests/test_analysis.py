@@ -537,7 +537,7 @@ def test_interleaved_case_studies_match_fresh_evaluations(monkeypatch):
         got = _outcome(_STUDY_FAMILIES[family][name], m, k, list(grid))
         assert got == want[name, i, type(k), k, tuple(map(type, grid)), grid][0], (name, i, k, grid)
     # the calls shared their work: evaluated fresh they make 5,503 solves
-    # here, and in this order 3,176
+    # here, and in this order 3,177
     assert len(solves) < 0.75 * fresh_solves, (len(solves), fresh_solves)
 
 
@@ -592,19 +592,19 @@ def test_a_call_stores_into_the_entry_it_read(market_a):
     # columns to the entry it read, never to one installed since
     other = MarketParams(spot=100.0, rate=0.03, vol=0.4)
     call = StrategySpec(StrategyKind.CALL_ONLY, 100.0)
-    positional_vega(market_a, 100.0, call, 0.1)
-    points = ampo.analysis._maturity_points(market_a, 100.0, [0.1])
-    next(points)  # market A's maturity at 0.1 is solved, not yet stored
-    positional_vega(other, 100.0, call, 0.1)
-    assert list(points) == []
-    got = _outcome(effective_maturity, other, 100.0, 0.1)
-    assert got == _outcome(effective_maturity, dataclasses.replace(other), 100.0, 0.1)
+    # the scan leaves market A's grid with exponents and no maturities
+    qs = [q for q, _ in optimize_q(market_a, 100.0, call, (0.1, 0.3)).curve]
+    points = ampo.analysis._maturity_points(market_a, 100.0, qs)
+    next(points)  # market A's maturities are being solved, not yet stored
+    effective_maturity(other, 100.0, qs[0])
+    assert len(list(points)) == len(qs) - 1
+    got = _outcome(effective_maturity, other, 100.0, qs[0])
+    assert got == _outcome(effective_maturity, dataclasses.replace(other), 100.0, qs[0])
 
 
 def test_a_raising_call_leaves_the_entry_as_it_was(market_a):
     call, put = (StrategySpec(kind, 100.0) for kind in (StrategyKind.CALL_ONLY, StrategyKind.PUT_ONLY))
     # strike 1e-6: the call is exercised, the put's premium is below 1e-12
-    assert positional_vega(market_a, 1e-6, call, 0.3) == 0.0
     optimize_q(market_a, 1e-6, call, (0.001, 1.0))
 
     def raises(error, fn, *args):
@@ -618,11 +618,13 @@ def test_a_raising_call_leaves_the_entry_as_it_was(market_a):
 
     # a hit whose new leg raises stores no leg
     raises(NoSolutionError, optimize_q, market_a, 1e-6, put, (0.001, 1.0))
-    positional_vega(market_a, 1e-6, call, 0.3)
-    raises(NoSolutionError, positional_vega, market_a, 1e-6, put, 0.3)
+    # and one whose new maturities raise stores none: at strike 1e-12 the
+    # exercised call's premium meets the dated call's supremum
+    qs = [q for q, _ in optimize_q(market_a, 1e-12, call, (0.001, 1.0)).curve]
+    raises(NoSolutionError, effective_notional_curve, market_a, 1e-12, qs)
     # a miss that raises at a later q installs no entry
     raises(ValidationError, ratio_study, market_a, 100.0, [0.1, -0.1])
-    raises(ValidationError, positional_vega, market_a, 100.0, put, -0.3)
+    raises(ValidationError, effective_maturity, market_a, 100.0, -0.3)
     raises(NoSolutionError, effective_notional_curve, market_a, 1e-12, [0.1, 0.001])
 
     def grid(*qs):
@@ -632,6 +634,64 @@ def test_a_raising_call_leaves_the_entry_as_it_was(market_a):
     # a grid whose iteration raises: its points come first, as in a lazy loop
     raises(LookupError, effective_notional_curve, market_a, 100.0, grid(0.1))
     raises(ValidationError, ratio_study, market_a, 100.0, grid(0.1, -0.1))
+
+
+def test_a_raising_point_call_leaves_later_calls_equal_to_fresh_ones(market_a):
+    call, put, straddle = (StrategySpec(kind, 100.0) for kind in StrategyKind)
+    # at q = 1e-300 the call's K/gap overflows while the put's premium is a
+    # float; at strike 1e-6 the put's premium is below 1e-12; q = -0.3 is
+    # refused before anything is solved
+    big = MarketParams(spot=1e300, rate=0.0, vol=1.0)
+    calls = [
+        (put, big, 1e300, 1e-300), (call, big, 1e300, 1e-300), (straddle, big, 1e300, 1e-300),
+        (put, big, 1e300, 1e-300), (call, market_a, 100.0, 0.3), (put, market_a, 100.0, -0.3),
+        (straddle, market_a, 100.0, 0.3), (put, market_a, 1e-6, 0.3), (call, market_a, 1e-6, 0.3),
+        (straddle, market_a, 1e-6, 0.3), (put, market_a, 1e-6, 0.3), (call, big, 1e300, 1e-300),
+    ]
+    want = [_outcome(positional_vega, dataclasses.replace(m), k, s, q) for s, m, k, q in calls]
+    assert {w[0][0] for w in want} == {"float", "ValidationError", "NoSolutionError"}
+    for (s, m, k, q), w in zip(calls, want):
+        before = ampo.analysis._point
+        assert _outcome(positional_vega, m, k, s, q) == w, (s.kind, k, q)
+        if q < 0.0:  # refused by its terms: the entry is the one before
+            assert ampo.analysis._point is before
+
+
+@pytest.mark.parametrize("domain", ["box", "full"])
+def test_positional_vega_equals_the_optimize_q_scan_bit_for_bit(market_a, domain):
+    # the scan and the point path share _leg, so every scan value is the
+    # point's at its q, and a refined maximum is the point's at q_star
+    rng = random.Random(27)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    if domain == "box":
+        cases = [(m, STRIKE, (0.001, 1.0)) for m in [market_a, *_box_markets(8, 24)]]
+    else:  # spot, rate, vol and strike as in test_reference, and a q range
+        cases = []
+        for _ in range(24):
+            rate = 0.0 if rng.random() < 0.1 else log_uniform(1e-6, 2.0)
+            m = MarketParams(spot=log_uniform(1e-3, 1e5), rate=rate, vol=log_uniform(1e-4, 5.0))
+            lo, k = log_uniform(1e-8, 1e3), log_uniform(1e-2, 1e4)
+            cases.append((m, k, (lo, lo * log_uniform(1.5, 1e4))))
+    scans = refined = 0
+    for m, k, q_range in cases:
+        for kind in StrategyKind:
+            s = StrategySpec(kind, 100.0)
+            try:
+                res = optimize_q(m, k, s, q_range)
+            except (ValidationError, NoSolutionError):
+                continue
+            scans += 1
+            assert [positional_vega(m, k, s, q).hex() for q, _ in res.curve] == [
+                v.hex() for _, v in res.curve
+            ]
+            if not (res.boundary_maximum or res.multimodal):
+                refined += 1
+                got = positional_vega(m, k, s, res.q_star)
+                assert got.hex() == res.positional_vega_at_star.hex()
+    assert scans >= len(cases) and refined > 0, (scans, refined)
 
 
 def test_the_strategies_share_one_solve_per_q(market_a, monkeypatch):

@@ -168,3 +168,13 @@ def test_dated_bs_call_refuses_terms_that_are_not_finite_numbers(market_a, strik
     with pytest.raises(ValidationError) as exc:
         dated_bs_call(market_a, strike, maturity)
     assert str(exc.value) == message
+
+
+def test_economic_theta_refuses_overflow_by_name():
+    # q*V = 1e300 * ~1e300 overflows; both views returned -inf
+    m = MarketParams(spot=1e-300, rate=0.05, vol=0.5)
+    c = ContractParams(strike=1e300, amort=1e300, kind=OptionKind.PUT)
+    assert price(m, c).premium == 1e300
+    for fn in (theta_economic, greeks_report):
+        with pytest.raises(ValidationError, match=r"^amort 1e\+300 out of range at premium 1e\+300: "):
+            fn(m, c)

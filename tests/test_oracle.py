@@ -393,6 +393,28 @@ def test_validate_checks_values_at_market_a_are_pinned(market_a, kind, values):
     assert [r["value"].hex() for r in checks] == values
 
 
+def test_validate_checks_residual_spots_stay_in_range_past_2e307(monkeypatch):
+    # the call's boundary is 2K = 1.8e308, so (0.999*boundary - 0.5*spot)*i
+    # overflowed for i >= 2 and the checker's own grid was refused with
+    # "spot must be finite, got inf"
+    spots = []
+    residual = oracle.pde_residual
+
+    def recorded(m, c, grid, premium_scale):
+        spots.extend(grid)
+        return residual(m, c, grid, premium_scale)
+
+    monkeypatch.setattr(oracle, "pde_residual", recorded)
+    m = MarketParams(spot=1e150, rate=0.0, vol=1.0)
+    c = ContractParams(strike=8.988e307 * (1 - 1e-7), amort=1.0, kind=OptionKind.CALL)
+    boundary = price(m, c).boundary
+    checks = {r["check"]: r for r in validate_checks(m, c, _CFG)}
+    assert list(checks) == _CHECKS
+    assert checks["pde_residual"]["passed"]
+    assert spots[0] == 0.5 * m.spot and spots == sorted(spots)
+    assert boundary * 0.998 < spots[-1] <= boundary * 0.999
+
+
 @pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
 def test_validate_checks_solve_the_exponents_four_times(market_a, kind, monkeypatch):
     # _evaluate, lattice_price and fd_vega's two vols; pde_residual reads

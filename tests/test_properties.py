@@ -40,6 +40,7 @@ from ampo import (
     positional_vega,
     price,
     statics_report,
+    theta_economic,
     to_equivalent_perpetual,
     validate_checks,
     vega,
@@ -162,6 +163,7 @@ def test_every_accepted_input_prices_or_is_refused_by_name(rate, vol, q, spot, s
     finite = [
         lambda: vega(m, c), lambda: greeks_report(m, c).vega,
         lambda: d2_premium_dsigma_dq(m, c),
+        lambda: theta_economic(m, c), lambda: greeks_report(m, c).theta_economic,
     ] + [
         lambda spec=StrategySpec(kind=k, budget=1.0): positional_vega(m, strike, spec, q)
         for k in StrategyKind

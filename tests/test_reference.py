@@ -15,7 +15,15 @@ import sys
 
 import pytest
 
-from ampo import ContractParams, MarketParams, OptionKind, greeks_report, price, statics_report
+from ampo import (
+    ContractParams,
+    MarketParams,
+    OptionKind,
+    d_premium_dq,
+    greeks_report,
+    price,
+    statics_report,
+)
 
 # worst relative error allowed on the table, per quantity; measured worst
 # values are 2.2e-12 for the first six and 8.0e-16 for dS_bar/dq
@@ -41,10 +49,10 @@ def _draw(rng):
     return MarketParams(spot, rate, vol), ContractParams(strike, q, kind)
 
 
-def _reference(mpmath, m, c):
-    """Each quantity at 60 digits, or None where the spot is beyond the boundary."""
+def _reference(mpmath, m, c, dps=60):
+    """Each quantity at `dps` digits, or None where the spot is beyond the boundary."""
     s = 1 if c.kind is OptionKind.CALL else -1
-    with mpmath.workdps(60):
+    with mpmath.workdps(dps):
         r, spot, k = mpmath.mpf(m.rate), mpmath.mpf(m.spot), mpmath.mpf(c.strike)
         half = mpmath.mpf(1) / 2
 
@@ -122,3 +130,21 @@ def test_mixed_partial_at_small_vol_matches_mpmath():
     c = ContractParams(strike=676.9813935852695, amort=1.0905014972762569e-05, kind=OptionKind.CALL)
     want = _reference(mpmath, m, c)["d2_premium_dsigma_dq"]
     assert math.isclose(statics_report(m, c).d2_premium_dsigma_dq, want, rel_tol=1e-11)
+
+
+def test_a_put_with_subnormal_alpha_matches_mpmath():
+    # alpha_p = 2q/sigma^2 = 1e-323, so gap/alpha_p overflows and the
+    # log-moneyness was log(inf): the premium read 0.0 and dV/dq nan. 400
+    # digits, because the radical form of alpha_p cancels below 324
+    mpmath = pytest.importorskip("mpmath")
+    m = MarketParams(spot=1.0, rate=0.0, vol=1.0)
+    c = ContractParams(strike=1.0, amort=5e-324, kind=OptionKind.PUT)
+    want = _reference(mpmath, m, c, dps=400)
+    got = {"premium": price(m, c).premium, "d_premium_dq": d_premium_dq(m, c)}
+    g = greeks_report(m, c)
+    got.update(delta=g.delta, gamma=g.gamma, vega=g.vega)
+    with mpmath.workdps(400):
+        for name, value in got.items():
+            # delta, gamma and vega are subnormal: compare them to their last bit
+            tol = WORST[name] if _normal(want[name]) else 5e-324 / abs(want[name])
+            assert float(abs((value - want[name]) / want[name])) <= tol, (name, value)
