@@ -19,9 +19,7 @@ from enum import Enum
 from .greeks import _dated_terms, _gamma
 from .params import MarketParams, NoSolutionError, OptionKind, ValidationError
 from .params import _check_terms, _member, _record, _require_finite, _require_iterable
-from .params import intrinsic_value
-from .pricing import _CALL, _NOTHING, _closed_form, _exponents, _kind_sign, _out_of_range
-from .pricing import _split_log
+from .pricing import _CALL, _INF, _NOTHING, _closed_form, _exponents, _kernel, _out_of_range
 
 
 class StrategyKind(str, Enum):
@@ -173,7 +171,7 @@ def _solve_maturity(m: MarketParams, strike: float, q: float, target: float) -> 
 # The last q grid evaluated on the last market, shared by the case
 # studies: (market, strike, grid, columns). The columns map "exponents"
 # to _exponents per q, "maturity" to the MaturityResult per q, and each
-# OptionKind to its (premium, Vega term) leg per q; each is filled whole
+# OptionKind to its (premium, Vega) leg per q; each is filled whole
 # by the first call that needs it. The sentinel matches no market.
 _sweep = (_NOTHING, None, (), {})
 
@@ -294,10 +292,9 @@ _STRATEGY_KINDS = {
 }
 
 
-# The last point positional_vega evaluated: (market, strike, q, terms,
-# legs), terms = (sigma^2, r/sigma^2, alpha_c, alpha_p, alpha_bar) and legs
-# each kind's (premium, Vega term) there, filled one kind at a time. The
-# sentinel matches no market.
+# The last point positional_vega evaluated: (market, strike, q, exponents,
+# legs), legs each kind's (premium, Vega) there, filled one kind at a time.
+# The sentinel matches no market.
 _point = (_NOTHING, None, None, None, None)
 
 
@@ -307,82 +304,38 @@ def positional_vega(m: MarketParams, strike: float, s: StrategySpec, q: float) -
     The straddle holds equal notional of the ATM call and put at the same
     q, so its ratio uses the combined premium and vega; where budget * vega
     overflows the ratio is taken as budget * (vega / premium), so a finite
-    result stays finite. Each leg is _leg, as on optimize_q's scan, so the
-    value at a q is the scan's there, bit for bit. The last point is kept
-    (_point): the market matches by identity and the strike and q by type
-    and then value, as in _columns, so the call, put and straddle at one q
-    solve the exponents once and the straddle computes no leg. The entry is
-    replaced whole on a miss, and a leg is added only once computed, so
-    racing threads lose sharing, never values.
+    result stays finite. Each leg is the premium and Vega of pricing._kernel,
+    as on optimize_q's scan, so the value at a q is the scan's there, bit
+    for bit. The last point is kept (_point): the market matches by identity
+    and the strike and q by type and then value, as in _columns, so the
+    call, put and straddle at one q solve the exponents once and the
+    straddle computes no leg. The entry is replaced whole on a miss, and a
+    leg is added only once computed, so racing threads lose sharing, never
+    values.
     """
     global _point
     kinds, budget = _STRATEGY_KINDS[s.kind], s.budget
-    last_m, last_strike, last_q, terms, legs = _point
+    last_m, last_strike, last_q, ex, legs = _point
     # types first: == is asked only of types whose values passed every check
     if not (m is last_m and type(strike) is type(last_strike) and type(q) is type(last_q)
             and strike == last_strike and q == last_q):
-        s2, x = _vol_terms(m)
         _check_terms(strike, q)
-        terms, legs = (s2, x, *_exponents(m, q)), {}
-        _point = (m, strike, q, terms, legs)
+        ex, legs = _exponents(m, q), {}
+        _point = (m, strike, q, ex, legs)
     prem = veg = 0.0
     for kind in kinds:
         leg = legs.get(kind)
         if leg is None:
-            leg = legs[kind] = _leg(m, kind, strike, q, *terms)
+            _, _, _, _, _, _, premium, _, vega = _kernel(m, kind, strike, q, ex, m.spot)
+            if not abs(vega) < _INF:
+                raise _out_of_range(m, "Vega")
+            leg = legs[kind] = (premium, vega)
         prem += leg[0]
         veg += leg[1]
     if prem < 1e-12:
         raise NoSolutionError(f"degenerate strategy: premium {prem} below 1e-12")
     scaled = budget * veg
     return scaled / prem if math.isfinite(scaled) else budget * (veg / prem)
-
-
-def _vol_terms(m: MarketParams) -> tuple[float, float]:
-    """(sigma^2, r/sigma^2), refused by name where either leaves the float range."""
-    try:
-        s2 = m.vol**2
-        return s2, m.rate / s2
-    except (OverflowError, ZeroDivisionError):
-        raise _out_of_range(m, "positional Vega") from None
-
-
-def _leg(m, kind, strike, q, s2, x, alpha_c, alpha_p, alpha_bar) -> tuple[float, float]:
-    """(premium, Vega term) of one kind at q, from s2 = sigma^2, x = r/sigma^2
-    and the exponents.
-
-    _closed_form's and _vega's arithmetic inlined in their order, so every
-    value and error is theirs. An exercised leg's term is 0.0: the sum of
-    terms starts at +0.0, so adding it changes no bit.
-    """
-    spot = m.spot
-    call = kind is _CALL
-    if call:
-        sign, alpha = 1.0, alpha_c
-        # alpha_c - 1 without cancellation, as in _shape
-        gap = 2.0 * (m.rate + q) / s2 / (alpha_bar + x + 0.5)
-    else:
-        sign, alpha, gap = -1.0, alpha_p, alpha_p + 1.0
-    if not (gap > 0.0 if call else alpha > 0.0):
-        _kind_sign(kind, alpha, gap)  # raises
-    ak = alpha * strike
-    boundary = ak / gap if ak < math.inf else alpha / gap * strike
-    try:
-        log_m = math.log(gap * spot / ak)
-    except (ValueError, ZeroDivisionError):
-        log_m = math.inf
-    if not log_m < math.inf:
-        log_m = _split_log(spot, strike, gap, alpha)
-    if (spot > boundary) if call else (spot < boundary):
-        return intrinsic_value(kind, spot, strike), 0.0
-    power = sign * alpha * log_m
-    premium = strike / gap * math.exp(power if power < 0.0 else 0.0)
-    if not premium < math.inf:
-        raise _out_of_range(m, "the premium")
-    term = -sign * (premium * log_m) * alpha * gap / (m.vol * alpha_bar)
-    if not abs(term) < math.inf:
-        raise _out_of_range(m, "Vega")
-    return premium, term
 
 
 def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float, qs: tuple):
@@ -404,29 +357,30 @@ def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float,
     # i a new leg holds i entries, a stored one all of them
     new = {kind: [] for kind in kinds if kind not in cols}
     legs = [(kind, cols.get(kind) or new[kind]) for kind in kinds]
-    if new:
-        s2, x = _vol_terms(m)
     if exs is None:  # a new grid: no leg is stored either
         new["exponents"] = new_exs = []
         # every q of optimize_q's grid is at least its first, a checked q > 0,
         # so past the strike's check only _exponents' own can fail
         _check_terms(strike, qs[0])
+    spot = m.spot
     out = []
     for i, q in enumerate(qs):
         if exs is None:
-            alpha_c, alpha_p, alpha_bar = ex = _exponents(m, q)
+            ex = _exponents(m, q)
             new_exs.append(ex)
         elif new:
-            alpha_c, alpha_p, alpha_bar = exs[i]
+            ex = exs[i]
         prem = veg = 0.0
         for kind, leg in legs:
             if i < len(leg):
-                premium, term = leg[i]
+                premium, vega = leg[i]
             else:
-                premium, term = pt = _leg(m, kind, strike, q, s2, x, alpha_c, alpha_p, alpha_bar)
-                leg.append(pt)
+                _, _, _, _, _, _, premium, _, vega = _kernel(m, kind, strike, q, ex, spot)
+                if not abs(vega) < _INF:
+                    raise _out_of_range(m, "Vega")
+                leg.append((premium, vega))
             prem += premium
-            veg += term
+            veg += vega
         if prem < 1e-12:
             raise NoSolutionError(f"degenerate strategy: premium {prem} below 1e-12")
         scaled = budget * veg
@@ -472,8 +426,8 @@ def optimize_q(
     its exponents and legs with the other strategies' scans of the same
     grid (_sweep), and each golden step is a positional_vega call, which
     keeps only its one-point entry (_point), so a refinement never evicts
-    the scan the next strategy reuses. Both evaluate each leg with _leg,
-    so every value is positional_vega's at its q. An edge argmax is flagged
+    the scan the next strategy reuses. Both take each leg from
+    pricing._kernel, so every value is positional_vega's at its q. An edge argmax is flagged
     as a boundary maximum and several interior peaks as multimodal
     (returning the grid argmax). A maximum that is not finite (the budget
     times Vega past the float range) raises NoSolutionError.

@@ -74,15 +74,9 @@ def _gamma(f: _ClosedForm, m: MarketParams) -> float:
 
 
 def _vega(f: _ClosedForm, m: MarketParams) -> float:
-    """-s*(V*L)*alpha*gap/(sigma*alpha_bar), zero once exercised; ValidationError
-    where that is not a finite float.
-
-    d(ln V)/d(alpha) = s*L and d(alpha)/d(sigma) = -alpha*gap/(sigma*alpha_bar)
-    (the exponent quadratic differentiated in sigma), so no term cancels.
-    """
-    if f.regime is _EXERCISE_NOW:
-        return 0.0
-    vega = -f.sign * (f.premium * f.log_m) * f.alpha * f.gap / (m.vol * f.alpha_bar)
+    """The closed form's Vega, zero once exercised; ValidationError where it
+    is not a finite float."""
+    vega = f.vega
     if not abs(vega) < math.inf:
         raise _out_of_range(m, "Vega")
     return vega

@@ -47,10 +47,9 @@ from .pricing import (
     _CONTINUATION,
     _closed_form,
     _evaluate,
+    _kernel,
     _out_of_range,
-    _shape,
     _solved,
-    _spot_terms,
     price,
     to_equivalent_perpetual,
 )
@@ -433,38 +432,32 @@ def pde_residual(
     """Relative residual of the valuation ODE at each continuation spot.
 
     Evaluates (1/2) sigma^2 S^2 V'' + r*S*V' - (2r+q)*V with the
-    analytic value and derivatives, normalized by (2r+q)*V. The closed
-    form is a power law in the spot, so its spot-free terms (exponents,
-    sign, gap and boundary) are solved once per call, or read from the
-    last _evaluate when m and c.amort are its objects, and each spot costs
-    one log and one exp; V, Delta and Gamma are the closed form's,
-    _delta's and _gamma's floats. Each spot is checked as MarketParams
-    checks it, without building one, before those terms are first
-    needed. `premium_scale` multiplies the zeroth-order value only;
-    scaling it by 1.01 should surface a relative residual near 0.01, a
-    sanity check that the checker is live.
+    analytic value and derivatives, normalized by (2r+q)*V. The exponents
+    are solved once per call, or read from the last _evaluate when m and
+    c.amort are its objects, and each spot is one _kernel evaluation; V,
+    Delta and Gamma are the closed form's, _delta's and _gamma's floats.
+    Each spot is checked as MarketParams checks it, without building one,
+    before it is evaluated. `premium_scale` multiplies the zeroth-order
+    value only; scaling it by 1.01 should surface a relative residual near
+    0.01, a sanity check that the checker is live.
     """
     _require_finite("premium_scale", premium_scale)
     drift, discount = m.rate, 2.0 * m.rate + c.amort
     kind, strike = c.kind, c.strike
-    ex = _solved(m, c.amort)
-    shape = None
+    q, ex = c.amort, _solved(m, c.amort)
+    half_var = 0.5 * m.vol**2
     out = []
     for s in _require_iterable("spots", spots):
         _require_finite("spot", s)
         spot = float(s)
         if spot <= 0:
             raise ValidationError(f"spot must be > 0, got {spot}")
-        if shape is None:
-            shape = _shape(m, kind, strike, c.amort, ex)
-            _, sign, alpha, gap, _ = shape
-            slope, bend, half_var = sign * alpha, alpha * gap, 0.5 * m.vol**2
-        regime, premium, _ = _spot_terms(m, kind, strike, shape, spot)
+        _, sign, alpha, gap, _, regime, premium, _, _ = _kernel(m, kind, strike, q, ex, spot)
         if regime is not _CONTINUATION:
             raise RegionError(f"spot {s} is outside the continuation region")
         v = premium_scale * premium
-        dv = slope * premium / spot
-        d2v = bend * (premium / spot) / spot
+        dv = sign * alpha * premium / spot
+        d2v = alpha * gap * (premium / spot) / spot
         if not d2v < math.inf:
             raise _out_of_range(m, "Gamma")
         curvature = half_var * spot * spot * d2v
@@ -525,7 +518,7 @@ def validate_checks(
     fd_vega (central differences of price(...).premium at a bumped spot or
     vol against delta, gamma and vega; 1e-5). The residual reads the
     contract's solve, and price re-prices a bumped spot from the contract's
-    spot-free terms (pricing._evaluate), so the exponents are solved four
+    exponents (pricing._evaluate), so the exponents are solved four
     times in all: for the contract, the lattice's analytic price and the
     two vols. A bumped spot or vol is a MarketParams, checked as any other;
     a put whose boundary underflows to 0 raises ValidationError.

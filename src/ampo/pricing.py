@@ -113,7 +113,9 @@ class _ClosedForm(NamedTuple):
     With sign s = +1 for a call and -1 for a put and alpha the kind's own
     exponent (alpha_c or alpha_p), the continuation premium is the power
     law V = K/gap * exp(s*alpha*L), where gap = alpha - s and L = log_m is
-    the log-moneyness log(gap*S/(alpha K)); L = 0 on the boundary.
+    the log-moneyness log(gap*S/(alpha K)); L = 0 on the boundary. vega is
+    dV/dsigma = -s*(V*L)*alpha*gap/(sigma*alpha_bar), 0.0 once exercised,
+    and not checked here: it may be inf or nan where the premium is not.
     """
 
     alpha_bar: float
@@ -124,63 +126,54 @@ class _ClosedForm(NamedTuple):
     regime: Regime
     premium: float
     log_m: float
+    vega: float
 
 
-def _kind_sign(kind: OptionKind, alpha: float, gap: float) -> float:
-    """Sign s of the kind, after checking gap = alpha_c - 1 > 0 (call) or alpha_p > 0 (put)."""
-    if kind == _CALL:
-        sign, name, value = 1.0, "alpha_c - 1", gap
-    else:
-        sign, name, value = -1.0, "alpha_p", alpha
-    if not value > 0.0:
-        raise ValidationError(
-            f"{kind.value} closed form undefined: {name} = {value} <= 0 "
-            "(rate + amort is 0 or too small to resolve)"
-        )
-    return sign
+def _refuse_kind(kind: OptionKind, alpha: float, gap: float) -> None:
+    """Raise the error for a kind whose exponent fails its condition:
+    gap = alpha_c - 1 > 0 for a call, alpha_p > 0 for a put."""
+    name, value = ("alpha_c - 1", gap) if kind is _CALL else ("alpha_p", alpha)
+    raise ValidationError(
+        f"{kind.value} closed form undefined: {name} = {value} <= 0 "
+        "(rate + amort is 0 or too small to resolve)"
+    )
 
 
-def _shape(m: MarketParams, kind: OptionKind, strike: float, q: float, ex=None) -> tuple[float, ...]:
-    """The closed form's spot-free terms (alpha_bar, sign, alpha, gap, boundary) at rate q >= 0.
+def _kernel(m: MarketParams, kind: OptionKind, strike: float, q: float, ex, spot: float) -> tuple:
+    """The closed form of one kind at rate q >= 0 and `spot`, as the flat tuple
+    (alpha_bar, s, alpha, gap, boundary, regime, premium, L, vega) of _ClosedForm.
 
-    ex is _exponents(m, q) when the caller has it. Only m.rate and m.vol
-    are read, so one shape serves every spot of a market.
+    ex is _exponents(m, q); only m.rate and m.vol are read from m, so any
+    spot of a market can be evaluated. The power law is evaluated only in
+    the continuation region, where s*L <= 0 keeps it bounded by
+    K/(alpha - s); a power s*alpha*L that rounds above 0 next to the
+    boundary is taken as 0. Beyond the boundary the premium is the
+    intrinsic value.
     """
-    alpha_c, alpha_p, alpha_bar = _exponents(m, q) if ex is None else ex
-    if kind == _CALL:
+    alpha_c, alpha_p, alpha_bar = ex
+    call = kind is _CALL
+    if call:
         # alpha_c - 1 = 2(r+q)/sigma^2 / (radical + r/sigma^2 + 1/2) with the
         # radical alpha_bar; the plain difference cancels as alpha_c -> 1
         s2 = m.vol**2
-        alpha = alpha_c
+        sign, alpha = 1.0, alpha_c
         gap = 2.0 * (m.rate + q) / s2 / (alpha_bar + m.rate / s2 + 0.5)
     else:
-        alpha, gap = alpha_p, alpha_p + 1.0
-    sign = _kind_sign(kind, alpha, gap)
+        sign, alpha, gap = -1.0, alpha_p, alpha_p + 1.0
+    if not (gap > 0.0 if call else alpha > 0.0):
+        _refuse_kind(kind, alpha, gap)
     # where alpha*K overflows, the boundary itself need not
-    boundary = alpha * strike / gap if alpha * strike < _INF else alpha / gap * strike
-    return alpha_bar, sign, alpha, gap, boundary
-
-
-def _spot_terms(
-    m: MarketParams, kind: OptionKind, strike: float, shape: tuple[float, ...], spot: float
-) -> tuple[Regime, float, float]:
-    """(regime, premium, L) of the closed form with spot-free terms `shape` at `spot`.
-
-    The power law is evaluated only in the continuation region, where
-    s*L <= 0 keeps it bounded by K/(alpha - s); a power s*alpha*L that
-    rounds above 0 next to the boundary is taken as 0. Beyond the boundary
-    the premium is the intrinsic value. m names the market in an error.
-    """
-    _, sign, alpha, gap, boundary = shape
+    ak = alpha * strike
+    boundary = ak / gap if ak < _INF else alpha / gap * strike
     try:
-        log_m = math.log(gap * spot / (alpha * strike))
+        log_m = math.log(gap * spot / ak)
     except (ValueError, ZeroDivisionError):  # the quotient or alpha*K underflowed to 0
         log_m = _INF
     if not log_m < _INF:  # that, or gap*S overflowed and the quotient is inf or nan
         log_m = _split_log(spot, strike, gap, alpha)
-    exercised = spot > boundary if kind == _CALL else spot < boundary
-    if exercised:
-        return _EXERCISE_NOW, intrinsic_value(kind, spot, strike), log_m
+    if (spot > boundary) if call else (spot < boundary):
+        intrinsic = intrinsic_value(kind, spot, strike)
+        return alpha_bar, sign, alpha, gap, boundary, _EXERCISE_NOW, intrinsic, log_m, 0.0
     # s*L <= 0 here, so a positive power is the boundary's rounding (at
     # vol 1e-20 it can overflow exp): value matching gives K/gap there
     power = sign * alpha * log_m
@@ -188,7 +181,10 @@ def _spot_terms(
     # below K for a put and S for a call, unless K/gap overflowed
     if not premium < _INF:
         raise _out_of_range(m, "the premium")
-    return _CONTINUATION, premium, log_m
+    # d(ln V)/d(alpha) = s*L and d(alpha)/d(sigma) = -alpha*gap/(sigma*alpha_bar)
+    # (the exponent quadratic differentiated in sigma), so no term cancels
+    vega = -sign * (premium * log_m) * alpha * gap / (m.vol * alpha_bar)
+    return alpha_bar, sign, alpha, gap, boundary, _CONTINUATION, premium, log_m, vega
 
 
 def _split_log(spot: float, strike: float, gap: float, alpha: float) -> float:
@@ -202,14 +198,12 @@ def _split_log(spot: float, strike: float, gap: float, alpha: float) -> float:
     return math.log(spot) - math.log(strike) + log_ratio
 
 
-def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float, ex=None) -> _ClosedForm:
-    """_shape's spot-free terms and _spot_terms's regime, premium and L at m.spot.
-
-    ex is _exponents(m, q) when the caller has it (a straddle's two kinds).
-    """
-    shape = _shape(m, kind, strike, q, ex)
+def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float, ex=None):
+    """_kernel at m.spot as a _ClosedForm; ex is _exponents(m, q) when the caller has it."""
+    if ex is None:
+        ex = _exponents(m, q)
     # what _ClosedForm._make does, without its method call and length check
-    return _TUPLE_NEW(_ClosedForm, shape + _spot_terms(m, kind, strike, shape, m.spot))
+    return _TUPLE_NEW(_ClosedForm, _kernel(m, kind, strike, q, ex, m.spot))
 
 
 # (market, contract, contract.amort, exponents, closed form) of the last
@@ -224,8 +218,7 @@ def _evaluate(m: MarketParams, c: ContractParams) -> _ClosedForm:
     One entry: the last (m, c) evaluated. On the same objects it is read
     whole. On the same contract object and another market whose rate and
     vol match the entry's by type and then value, only the spot differs,
-    so the entry's spot-free terms (its first five fields) and exponents
-    are reused and _spot_terms alone runs at m.spot. Both inputs are
+    so the entry's exponents are reused and _kernel alone runs at m.spot. Both inputs are
     frozen and the entry holds them, so a match means the same inputs
     (mutating one through object.__setattr__ is unsupported); types come
     first, so == is asked only of types whose values passed every check.
@@ -244,8 +237,7 @@ def _evaluate(m: MarketParams, c: ContractParams) -> _ClosedForm:
             and rate == last_rate
             and vol == last_vol
         ):
-            shape = f[:5]
-            f = _TUPLE_NEW(_ClosedForm, shape + _spot_terms(m, c.kind, c.strike, shape, m.spot))
+            f = _TUPLE_NEW(_ClosedForm, _kernel(m, c.kind, c.strike, q, ex, m.spot))
             _last = (m, c, q, ex, f)
             return f
     kind, strike, q = c.kind, c.strike, c.amort

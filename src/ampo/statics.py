@@ -103,26 +103,34 @@ SMALL_Q_RTOL = 1e-6
 
 
 def _d_boundary_dq(f: _ClosedForm, m: MarketParams, strike: float) -> float:
+    """-s*K/(sigma^2 gap^2 alpha_bar); ValidationError where that is not a finite float."""
     try:
-        return -f.sign * strike / (m.vol**2 * f.gap**2 * f.alpha_bar)
+        dq = -f.sign * strike / (m.vol**2 * f.gap**2 * f.alpha_bar)
     except (OverflowError, ZeroDivisionError):
         raise _out_of_range(m, "a q-derivative") from None
+    if not abs(dq) < math.inf:
+        raise _out_of_range(m, "a q-derivative")
+    return dq
 
 
 def _d_premium_dq(f: _ClosedForm, m: MarketParams, c: ContractParams) -> float:
-    """dV/dq = s*V*L/(sigma^2 alpha_bar); RegionError once exercised.
+    """dV/dq = s*V*L/(sigma^2 alpha_bar); RegionError once exercised, and
+    ValidationError where dV/dq is not a finite float.
 
     Where the exponents were solved sigma^2 is a float and alpha_bar >= 1/2
     (>= 3/2 where sigma^2 is the smallest subnormal), so the product is not
-    0 and nothing but RegionError is raised here.
+    0; the quotient can still overflow.
     """
-    alpha_bar, sign, _, _, boundary, regime, premium, log_m = f
+    alpha_bar, sign, _, _, boundary, regime, premium, log_m, _ = f
     if regime is _EXERCISE_NOW:
         raise RegionError(
             f"spot {m.spot} beyond {c.kind.value} boundary {boundary}: "
             "q-derivatives are defined on the continuation region only"
         )
-    return sign * premium * log_m / (m.vol**2 * alpha_bar)
+    dq = sign * premium * log_m / (m.vol**2 * alpha_bar)
+    if not abs(dq) < math.inf:
+        raise _out_of_range(m, "a q-derivative")
+    return dq
 
 
 def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
@@ -136,7 +144,7 @@ def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
     """
     f = _evaluate(m, c)
     dv_dq = _d_premium_dq(f, m, c)
-    ab, _, a, gap, _, _, v, log_m = f
+    ab, _, a, gap, _, _, v, log_m, _ = f
     r, sig, q = m.rate, m.vol, c.amort
     try:
         s2ab = sig**2 * ab

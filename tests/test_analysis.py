@@ -400,7 +400,7 @@ def test_sweeps_solve_exponents_once_and_build_no_dated_records(market_a, monkey
     effective_notional_curve(market_a, 100.0, [0.1, 0.5])
     ratio_study(market_a, 100.0, [0.1, 0.5])
 
-    # positional Vega reads no _ClosedForm record: the kernel inlines it
+    # positional Vega reads no _ClosedForm record: it unpacks pricing._kernel's tuple
     def no_closed_form(*args):
         raise AssertionError("_closed_form was called by the positional-Vega kernel")
 
@@ -659,8 +659,8 @@ def test_a_raising_point_call_leaves_later_calls_equal_to_fresh_ones(market_a):
 
 @pytest.mark.parametrize("domain", ["box", "full"])
 def test_positional_vega_equals_the_optimize_q_scan_bit_for_bit(market_a, domain):
-    # the scan and the point path share _leg, so every scan value is the
-    # point's at its q, and a refined maximum is the point's at q_star
+    # the scan and the point path take each leg from pricing._kernel, so every
+    # scan value is the point's at its q, and a refined maximum is the point's at q_star
     rng = random.Random(27)
 
     def log_uniform(lo, hi):

@@ -285,6 +285,24 @@ def test_every_module_level_function_and_class_has_a_use():
     assert unused == []
 
 
+def test_every_imported_name_is_read_where_it_is_imported():
+    # an import a module never reads is a leftover of a deleted use
+    unread = []
+    for path in sorted(Path(ampo.cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unread += [f"{path.stem}.{name}" for name in bound if name not in read]
+    assert unread == []
+
+
 def test_sources_parse_as_the_oldest_python_pyproject_allows():
     # requires-python = ">=3.10": no syntax from a later version
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")

@@ -441,6 +441,43 @@ def test_one_contract_makes_one_exponent_solve(market_a, monkeypatch):
         assert solves == [0.1]
 
 
+def test_every_closed_form_is_one_kernel_call(market_a, monkeypatch):
+    # premium, boundary, L and Vega come from pricing._kernel, which each
+    # module calls through its own imported name
+    import ampo.analysis
+    import ampo.oracle
+    import ampo.pricing
+
+    calls = []
+    kernel = ampo.pricing._kernel
+
+    def counted(m, kind, strike, q, ex, spot):
+        calls.append((kind, spot))
+        return kernel(m, kind, strike, q, ex, spot)
+
+    for module in (ampo.pricing, ampo.analysis, ampo.oracle):
+        monkeypatch.setattr(module, "_kernel", counted)
+    for kind in OptionKind:
+        c = ContractParams(strike=100.0, amort=0.1, kind=kind)
+        m = dataclasses.replace(market_a)
+        calls.clear()
+        price(m, c)
+        compute_exponents(m, c.amort)
+        greeks_report(m, c)
+        statics_report(m, c)
+        assert calls == [(kind, m.spot)]
+        # N spots of the residual are N evaluations
+        calls.clear()
+        spots = [90.0, 100.0, 110.0] if kind is OptionKind.CALL else [110.0, 100.0, 120.0, 150.0]
+        pde_residual(m, c, spots)
+        assert calls == [(kind, s) for s in spots]
+    # the call, put and straddle at one new q: one leg of each kind
+    calls.clear()
+    for strategy in ampo.StrategyKind:
+        ampo.positional_vega(market_a, 100.0, ampo.StrategySpec(strategy, 100.0), 0.123)
+    assert calls == [(OptionKind.CALL, 100.0), (OptionKind.PUT, 100.0)]
+
+
 def test_memo_matches_fresh_evaluations_in_any_order():
     rng = random.Random(14)
     pairs = [sample_set(rng) for _ in range(6)]

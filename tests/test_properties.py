@@ -27,6 +27,7 @@ from ampo import (
     LatticeConfig,
     compute_exponents,
     d2_premium_dsigma_dq,
+    d_boundary_dq,
     d_premium_dq,
     dated_bs_call,
     delta,
@@ -154,7 +155,7 @@ def test_every_accepted_input_prices_or_is_refused_by_name(rate, vol, q, spot, s
     c = ContractParams(strike=strike, amort=q, kind=kind)
     calls = [
         lambda: price(m, c), lambda: delta(m, c), lambda: gamma(m, c),
-        lambda: d_premium_dq(m, c), lambda: limit_suite(m, c),
+        lambda: limit_suite(m, c),
         lambda: pde_residual(m, c, [spot]),
         lambda: lattice_price(to_equivalent_perpetual(c, m), m, _CFG),
         lambda: validate_checks(m, c, _CFG),
@@ -164,6 +165,8 @@ def test_every_accepted_input_prices_or_is_refused_by_name(rate, vol, q, spot, s
         lambda: vega(m, c), lambda: greeks_report(m, c).vega,
         lambda: d2_premium_dsigma_dq(m, c),
         lambda: theta_economic(m, c), lambda: greeks_report(m, c).theta_economic,
+        lambda: d_premium_dq(m, c), lambda: statics_report(m, c).d_premium_dq,
+        lambda: d_boundary_dq(m, c), lambda: statics_report(m, c).d_boundary_dq,
     ] + [
         lambda spec=StrategySpec(kind=k, budget=1.0): positional_vega(m, strike, spec, q)
         for k in StrategyKind
