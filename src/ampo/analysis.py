@@ -4,10 +4,12 @@ Three analyses: the effective maturity of an AmPO (the dated ATM call
 maturity with the same premium) and the notional surviving to it; Gamma
 and time-decay ratios against that effectively dated call; and
 budget-constrained positional Vega over the amortization rate, with an
-optimizer for the best q per strategy. Consecutive calls on one market,
-strike and q grid share their exponents, legs and maturities through
-one module-level entry (_sweep), and positional Vega calls at one point
-through another (_point).
+optimizer for the best q per strategy. Each study keeps the last grid
+it evaluated in its own module-level entry, so repeated calls on one
+market, strike and q grid solve nothing again: the maturities in
+_maturities (effective_notional_curve, ratio_study, effective_maturity),
+the exponents and legs of optimize_q's scan in _scan, and positional
+Vega's last point in _point.
 """
 
 from __future__ import annotations
@@ -135,8 +137,8 @@ def effective_maturity(m: MarketParams, strike: float, q: float) -> MaturityResu
 
     Solved by bracketing plus a safeguarded Newton (dC/dT = -theta) to
     1e-10 in premium; also returns the notional fraction e^{-qT}
-    surviving to T. The grid (q,) shares its solve like any other grid
-    (see _columns).
+    surviving to T. The grid (q,) is kept like any other grid (see
+    _maturity_points).
     """
     return effective_notional_curve(m, strike, (q,))[0]
 
@@ -168,23 +170,22 @@ def _solve_maturity(m: MarketParams, strike: float, q: float, target: float) -> 
     return MaturityResult(q=q, effective_maturity=t, effective_notional=math.exp(-q * t))
 
 
-# The last q grid evaluated on the last market, shared by the case
-# studies: (market, strike, grid, columns). The columns map "exponents"
-# to _exponents per q, "maturity" to the MaturityResult per q, and each
-# OptionKind to its (premium, Vega) leg per q; each is filled whole
-# by the first call that needs it. The sentinel matches no market.
-_sweep = (_NOTHING, None, (), {})
+# The last grid each study evaluated, as (market, strike, grid, held):
+# _maturities holds _maturity_points' (q, call closed form, MaturityResult)
+# per q, and _scan holds _positional_vega_curve's (exponents per q,
+# {kind: (premium, Vega) leg per q}). The sentinel matches no market.
+_maturities = _scan = (_NOTHING, None, (), None)
 
 
-def _columns(m: MarketParams, strike: float, qs: tuple) -> dict:
-    """The shared entry's columns when it holds (m, strike, qs), else a new empty dict.
+def _held(entry: tuple, m: MarketParams, strike: float, qs: tuple):
+    """What `entry` holds when it is for (m, strike, qs), else None.
 
     The market matches by identity (it is frozen and the entry holds it),
     the strike and each q by type and then value, so a hit reads what
     these same terms computed. Types come first: only types whose values
     passed every check are ever stored, so == is not asked of others.
     """
-    last_m, last_strike, last_qs, cols = _sweep
+    last_m, last_strike, last_qs, held = entry
     if (
         m is last_m
         and type(strike) is type(last_strike)
@@ -193,35 +194,22 @@ def _columns(m: MarketParams, strike: float, qs: tuple) -> dict:
         and strike == last_strike
         and qs == last_qs
     ):
-        return cols
-    return {}
-
-
-def _keep(m: MarketParams, strike: float, qs: tuple, cols: dict, new: dict) -> None:
-    """Store a successful call's new columns: into `cols` on a hit, as a new entry on a miss.
-
-    Called only once the call has succeeded, so one that raises stores
-    nothing. An entry always holds a column, so only a miss has an empty
-    `cols`. A column list is complete when stored and never changed, so a
-    thread that read `cols` sees each column whole or not at all. No lock
-    is needed: a call writes only into the dict it read or into an entry
-    of its own terms, so threads racing here lose sharing, never values.
-    """
-    global _sweep
-    if cols:
-        cols.update(new)
-    else:
-        _sweep = (m, strike, qs, new)
+        return held
+    return None
 
 
 def _maturity_points(m: MarketParams, strike: float, q_grid):
     """(q, AmPO call closed form, MaturityResult) per q of the grid, in its order.
 
-    Reads the shared exponents and maturities, and fills the ones it
-    solves into the entry after the last point is consumed. The grid is
-    copied into a tuple first; if iterating it raises, the points before
-    come first, as a lazy loop gives them, and nothing is shared.
+    A grid held in _maturities yields its stored points and solves
+    nothing. Otherwise each point is solved and the entry is replaced
+    once the last point is consumed, so a call that raises, or is not
+    consumed, stores nothing; racing threads lose sharing, never values.
+    The grid is copied into a tuple first; if iterating it raises, the
+    points before come first, as a lazy loop gives them, and nothing is
+    stored.
     """
+    global _maturities
     it = _require_iterable("q_grid", q_grid)
     qs, failed = [], None
     try:
@@ -229,31 +217,20 @@ def _maturity_points(m: MarketParams, strike: float, q_grid):
     except Exception as exc:
         failed = exc
     qs = tuple(qs)
-    cols = {} if failed is not None else _columns(m, strike, qs)
-    exs, mats = cols.get("exponents"), cols.get("maturity")
-    new = {}
-    if exs is None:
-        new["exponents"] = new_exs = []
-    if mats is None:
-        new["maturity"] = new_mats = []
-    for i, q in enumerate(qs):
-        if exs is None:
-            _check_terms(strike, q)
-            ex = _exponents(m, q)
-            new_exs.append(ex)
-        else:
-            ex = exs[i]
-        f = _closed_form(m, _CALL, strike, q, ex)
-        if mats is None:
-            res = _solve_maturity(m, strike, q, f.premium)
-            new_mats.append(res)
-        else:
-            res = mats[i]
-        yield q, f, res
+    points = None if failed is not None else _held(_maturities, m, strike, qs)
+    if points is not None:
+        yield from points
+        return
+    points = []
+    for q in qs:
+        _check_terms(strike, q)
+        f = _closed_form(m, _CALL, strike, q, _exponents(m, q))
+        point = q, f, _solve_maturity(m, strike, q, f.premium)
+        points.append(point)
+        yield point
     if failed is not None:
         raise failed
-    if new:
-        _keep(m, strike, qs, cols, new)
+    _maturities = (m, strike, qs, points)
 
 
 def effective_notional_curve(m: MarketParams, strike: float, q_grid) -> list[MaturityResult]:
@@ -265,10 +242,10 @@ def ratio_study(m: MarketParams, strike: float, q_grid) -> list[RatioPoint]:
 
     The dated peer is the call with the matching effective maturity;
     both sides are evaluated at the initial spot at time zero, the only
-    instant the two contracts are directly comparable. The maturities
-    and exponents are read from the shared entry where a call on the
-    same market, strike and grid (effective_notional_curve, say) solved
-    them.
+    instant the two contracts are directly comparable. Where the last
+    call on the same market, strike and grid (effective_notional_curve,
+    say) solved the points, they are read from _maturities: no exponent,
+    closed form or maturity is computed again.
     """
     out = []
     for q, f, res in _maturity_points(m, strike, q_grid):
@@ -307,7 +284,7 @@ def positional_vega(m: MarketParams, strike: float, s: StrategySpec, q: float) -
     result stays finite. Each leg is the premium and Vega of pricing._kernel,
     as on optimize_q's scan, so the value at a q is the scan's there, bit
     for bit. The last point is kept (_point): the market matches by identity
-    and the strike and q by type and then value, as in _columns, so the
+    and the strike and q by type and then value, as in _held, so the
     call, put and straddle at one q solve the exponents once and the
     straddle computes no leg. The entry is replaced whole on a miss, and a
     leg is added only once computed, so racing threads lose sharing, never
@@ -342,32 +319,35 @@ def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float,
     """positional_vega of the kinds' combined position at each q in qs.
 
     The exponents are solved once per q for all kinds, and each kind's
-    leg once per q for every strategy: both are read from the shared entry
-    (see _columns) and the ones computed are added to it once the call
+    leg once per q for every strategy: a grid held in _scan reads them
+    from there, and the legs computed are added to its dict once the call
     succeeds, so a put after a call on the same grid solves no exponent,
-    and a straddle after both computes nothing but the ratios. qs is
-    optimize_q's grid, so every q is at least the first, a checked q > 0:
-    the terms are checked at the first q, in _check_terms' order, and a
-    later q that overflowed to inf fails _exponents' own check. A point
-    that fails raises at once, before any later q is evaluated.
+    and a straddle after both computes nothing but the ratios. A new grid
+    replaces the entry once the call succeeds. qs is optimize_q's grid,
+    so every q is at least the first, a checked q > 0: the terms are
+    checked at the first q, in _check_terms' order, and a later q that
+    overflowed to inf fails _exponents' own check. A point that fails
+    raises at once, before any later q is evaluated.
     """
-    cols = _columns(m, strike, qs)
-    exs = cols.get("exponents")
-    # each kind's stored leg, or the new one this call fills: at q number
-    # i a new leg holds i entries, a stored one all of them
-    new = {kind: [] for kind in kinds if kind not in cols}
-    legs = [(kind, cols.get(kind) or new[kind]) for kind in kinds]
-    if exs is None:  # a new grid: no leg is stored either
-        new["exponents"] = new_exs = []
+    global _scan
+    held = _held(_scan, m, strike, qs)
+    if held is None:  # a new grid: no leg is stored either
         # every q of optimize_q's grid is at least its first, a checked q > 0,
         # so past the strike's check only _exponents' own can fail
         _check_terms(strike, qs[0])
+        exs, stored = [], {}
+    else:
+        exs, stored = held
+    # each kind's stored leg, or the new one this call fills: at q number
+    # i a new leg holds i entries, a stored one all of them
+    new = {kind: [] for kind in kinds if kind not in stored}
+    legs = [(kind, stored.get(kind) or new[kind]) for kind in kinds]
     spot = m.spot
     out = []
     for i, q in enumerate(qs):
-        if exs is None:
+        if held is None:
             ex = _exponents(m, q)
-            new_exs.append(ex)
+            exs.append(ex)
         elif new:
             ex = exs[i]
         prem = veg = 0.0
@@ -385,8 +365,10 @@ def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float,
             raise NoSolutionError(f"degenerate strategy: premium {prem} below 1e-12")
         scaled = budget * veg
         out.append(scaled / prem if math.isfinite(scaled) else budget * (veg / prem))
-    if new:
-        _keep(m, strike, qs, cols, new)
+    if held is None:
+        _scan = (m, strike, qs, (exs, new))
+    else:
+        stored.update(new)
     return out
 
 
@@ -424,7 +406,7 @@ def optimize_q(
     refinement to 1e-6 in q runs only when the scan shows a single
     interior peak. The scan is one pass of _positional_vega_curve, sharing
     its exponents and legs with the other strategies' scans of the same
-    grid (_sweep), and each golden step is a positional_vega call, which
+    grid (_scan), and each golden step is a positional_vega call, which
     keeps only its one-point entry (_point), so a refinement never evicts
     the scan the next strategy reuses. Both take each leg from
     pricing._kernel, so every value is positional_vega's at its q. An edge argmax is flagged

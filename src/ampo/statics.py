@@ -26,6 +26,20 @@ g = -(dV/dq)(3r + 2q + sigma^2/2)/(sigma * sigma^2 alpha_bar * alpha_bar),
 which equals f3*f4 + explicit exactly: with f4 = -(2r^2 + sigma^2 (3r + 2q))
 /(sigma^5 alpha_bar), 2r^2 + sigma^2 (3r + 2q) - 2 sigma^4 alpha_bar^2 =
 -sigma^2 (3r + 2q + sigma^2/2).
+
+Where the sign of the mixed partial holds: with L the log-moneyness,
+u = -s*L >= 0 how far the spot sits inside the continuation region, and
+c = (3r + 2q + sigma^2/2)/(sigma^2 alpha_bar) > 0, the sum is
+
+    d2V/(dsigma dq) = -V/(sigma^3 alpha_bar^2) * B(u),  B(u) = alpha*gap*u^2 - c*u + 1.
+
+If c^2 <= 4 alpha*gap, B has no two distinct roots and d2V/(dsigma dq)
+<= 0 at every spot (so on every conftest-box draw tried). Otherwise it is
+> 0 exactly for u strictly between the roots
+(c -+ sqrt(c^2 - 4 alpha*gap))/(2 alpha*gap), and <= 0 elsewhere: over
+the full domain it is positive on about 22% of continuation draws. The
+factor signs cannot settle this, since f1*f2 < 0 and f3*f4 <= 0 but
+explicit >= 0.
 """
 
 from __future__ import annotations
@@ -133,14 +147,15 @@ def _d_premium_dq(f: _ClosedForm, m: MarketParams, c: ContractParams) -> float:
     return dq
 
 
-def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
-    """dV/dq, dS_bar/dq and d2V/(dsigma dq) from one closed-form evaluation.
+def _mixed_partial(m: MarketParams, c: ContractParams) -> tuple:
+    """(closed form, dV/dq, d2V/(dsigma dq), MixedPartialFactors) from one evaluation.
 
     With s = +1 (call) / -1 (put), alpha the kind's own exponent and L the
     log-moneyness of pricing._ClosedForm: dV/dq = s*V*L/(sigma^2 alpha_bar),
     f3 = -(dV/dq)/alpha_bar and explicit = -(2/sigma) dV/dq. The mixed
     partial is f1*f2 + g (see the module notes); ValidationError where it
-    is not a finite float.
+    is not a finite float. The boundary's derivative is not needed, so
+    its overflow refuses only the calls that return it.
     """
     f = _evaluate(m, c)
     dv_dq = _d_premium_dq(f, m, c)
@@ -161,12 +176,17 @@ def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
     mixed = f1 * f2 + g
     if not abs(mixed) < math.inf:
         raise _out_of_range(m, "a q-derivative")
-    return StaticsReport(
-        dv_dq,
-        _d_boundary_dq(f, m, c.strike),
-        mixed,
-        MixedPartialFactors(f1, f2, f3, f4, explicit),
-    )
+    return f, dv_dq, mixed, MixedPartialFactors(f1, f2, f3, f4, explicit)
+
+
+def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
+    """dV/dq, dS_bar/dq and d2V/(dsigma dq) from one closed-form evaluation.
+
+    dV/dq and the mixed partial are computed and checked first (see
+    _mixed_partial), then dS_bar/dq.
+    """
+    f, dv_dq, mixed, factors = _mixed_partial(m, c)
+    return StaticsReport(dv_dq, _d_boundary_dq(f, m, c.strike), mixed, factors)
 
 
 def d_premium_dq(m: MarketParams, c: ContractParams) -> float:
@@ -186,11 +206,11 @@ def d_boundary_dq(m: MarketParams, c: ContractParams) -> float:
 
 def mixed_partial_factors(m: MarketParams, c: ContractParams) -> MixedPartialFactors:
     """Chain-rule factors of d2V/(dsigma dq) for the given contract."""
-    return statics_report(m, c).intermediates
+    return _mixed_partial(m, c)[3]
 
 
 def d2_premium_dsigma_dq(m: MarketParams, c: ContractParams) -> float:
-    return statics_report(m, c).d2_premium_dsigma_dq
+    return _mixed_partial(m, c)[2]
 
 
 def limit_suite(m: MarketParams, c: ContractParams) -> LimitReport:

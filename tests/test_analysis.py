@@ -10,6 +10,7 @@ import threading
 import pytest
 
 import ampo.analysis
+import ampo.pricing
 from ampo import (
     ContractParams,
     MarketParams,
@@ -438,7 +439,7 @@ def test_dated_bs_call_still_checks_its_terms(market_a, strike, maturity):
         dated_bs_call(market_a, strike, maturity)
 
 
-# ---------------------------------------------------------------- shared q-grid entry
+# ---------------------------------------------------------------- q-grid entries
 
 
 def _outcome(fn, *args) -> list:
@@ -457,10 +458,10 @@ def _outcome(fn, *args) -> list:
         return [(type(exc).__name__, str(exc))]
 
 
-def _entry():
-    """The shared entry and the column lists it holds, as they are now."""
-    entry = ampo.analysis._sweep
-    return entry, dict(entry[-1])
+def _entries():
+    """The maturity and scan entries, and the legs the scan entry holds, as they are now."""
+    scan = ampo.analysis._scan
+    return ampo.analysis._maturities, scan, dict(scan[-1][1] if scan[-1] else {})
 
 
 # each family's calls share one grid: a single q, a q grid, or a q range
@@ -514,12 +515,14 @@ def test_interleaved_case_studies_match_fresh_evaluations(monkeypatch):
             grid = gs[0] if rng.random() < 0.7 else rng.choice(gs)
             calls.append((family, rng.choice(sorted(_STUDY_FAMILIES[family])), i, k, grid, rng.random() < 0.15))
     solves = []
-    exponents = ampo.analysis._exponents
+    exponents = ampo.pricing._exponents
 
     def counted(m, q):
         solves.append(q)
         return exponents(m, q)
 
+    # both names, so a solve made inside pricing._closed_form counts too
+    monkeypatch.setattr(ampo.pricing, "_exponents", counted)
     monkeypatch.setattr(ampo.analysis, "_exponents", counted)
     want, fresh_solves = {}, 0
     for family, name, i, k, grid, _ in calls:
@@ -588,16 +591,17 @@ def test_threads_alternating_markets_each_read_their_own():
 
 
 def test_a_call_stores_into_the_entry_it_read(market_a):
-    # a call interleaved with another (from another thread, say) adds its
-    # columns to the entry it read, never to one installed since
+    # a call interleaved with another (from another thread, say) installs
+    # only its own terms' entry, so neither reads the other's points
     other = MarketParams(spot=100.0, rate=0.03, vol=0.4)
     call = StrategySpec(StrategyKind.CALL_ONLY, 100.0)
-    # the scan leaves market A's grid with exponents and no maturities
+    # the scan's grid: _scan holds it, _maturities does not
     qs = [q for q, _ in optimize_q(market_a, 100.0, call, (0.1, 0.3)).curve]
     points = ampo.analysis._maturity_points(market_a, 100.0, qs)
     next(points)  # market A's maturities are being solved, not yet stored
     effective_maturity(other, 100.0, qs[0])
     assert len(list(points)) == len(qs) - 1
+    assert ampo.analysis._maturities[0] is market_a
     got = _outcome(effective_maturity, other, 100.0, qs[0])
     assert got == _outcome(effective_maturity, dataclasses.replace(other), 100.0, qs[0])
 
@@ -608,20 +612,25 @@ def test_a_raising_call_leaves_the_entry_as_it_was(market_a):
     optimize_q(market_a, 1e-6, call, (0.001, 1.0))
 
     def raises(error, fn, *args):
-        before, columns = _entry()
+        maturities, scan, legs = _entries()
         with pytest.raises(error):
             fn(*args)
-        after, after_columns = _entry()
-        assert after is before
-        assert after_columns.keys() == columns.keys()
-        assert all(after_columns[key] is columns[key] for key in columns)
+        after_maturities, after_scan, after_legs = _entries()
+        assert after_maturities is maturities and after_scan is scan
+        assert after_legs.keys() == legs.keys()
+        assert all(after_legs[kind] is legs[kind] for kind in legs)
 
-    # a hit whose new leg raises stores no leg
+    # a scan hit whose new leg raises adds no leg
     raises(NoSolutionError, optimize_q, market_a, 1e-6, put, (0.001, 1.0))
-    # and one whose new maturities raise stores none: at strike 1e-12 the
-    # exercised call's premium meets the dated call's supremum
+    # a miss on the scan's grid whose maturities raise installs none: at
+    # strike 1e-12 the exercised call's premium meets the dated call's supremum
     qs = [q for q, _ in optimize_q(market_a, 1e-12, call, (0.001, 1.0)).curve]
     raises(NoSolutionError, effective_notional_curve, market_a, 1e-12, qs)
+    # a maturity hit whose ratios raise changes nothing: at vol 1e-4 the
+    # dated call's Gamma underflows
+    small_vol = MarketParams(spot=100.0, rate=0.05, vol=1e-4)
+    effective_notional_curve(small_vol, 100.0, [0.05, 1.0])
+    raises(NoSolutionError, ratio_study, small_vol, 100.0, [0.05, 1.0])
     # a miss that raises at a later q installs no entry
     raises(ValidationError, ratio_study, market_a, 100.0, [0.1, -0.1])
     raises(ValidationError, effective_maturity, market_a, 100.0, -0.3)

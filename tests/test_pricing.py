@@ -476,6 +476,25 @@ def test_every_closed_form_is_one_kernel_call(market_a, monkeypatch):
     for strategy in ampo.StrategyKind:
         ampo.positional_vega(market_a, 100.0, ampo.StrategySpec(strategy, 100.0), 0.123)
     assert calls == [(OptionKind.CALL, 100.0), (OptionKind.PUT, 100.0)]
+    # the ratio study on the grid the curve just evaluated reads its points:
+    # no closed form and no exponent solve
+    solves = []
+    exponents = ampo.pricing._exponents
+
+    def solved(m, q):
+        solves.append(q)
+        return exponents(m, q)
+
+    for module in (ampo.pricing, ampo.analysis):
+        monkeypatch.setattr(module, "_exponents", solved)
+    m, grid = dataclasses.replace(market_a), [0.1, 0.2, 0.3]
+    calls.clear()
+    ampo.effective_notional_curve(m, 100.0, grid)
+    assert calls == [(OptionKind.CALL, 100.0)] * len(grid) and solves == grid
+    calls.clear()
+    solves.clear()
+    ampo.ratio_study(m, 100.0, grid)
+    assert calls == [] and solves == []
 
 
 def test_memo_matches_fresh_evaluations_in_any_order():

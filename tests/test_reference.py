@@ -9,6 +9,7 @@ premium in sigma and in (sigma, q), so they check the float forms'
 derivation as well as their rounding.
 """
 
+import dataclasses
 import math
 import random
 import sys
@@ -19,8 +20,11 @@ from ampo import (
     ContractParams,
     MarketParams,
     OptionKind,
+    ValidationError,
+    d2_premium_dsigma_dq,
     d_premium_dq,
     greeks_report,
+    mixed_partial_factors,
     price,
     statics_report,
 )
@@ -148,3 +152,20 @@ def test_a_put_with_subnormal_alpha_matches_mpmath():
             # delta, gamma and vega are subnormal: compare them to their last bit
             tol = WORST[name] if _normal(want[name]) else 5e-324 / abs(want[name])
             assert float(abs((value - want[name]) / want[name])) <= tol, (name, value)
+
+
+def test_mixed_partial_where_the_boundary_derivative_overflows_matches_mpmath():
+    # dS_bar/dq is -2.3e378, so statics_report refuses, but the mixed partial
+    # (3.9e186) is a float and its own two views return it. 200 digits,
+    # because gap = alpha_c - 1 is about 1.9e-124 and the radical form cancels
+    mpmath = pytest.importorskip("mpmath")
+    m = MarketParams(spot=7.81e154, rate=5.77e-144, vol=2.45e-10)
+    c = ContractParams(strike=2.57e111, amort=2.54e-187, kind=OptionKind.CALL)
+    with pytest.raises(ValidationError, match="a q-derivative"):
+        statics_report(m, c)
+    want = _reference(mpmath, m, c, dps=200)["d2_premium_dsigma_dq"]
+    got = d2_premium_dsigma_dq(m, c)
+    with mpmath.workdps(200):
+        assert float(abs((got - want) / want)) <= WORST["d2_premium_dsigma_dq"], got
+    f = mixed_partial_factors(m, c)
+    assert all(map(math.isfinite, dataclasses.astuple(f))), f

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 
@@ -120,6 +121,51 @@ def test_sign_suite():
         else:
             assert d_boundary_dq(m, c) >= 0.0
         assert d2_premium_dsigma_dq(m, c) <= 1e-12
+
+
+def test_mixed_partial_sign_follows_the_criterion_over_full_domain():
+    # d2V/(dsigma dq) = -V/(sigma^3 alpha_bar^2) * B(u), B(u) = alpha*gap*u^2 - c*u + 1,
+    # with u = -s*L and c = (3r + 2q + sigma^2/2)/(sigma^2 alpha_bar) (module
+    # notes): it is > 0 exactly where c^2 > 4*alpha*gap and u lies strictly
+    # between the roots of B. Results below the normal range carry no sign.
+    rng = random.Random(9)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    counts = {"positive": 0, "no root": 0, "outside the roots": 0}
+    for _ in range(40000):
+        rate = 0.0 if rng.random() < 0.1 else log_uniform(1e-6, 2.0)
+        vol, q = log_uniform(1e-4, 5.0), log_uniform(1e-8, 1e5)
+        spot, strike = log_uniform(1e-3, 1e5), log_uniform(1e-2, 1e4)
+        m, c = MarketParams(spot, rate, vol), ContractParams(strike, q, rng.choice(list(OptionKind)))
+        try:
+            got = d2_premium_dsigma_dq(m, c)
+        except RegionError:
+            continue
+        if abs(got) < sys.float_info.min:
+            continue
+        ex = compute_exponents(m, q)
+        # alpha_p + 1, and alpha_c - 1 from (alpha_c - 1)(alpha_p + 1) = 2(r + q)/sigma^2,
+        # so neither cancels
+        up = ex.alpha_bar + rate / vol**2 + 0.5
+        if c.kind is OptionKind.CALL:
+            s, alpha, gap = 1.0, ex.alpha_c, 2.0 * (rate + q) / vol**2 / up
+        else:
+            s, alpha, gap = -1.0, ex.alpha_p, up
+        u = -s * math.log(gap * spot / (alpha * strike))
+        b = (3.0 * rate + 2.0 * q + 0.5 * vol**2) / (vol**2 * ex.alpha_bar)  # the notes' c
+        disc = b * b - 4.0 * alpha * gap
+        if disc <= 0.0:
+            positive, case = False, "no root"
+        else:
+            root = math.sqrt(disc)
+            # the smaller root as 1/(alpha*gap) over the larger, without cancelling
+            positive = 2.0 / (b + root) < u < (b + root) / (2.0 * alpha * gap)
+            case = "positive" if positive else "outside the roots"
+        assert (got > 0.0) == positive, (m, c, got)
+        counts[case] += 1
+    assert min(counts.values()) > 100, counts
 
 
 def test_proof_factor_signs():
