@@ -9,7 +9,10 @@ it evaluated in its own module-level entry, so repeated calls on one
 market, strike and q grid solve nothing again: the maturities in
 _maturities (effective_notional_curve, ratio_study, effective_maturity),
 the exponents and legs of optimize_q's scan in _scan, and positional
-Vega's last point in _point.
+Vega's last point in _point. Each entry matches its inputs by identity,
+as pricing._evaluate's does: the market, the strike, and the grid's q's
+(_maturities), the q_range's ends and grid size (_scan) or the q
+(_point). Equal values in distinct objects miss and are evaluated afresh.
 """
 
 from __future__ import annotations
@@ -170,29 +173,23 @@ def _solve_maturity(m: MarketParams, strike: float, q: float, target: float) -> 
     return MaturityResult(q=q, effective_maturity=t, effective_notional=math.exp(-q * t))
 
 
-# The last grid each study evaluated, as (market, strike, grid, held):
-# _maturities holds _maturity_points' (q, call closed form, MaturityResult)
-# per q, and _scan holds _positional_vega_curve's (exponents per q,
-# {kind: (premium, Vega) leg per q}). The sentinel matches no market.
+# The last grid each study evaluated, as (market, strike, key, held):
+# _maturities is keyed by the grid's q's and holds _maturity_points'
+# (q, call closed form, MaturityResult) per q; _scan is keyed by
+# optimize_q's (lo, hi, n) and holds _positional_vega_curve's (grid,
+# exponents per q, {kind: (premium, Vega) leg per q}). The sentinel
+# matches no market.
 _maturities = _scan = (_NOTHING, None, (), None)
 
 
-def _held(entry: tuple, m: MarketParams, strike: float, qs: tuple):
-    """What `entry` holds when it is for (m, strike, qs), else None.
-
-    The market matches by identity (it is frozen and the entry holds it),
-    the strike and each q by type and then value, so a hit reads what
-    these same terms computed. Types come first: only types whose values
-    passed every check are ever stored, so == is not asked of others.
-    """
-    last_m, last_strike, last_qs, held = entry
+def _held(entry: tuple, m: MarketParams, strike: float, key: tuple):
+    """What `entry` holds when m, strike and each element of key are its objects, else None."""
+    last_m, last_strike, last_key, held = entry
     if (
         m is last_m
-        and type(strike) is type(last_strike)
-        and len(qs) == len(last_qs)
-        and all(map(operator.is_, map(type, qs), map(type, last_qs)))
-        and strike == last_strike
-        and qs == last_qs
+        and strike is last_strike
+        and len(key) == len(last_key)
+        and all(map(operator.is_, key, last_key))
     ):
         return held
     return None
@@ -205,9 +202,9 @@ def _maturity_points(m: MarketParams, strike: float, q_grid):
     nothing. Otherwise each point is solved and the entry is replaced
     once the last point is consumed, so a call that raises, or is not
     consumed, stores nothing; racing threads lose sharing, never values.
-    The grid is copied into a tuple first; if iterating it raises, the
-    points before come first, as a lazy loop gives them, and nothing is
-    stored.
+    The grid is copied into a tuple first, so a list changed in place
+    misses; if iterating it raises, the points before come first, as a
+    lazy loop gives them, and nothing is stored.
     """
     global _maturities
     it = _require_iterable("q_grid", q_grid)
@@ -283,19 +280,16 @@ def positional_vega(m: MarketParams, strike: float, s: StrategySpec, q: float) -
     overflows the ratio is taken as budget * (vega / premium), so a finite
     result stays finite. Each leg is the premium and Vega of pricing._kernel,
     as on optimize_q's scan, so the value at a q is the scan's there, bit
-    for bit. The last point is kept (_point): the market matches by identity
-    and the strike and q by type and then value, as in _held, so the
-    call, put and straddle at one q solve the exponents once and the
-    straddle computes no leg. The entry is replaced whole on a miss, and a
+    for bit. The last point is kept (_point), so the call, put and
+    straddle at one q solve the exponents once and the straddle computes
+    no leg. The entry is replaced whole on a miss, and a
     leg is added only once computed, so racing threads lose sharing, never
     values.
     """
     global _point
     kinds, budget = _STRATEGY_KINDS[s.kind], s.budget
     last_m, last_strike, last_q, ex, legs = _point
-    # types first: == is asked only of types whose values passed every check
-    if not (m is last_m and type(strike) is type(last_strike) and type(q) is type(last_q)
-            and strike == last_strike and q == last_q):
+    if not (m is last_m and strike is last_strike and q is last_q):
         _check_terms(strike, q)
         ex, legs = _exponents(m, q), {}
         _point = (m, strike, q, ex, legs)
@@ -315,29 +309,32 @@ def positional_vega(m: MarketParams, strike: float, s: StrategySpec, q: float) -
     return scaled / prem if math.isfinite(scaled) else budget * (veg / prem)
 
 
-def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float, qs: tuple):
-    """positional_vega of the kinds' combined position at each q in qs.
+def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float,
+                           lo: float, hi: float, n: int):
+    """optimize_q's grid of n points from lo to hi, and positional_vega of
+    the kinds' combined position at each of its q's.
 
     The exponents are solved once per q for all kinds, and each kind's
     leg once per q for every strategy: a grid held in _scan reads them
     from there, and the legs computed are added to its dict once the call
     succeeds, so a put after a call on the same grid solves no exponent,
     and a straddle after both computes nothing but the ratios. A new grid
-    replaces the entry once the call succeeds. qs is optimize_q's grid,
-    so every q is at least the first, a checked q > 0: the terms are
+    replaces the entry once the call succeeds. The grid is keyed by
+    (lo, hi, n) rather than by its q's, which each call builds afresh.
+    Every q is at least the first, a checked q > 0: the terms are
     checked at the first q, in _check_terms' order, and a later q that
     overflowed to inf fails _exponents' own check. A point that fails
     raises at once, before any later q is evaluated.
     """
     global _scan
-    held = _held(_scan, m, strike, qs)
+    key = lo, hi, n
+    held = _held(_scan, m, strike, key)
     if held is None:  # a new grid: no leg is stored either
-        # every q of optimize_q's grid is at least its first, a checked q > 0,
-        # so past the strike's check only _exponents' own can fail
+        qs = tuple([lo + (hi - lo) * i / (n - 1) for i in range(n)])
         _check_terms(strike, qs[0])
         exs, stored = [], {}
     else:
-        exs, stored = held
+        qs, exs, stored = held
     # each kind's stored leg, or the new one this call fills: at q number
     # i a new leg holds i entries, a stored one all of them
     new = {kind: [] for kind in kinds if kind not in stored}
@@ -366,10 +363,10 @@ def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float,
         scaled = budget * veg
         out.append(scaled / prem if math.isfinite(scaled) else budget * (veg / prem))
     if held is None:
-        _scan = (m, strike, qs, (exs, new))
+        _scan = (m, strike, key, (qs, exs, new))
     else:
         stored.update(new)
-    return out
+    return qs, out
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -426,9 +423,8 @@ def optimize_q(
         n = max(operator.index(grid_points), 200)
     except TypeError:
         raise ValidationError(f"grid_points must be an integer, got {grid_points!r}") from None
-    qs = tuple([lo + (hi - lo) * i / (n - 1) for i in range(n)])
     f = lambda q: positional_vega(m, strike, s, q)
-    vs = _positional_vega_curve(m, strike, _STRATEGY_KINDS[s.kind], s.budget, qs)
+    qs, vs = _positional_vega_curve(m, strike, _STRATEGY_KINDS[s.kind], s.budget, lo, hi, n)
     imax = max(range(n), key=vs.__getitem__)
     edge = imax in (0, n - 1)
     peaks = 0 if edge else sum(

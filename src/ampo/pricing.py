@@ -215,31 +215,25 @@ _last = (_NOTHING, _NOTHING, _NOTHING, None, None)
 def _evaluate(m: MarketParams, c: ContractParams) -> _ClosedForm:
     """_closed_form of the contract, shared by consecutive calls on the same objects.
 
-    One entry: the last (m, c) evaluated. On the same objects it is read
-    whole. On the same contract object and another market whose rate and
-    vol match the entry's by type and then value, only the spot differs,
-    so the entry's exponents are reused and _kernel alone runs at m.spot. Both inputs are
-    frozen and the entry holds them, so a match means the same inputs
-    (mutating one through object.__setattr__ is unsupported); types come
-    first, so == is asked only of types whose values passed every check.
-    The entry is read once and replaced whole, so a thread never mixes two
-    entries, and an evaluation that raises leaves it as it was.
+    One entry: the last (m, c) evaluated. Every memo entry of the package
+    matches its inputs by identity and nothing else: both inputs are frozen
+    and the entry holds them, so the same objects mean the same values
+    (mutating one through object.__setattr__ is unsupported), while equal
+    values in distinct objects miss and are evaluated afresh. On the same
+    objects the entry is read whole. On the same contract object and a
+    market holding the entry's rate and vol objects, such as
+    replace(m, spot=s), only the spot differs, so the entry's exponents are
+    reused and _kernel alone runs at m.spot. The entry is read once and
+    replaced whole, so a thread never mixes two entries, and an evaluation
+    that raises leaves it as it was.
     """
     global _last
     last_m, last_c, q, ex, f = _last
-    if c is last_c:
-        if m is last_m:
-            return f
-        rate, vol, last_rate, last_vol = m.rate, m.vol, last_m.rate, last_m.vol
-        if (
-            type(rate) is type(last_rate)
-            and type(vol) is type(last_vol)
-            and rate == last_rate
-            and vol == last_vol
-        ):
+    if c is last_c and (m is last_m or m.rate is last_m.rate and m.vol is last_m.vol):
+        if m is not last_m:
             f = _TUPLE_NEW(_ClosedForm, _kernel(m, c.kind, c.strike, q, ex, m.spot))
             _last = (m, c, q, ex, f)
-            return f
+        return f
     kind, strike, q = c.kind, c.strike, c.amort
     ex = _exponents(m, q)
     f = _closed_form(m, kind, strike, q, ex)

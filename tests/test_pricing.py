@@ -497,6 +497,51 @@ def test_every_closed_form_is_one_kernel_call(market_a, monkeypatch):
     assert calls == [] and solves == []
 
 
+def test_market_a_benchmark_calls_make_pinned_solve_and_kernel_counts(market_a, monkeypatch):
+    # the studies and validate workloads' calls on market A, with their own
+    # literal grids and q range: each step's (_exponents, _kernel) counts
+    # show every memo hit they rely on, so a matching rule that drops one fails
+    import ampo.analysis
+    import ampo.oracle
+    import ampo.pricing
+
+    counts = [0, 0]
+    exponents, kernel = ampo.pricing._exponents, ampo.pricing._kernel
+
+    def solved(m, q):
+        counts[0] += 1
+        return exponents(m, q)
+
+    def evaluated(*args):
+        counts[1] += 1
+        return kernel(*args)
+
+    for module in (ampo.pricing, ampo.analysis):
+        monkeypatch.setattr(module, "_exponents", solved)
+    for module in (ampo.pricing, ampo.analysis, ampo.oracle):
+        monkeypatch.setattr(module, "_kernel", evaluated)
+    m = dataclasses.replace(market_a)
+    qs20 = [0.05 + 0.95 * i / 19 for i in range(20)]
+    qs100 = [0.01 + 0.99 * i / 99 for i in range(100)]
+    specs = [ampo.StrategySpec(kind, 100.0) for kind in ampo.StrategyKind]
+    cfg = ampo.LatticeConfig(horizon=200.0, steps=4000, convergence=5e-3)
+    steps = {
+        "curve and ratios": lambda: (ampo.effective_notional_curve(m, 100.0, qs20),
+                                     ampo.ratio_study(m, 100.0, qs20)),
+        "positional Vega grid": lambda: [[ampo.positional_vega(m, 100.0, s, q) for s in specs] for q in qs100],
+        "optimize_q": lambda: [ampo.optimize_q(m, 100.0, s, (0.001, 1.0)) for s in specs],
+        **{f"validate {kind.value}": (lambda kind: lambda: ampo.validate_checks(
+            m, ContractParams(strike=100.0, amort=0.1, kind=kind), cfg))(kind) for kind in OptionKind},
+    }
+    got = {}
+    for name, step in steps.items():
+        counts[:] = 0, 0
+        step()
+        got[name] = tuple(counts)
+    assert got == {"curve and ratios": (20, 20), "positional Vega grid": (100, 200), "optimize_q": (224, 425),
+                   "validate call": (4, 21), "validate put": (4, 21)}
+
+
 def test_memo_matches_fresh_evaluations_in_any_order():
     rng = random.Random(14)
     pairs = [sample_set(rng) for _ in range(6)]
@@ -607,20 +652,26 @@ def test_a_spot_ladder_across_the_boundary_matches_fresh_evaluations(market_a, k
     assert {view[0][2] for view in got} == {"Regime.CONTINUATION", "Regime.EXERCISE_NOW"}
 
 
-def test_rate_and_vol_match_by_type_and_then_value(monkeypatch):
-    # -0.0 equals 0.0 (a hit); an int rate 0 is another type (a miss)
+def test_rate_and_vol_match_by_identity(monkeypatch):
+    # replace(m, spot=s) holds m's rate and vol objects (a hit); -0.0, an int 0
+    # and an equal float made at run time are other objects (each a miss)
     import ampo.pricing
 
     m = MarketParams(spot=100.0, rate=0.0, vol=0.5)
     c = ContractParams(strike=100.0, amort=0.1, kind=OptionKind.CALL)
-    markets = [MarketParams(spot=s, rate=r, vol=0.5) for s, r in ((95.0, -0.0), (105.0, 0.0), (90.0, 0))]
+    equal_rate, equal_vol = float(repr(m.rate)), float(repr(m.vol))
+    assert equal_rate is not m.rate and equal_vol is not m.vol
+    misses = [MarketParams(spot=s, rate=r, vol=v) for s, r, v in (
+        (105.0, -0.0, m.vol), (110.0, 0, m.vol), (90.0, equal_rate, m.vol), (85.0, m.rate, equal_vol)
+    )]
+    markets = [dataclasses.replace(m, spot=95.0), *misses]
     fresh = [_views(*_copy(other, c)) for other in markets]
     solves = []
     exponents = ampo.pricing._exponents
-    monkeypatch.setattr(ampo.pricing, "_exponents", lambda m, q: solves.append(m.rate) or exponents(m, q))
+    monkeypatch.setattr(ampo.pricing, "_exponents", lambda m, q: solves.append(m) or exponents(m, q))
     price(m, c)
     assert [_views(other, c) for other in markets] == fresh
-    assert [repr(rate) for rate in solves] == ["0.0", "0"]
+    assert list(map(id, solves)) == list(map(id, [m, *misses]))
 
 
 def test_another_contract_or_vol_is_a_miss(market_a, call_a, put_a):
@@ -639,11 +690,13 @@ def test_a_ladder_spot_whose_power_rounds_above_zero_prices_k_over_gap():
     # spot next to the boundary would make exp(alpha*L) overflow K/gap; the
     # power is clamped to 0 in the continuation region, so the ladder spot
     # prices K/gap, as value matching gives, on the reused spot-free terms
-    # as on a fresh evaluation; the first market is exercised and prices
+    # (the first ladder market) as on a fresh evaluation (the second, whose
+    # rate is another object); the first market is exercised and prices
     vol, strike, q = 8.461471497192527e-19, 1.471031736065205e238, 1.0579474304328549
     m = MarketParams(spot=1e300, rate=0.0, vol=vol)
     c = ContractParams(strike=strike, amort=q, kind=OptionKind.CALL)
-    ladder = [MarketParams(spot=1.4710317360652053e238, rate=r, vol=vol) for r in (-0.0, 0.0)]
+    ladder = [dataclasses.replace(m, spot=1.4710317360652053e238),
+              MarketParams(spot=1.4710317360652053e238, rate=-0.0, vol=vol)]
     got, fresh = _after_price(m, c, ladder)
     assert got == fresh
     f = ampo.pricing._evaluate(*_copy(ladder[1], c))
