@@ -95,7 +95,7 @@ class OptimizationResult:
     multimodal: bool
 
 
-_PREMIUM_TOL = 1e-10
+_SUPREMUM_RTOL = 1e-12
 _MAX_EVALS = 100
 
 
@@ -139,16 +139,22 @@ def effective_maturity(m: MarketParams, strike: float, q: float) -> MaturityResu
     """Maturity T at which the dated call premium equals the AmPO call premium.
 
     Solved by bracketing plus a safeguarded Newton (dC/dT = -theta) to
-    1e-10 in premium; also returns the notional fraction e^{-qT}
-    surviving to T. The grid (q,) is kept like any other grid (see
-    _maturity_points).
+    a step in T below 1e-13 + 4.4e-16*T; also returns the notional
+    fraction e^{-qT} surviving to T. The grid (q,) is kept like any
+    other grid (see _maturity_points).
     """
     return effective_notional_curve(m, strike, (q,))[0]
 
 
 def _solve_maturity(m: MarketParams, strike: float, q: float, target: float) -> MaturityResult:
-    """effective_maturity for the AmPO call premium `target`."""
-    if target >= m.spot - _PREMIUM_TOL:
+    """effective_maturity for the AmPO call premium `target`.
+
+    The problem is homogeneous of degree 1 in (spot, strike), and every
+    test on the way is relative to the spot or a step in T, so T is the
+    same at every scale: a premium within 1e-12 relative of the spot is
+    refused as at the dated call's supremum.
+    """
+    if target >= m.spot * (1.0 - _SUPREMUM_RTOL):
         raise NoSolutionError(
             f"AmPO premium {target} meets or exceeds the dated-call supremum {m.spot}"
         )
@@ -259,6 +265,13 @@ def ratio_study(m: MarketParams, strike: float, q_grid) -> list[RatioPoint]:
     return out
 
 
+def _premium_floor(strike: float) -> float:
+    """The premium below which a strategy is degenerate: 1e-14 of the strike,
+    so the floor scales with (spot, strike) as the premium does, and at
+    least the smallest float, so a premium of 0 is refused."""
+    return 1e-14 * strike or 5e-324
+
+
 _STRATEGY_KINDS = {
     StrategyKind.CALL_ONLY: (OptionKind.CALL,),
     StrategyKind.PUT_ONLY: (OptionKind.PUT,),
@@ -293,7 +306,7 @@ def positional_vega(m: MarketParams, strike: float, s: StrategySpec, q: float) -
         _check_terms(strike, q)
         ex, legs = _exponents(m, q), {}
         _point = (m, strike, q, ex, legs)
-    prem = veg = 0.0
+    prem, veg, floor = 0.0, 0.0, _premium_floor(strike)
     for kind in kinds:
         leg = legs.get(kind)
         if leg is None:
@@ -303,8 +316,8 @@ def positional_vega(m: MarketParams, strike: float, s: StrategySpec, q: float) -
             leg = legs[kind] = (premium, vega)
         prem += leg[0]
         veg += leg[1]
-    if prem < 1e-12:
-        raise NoSolutionError(f"degenerate strategy: premium {prem} below 1e-12")
+    if prem < floor:
+        raise NoSolutionError(f"degenerate strategy: premium {prem} below {floor}")
     scaled = budget * veg
     return scaled / prem if math.isfinite(scaled) else budget * (veg / prem)
 
@@ -339,7 +352,7 @@ def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float,
     # i a new leg holds i entries, a stored one all of them
     new = {kind: [] for kind in kinds if kind not in stored}
     legs = [(kind, stored.get(kind) or new[kind]) for kind in kinds]
-    spot = m.spot
+    spot, floor = m.spot, _premium_floor(strike)
     out = []
     for i, q in enumerate(qs):
         if held is None:
@@ -358,8 +371,8 @@ def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float,
                 leg.append((premium, vega))
             prem += premium
             veg += vega
-        if prem < 1e-12:
-            raise NoSolutionError(f"degenerate strategy: premium {prem} below 1e-12")
+        if prem < floor:
+            raise NoSolutionError(f"degenerate strategy: premium {prem} below {floor}")
         scaled = budget * veg
         out.append(scaled / prem if math.isfinite(scaled) else budget * (veg / prem))
     if held is None:

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 
 from .params import ContractParams, MarketParams, RegionError, _record, intrinsic_value
-from .pricing import _CALL, _EXERCISE_NOW, _ClosedForm, _closed_form, _evaluate, _out_of_range
+from .pricing import _CALL, _EXERCISE_NOW, _INF, _ClosedForm, _closed_form, _evaluate, _out_of_range
 
 
 @_record
@@ -168,6 +168,9 @@ def _mixed_partial(m: MarketParams, c: ContractParams) -> tuple:
         f2 = -a * gap / (sig * ab)
         f3 = -dv_dq / ab
         f4 = -(2.0 * r**2 + sig**2 * u) / (sig**5 * ab)
+        if not abs(f4) < _INF:  # sigma^2*u or sigma^5*alpha_bar overflowed: divide by sigma^2 first
+            rs = r / sig
+            f4 = -(2.0 * rs * rs + u) / (sig**3 * ab)
         explicit = -2.0 / sig * dv_dq
         # f3*f4 + explicit without their cancelling difference (module notes)
         g = -dv_dq * (u + 0.5 * sig**2) / (sig * s2ab * ab)
@@ -179,14 +182,26 @@ def _mixed_partial(m: MarketParams, c: ContractParams) -> tuple:
     return f, dv_dq, mixed, MixedPartialFactors(f1, f2, f3, f4, explicit)
 
 
+def _finite(m: MarketParams, factors: MixedPartialFactors) -> MixedPartialFactors:
+    """factors; ValidationError where one is not a finite float.
+
+    Wherever the mixed partial f1*f2 + g and dV/dq are finite, so are f1,
+    f2 and f3 = -(dV/dq)/alpha_bar, so only f4 and the explicit term
+    -(2/sigma) dV/dq are checked.
+    """
+    if not (abs(factors.dalphabar_dsigma) < _INF and abs(factors.explicit_sigma_term) < _INF):
+        raise _out_of_range(m, "a chain-rule factor of d2V/(dsigma dq)")
+    return factors
+
+
 def statics_report(m: MarketParams, c: ContractParams) -> StaticsReport:
     """dV/dq, dS_bar/dq and d2V/(dsigma dq) from one closed-form evaluation.
 
     dV/dq and the mixed partial are computed and checked first (see
-    _mixed_partial), then dS_bar/dq.
+    _mixed_partial), then dS_bar/dq, then the chain-rule factors.
     """
     f, dv_dq, mixed, factors = _mixed_partial(m, c)
-    return StaticsReport(dv_dq, _d_boundary_dq(f, m, c.strike), mixed, factors)
+    return StaticsReport(dv_dq, _d_boundary_dq(f, m, c.strike), mixed, _finite(m, factors))
 
 
 def d_premium_dq(m: MarketParams, c: ContractParams) -> float:
@@ -205,8 +220,9 @@ def d_boundary_dq(m: MarketParams, c: ContractParams) -> float:
 
 
 def mixed_partial_factors(m: MarketParams, c: ContractParams) -> MixedPartialFactors:
-    """Chain-rule factors of d2V/(dsigma dq) for the given contract."""
-    return _mixed_partial(m, c)[3]
+    """Chain-rule factors of d2V/(dsigma dq) for the given contract; each is a
+    finite float, or the call raises ValidationError."""
+    return _finite(m, _mixed_partial(m, c)[3])
 
 
 def d2_premium_dsigma_dq(m: MarketParams, c: ContractParams) -> float:
@@ -217,6 +233,7 @@ def limit_suite(m: MarketParams, c: ContractParams) -> LimitReport:
     """Evaluate the premium at q = 1e-10 and q = 1e4 against its limits.
 
     See LimitReport for the small-q tolerance and the large-q envelope.
+    ValidationError where the large-q bound is not a finite float.
     """
     small = _closed_form(m, c.kind, c.strike, SMALL_Q).premium
     vanilla = _closed_form(m, c.kind, c.strike, 0.0).premium
@@ -225,6 +242,11 @@ def limit_suite(m: MarketParams, c: ContractParams) -> LimitReport:
     intr = intrinsic_value(c.kind, m.spot, c.strike)
     gap = abs(f.premium - intr)
     bound = c.strike / (math.e * (f.gap if c.kind == _CALL else f.alpha))
+    # a put's alpha_p at q = 1e4 is about 2(2r+q)/sigma^2 at a vol far above
+    # sqrt(q), so K/(e*alpha_p) can pass the float range; the premium falls
+    # with q, so small <= vanilla and the relative error is at most 1
+    if not bound < _INF:
+        raise _out_of_range(m, "the large-q bound")
     return LimitReport(
         premium_small_q=small,
         vanilla_premium=vanilla,

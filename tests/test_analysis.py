@@ -248,6 +248,26 @@ def test_effective_maturity_tiny_premium_relative_residual():
     assert abs(dated.premium - target) / target <= 1e-11
 
 
+def test_case_studies_are_scale_free_in_spot_and_strike():
+    # every study is homogeneous of degree 0 in (spot, strike): at (l*S, l*K)
+    # the maturities, ratios and positional Vegas are those at (S, K)
+    qs = [0.05 + 0.95 * i / 9 for i in range(10)]
+    specs = [StrategySpec(kind, 100.0) for kind in StrategyKind]
+
+    def studies(scale):
+        m, k = MarketParams(spot=100.0 * scale, rate=0.05, vol=0.5), 100.0 * scale
+        return [
+            *(effective_maturity(m, k, q).effective_maturity for q in qs),
+            *(x for p in ratio_study(m, k, qs) for x in (p.gamma_ratio, p.theta_ratio)),
+            *(positional_vega(m, k, s, q) for q in qs for s in specs),
+        ]
+
+    want = studies(1.0)
+    for e in range(-250, 251, 25):
+        got = studies(10.0**e)
+        assert max(abs(g - w) / abs(w) for g, w in zip(got, want)) <= 1e-12, e
+
+
 def test_ratio_study_underflowing_dated_gamma_raises():
     # at vol 1e-4 the dated call's Gamma underflows to 0.0
     m = MarketParams(spot=100.0, rate=0.05, vol=1e-4)
@@ -539,8 +559,8 @@ def test_interleaved_case_studies_match_fresh_evaluations(monkeypatch):
         m = copies[i] if copy else markets[i]
         got = _outcome(_STUDY_FAMILIES[family][name], m, k, list(grid))
         assert got == want[name, i, type(k), k, tuple(map(type, grid)), grid][0], (name, i, k, grid)
-    # the calls shared their work: evaluated fresh they make 5,503 solves
-    # here, and in this order 3,580
+    # the calls shared their work: evaluated fresh they make 6,103 solves
+    # here, and in this order 3,778
     assert len(solves) < 0.75 * fresh_solves, (len(solves), fresh_solves)
 
 
@@ -608,7 +628,8 @@ def test_a_call_stores_into_the_entry_it_read(market_a):
 
 def test_a_raising_call_leaves_the_entry_as_it_was(market_a):
     call, put = (StrategySpec(kind, 100.0) for kind in (StrategyKind.CALL_ONLY, StrategyKind.PUT_ONLY))
-    # strike 1e-6: the call is exercised, the put's premium is below 1e-12
+    # strike 1e-6: the call is exercised, and the put's premium falls below
+    # 1e-14 times the strike at the grid's larger q
     optimize_q(market_a, 1e-6, call, (0.001, 1.0))
 
     def raises(error, fn, *args):
@@ -648,14 +669,14 @@ def test_a_raising_call_leaves_the_entry_as_it_was(market_a):
 def test_a_raising_point_call_leaves_later_calls_equal_to_fresh_ones(market_a):
     call, put, straddle = (StrategySpec(kind, 100.0) for kind in StrategyKind)
     # at q = 1e-300 the call's K/gap overflows while the put's premium is a
-    # float; at strike 1e-6 the put's premium is below 1e-12; q = -0.3 is
-    # refused before anything is solved
+    # float; at strike 1e-8 the put's premium is below 1e-14 times the
+    # strike; q = -0.3 is refused before anything is solved
     big = MarketParams(spot=1e300, rate=0.0, vol=1.0)
     calls = [
         (put, big, 1e300, 1e-300), (call, big, 1e300, 1e-300), (straddle, big, 1e300, 1e-300),
         (put, big, 1e300, 1e-300), (call, market_a, 100.0, 0.3), (put, market_a, 100.0, -0.3),
-        (straddle, market_a, 100.0, 0.3), (put, market_a, 1e-6, 0.3), (call, market_a, 1e-6, 0.3),
-        (straddle, market_a, 1e-6, 0.3), (put, market_a, 1e-6, 0.3), (call, big, 1e300, 1e-300),
+        (straddle, market_a, 100.0, 0.3), (put, market_a, 1e-8, 0.3), (call, market_a, 1e-8, 0.3),
+        (straddle, market_a, 1e-8, 0.3), (put, market_a, 1e-8, 0.3), (call, big, 1e300, 1e-300),
     ]
     want = [_outcome(positional_vega, dataclasses.replace(m), k, s, q) for s, m, k, q in calls]
     assert {w[0][0] for w in want} == {"float", "ValidationError", "NoSolutionError"}

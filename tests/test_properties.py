@@ -25,6 +25,8 @@ from ampo import (
     StrategyKind,
     StrategySpec,
     LatticeConfig,
+    LimitReport,
+    MixedPartialFactors,
     compute_exponents,
     d2_premium_dsigma_dq,
     d_boundary_dq,
@@ -37,6 +39,7 @@ from ampo import (
     intrinsic_value,
     lattice_price,
     limit_suite,
+    mixed_partial_factors,
     pde_residual,
     positional_vega,
     price,
@@ -155,7 +158,6 @@ def test_every_accepted_input_prices_or_is_refused_by_name(rate, vol, q, spot, s
     c = ContractParams(strike=strike, amort=q, kind=kind)
     calls = [
         lambda: price(m, c), lambda: delta(m, c), lambda: gamma(m, c),
-        lambda: limit_suite(m, c),
         lambda: pde_residual(m, c, [spot]),
         lambda: lattice_price(to_equivalent_perpetual(c, m), m, _CFG),
         lambda: validate_checks(m, c, _CFG),
@@ -170,6 +172,16 @@ def test_every_accepted_input_prices_or_is_refused_by_name(rate, vol, q, spot, s
     ] + [
         lambda spec=StrategySpec(kind=k, budget=1.0): positional_vega(m, strike, spec, q)
         for k in StrategyKind
+    ] + [
+        # each chain-rule factor, from both functions that return them, and
+        # each field of limit_suite (its two flags are finite too)
+        (lambda fn, name: lambda: getattr(fn(), name))(fn, f.name)
+        for fn, record in (
+            (lambda: mixed_partial_factors(m, c), MixedPartialFactors),
+            (lambda: statics_report(m, c).intermediates, MixedPartialFactors),
+            (lambda: limit_suite(m, c), LimitReport),
+        )
+        for f in dataclasses.fields(record)
     ]
     for call in calls + finite:
         try:
@@ -246,8 +258,9 @@ def _positional_vega_from_views(m, strike, spec, q):
         c = ContractParams(strike=strike, amort=q, kind=kind)
         prem += price(m, c).premium
         veg += vega(m, c)
-    if prem < 1e-12:
-        raise NoSolutionError(f"degenerate strategy: premium {prem} below 1e-12")
+    floor = 1e-14 * strike or 5e-324
+    if prem < floor:
+        raise NoSolutionError(f"degenerate strategy: premium {prem} below {floor}")
     scaled = spec.budget * veg
     return scaled / prem if math.isfinite(scaled) else spec.budget * (veg / prem)
 

@@ -48,6 +48,22 @@ def test_d_premium_dq_is_finite_where_the_mixed_partial_leaves_the_float_range(v
         assert got == pytest.approx(fd, rel=1e-8)
 
 
+def test_factors_and_limits_past_the_float_range_are_refused_by_name():
+    # the explicit term -(2/sigma) dV/dq is about 1.4e342 here, so the factors
+    # are refused; the mixed partial and dV/dq are floats and are returned
+    m = MarketParams(spot=9.938261465031477e283, rate=3.884108288674537e-31, vol=1.3036071673580584e-35)
+    c = ContractParams(strike=1.3941054643495957e292, amort=1.531907797260291e-58, kind=OptionKind.CALL)
+    with pytest.raises(ValidationError, match="a chain-rule factor of d2V/\\(dsigma dq\\) overflows"):
+        mixed_partial_factors(m, c)
+    assert math.isfinite(d2_premium_dsigma_dq(m, c)) and math.isfinite(d_premium_dq(m, c))
+    # K/(e*alpha_p) at q = 1e4 is about 1e360 at vol 1e30, and a float at vol 1e3
+    c = ContractParams(strike=1e300, amort=0.1, kind=OptionKind.PUT)
+    with pytest.raises(ValidationError, match="the large-q bound overflows"):
+        limit_suite(MarketParams(spot=1e300, rate=0.05, vol=1e30), c)
+    report = limit_suite(MarketParams(spot=1e300, rate=0.05, vol=1e3), c)
+    assert all(map(math.isfinite, dataclasses.astuple(report)))
+
+
 def test_d_premium_dq_zero_at_boundary(market_a, call_a):
     bd = exercise_boundary(market_a, call_a)
     assert d_premium_dq(dataclasses.replace(market_a, spot=bd), call_a) == pytest.approx(
