@@ -21,9 +21,9 @@ import math
 import operator
 from enum import Enum
 
-from .greeks import _dated_terms, _gamma
+from .greeks import _dated_call, _gamma
 from .params import MarketParams, NoSolutionError, OptionKind, ValidationError
-from .params import _check_terms, _member, _record, _require_finite, _require_iterable
+from .params import _check_strike, _check_terms, _member, _record, _require_finite, _require_iterable
 from .pricing import _CALL, _INF, _NOTHING, _closed_form, _exponents, _kernel, _out_of_range
 
 
@@ -146,8 +146,9 @@ def effective_maturity(m: MarketParams, strike: float, q: float) -> MaturityResu
     return effective_notional_curve(m, strike, (q,))[0]
 
 
-def _solve_maturity(m: MarketParams, strike: float, q: float, target: float) -> MaturityResult:
-    """effective_maturity for the AmPO call premium `target`.
+def _solve_maturity(m: MarketParams, dated, q: float, target: float) -> MaturityResult:
+    """effective_maturity for the AmPO call premium `target`, where dated is
+    greeks._dated_call(m, strike).
 
     The problem is homogeneous of degree 1 in (spot, strike), and every
     test on the way is relative to the spot or a step in T, so T is the
@@ -160,7 +161,7 @@ def _solve_maturity(m: MarketParams, strike: float, q: float, target: float) -> 
         )
 
     def gap(t: float) -> tuple[float, float]:
-        premium, _, _, theta, _ = _dated_terms(m, strike, t)
+        premium, _, _, theta, _ = dated(t)
         return premium - target, -theta
 
     lo, hi = 1e-9, 1.0
@@ -204,15 +205,20 @@ def _held(entry: tuple, m: MarketParams, strike: float, key: tuple):
 def _maturity_points(m: MarketParams, strike: float, q_grid):
     """(q, AmPO call closed form, MaturityResult) per q of the grid, in its order.
 
-    A grid held in _maturities yields its stored points and solves
-    nothing. Otherwise each point is solved and the entry is replaced
-    once the last point is consumed, so a call that raises, or is not
-    consumed, stores nothing; racing threads lose sharing, never values.
-    The grid is copied into a tuple first, so a list changed in place
-    misses; if iterating it raises, the points before come first, as a
-    lazy loop gives them, and nothing is stored.
+    The strike is checked first, as ContractParams checks it, so an
+    empty grid is refused at a bad strike too. A grid held in _maturities
+    yields its stored points and solves nothing. Otherwise each point is
+    solved, all of them on one dated-call evaluator (greeks._dated_call),
+    so a maturity that several q's solves ask for, such as a bracket end,
+    is evaluated once; the entry is replaced once the last point is
+    consumed, so a call that raises, or is not consumed, stores nothing;
+    racing threads lose sharing, never values. The grid is copied into a
+    tuple first, so a list changed in place misses; if iterating it
+    raises, the points before come first, as a lazy loop gives them, and
+    nothing is stored.
     """
     global _maturities
+    _check_strike(strike)
     it = _require_iterable("q_grid", q_grid)
     qs, failed = [], None
     try:
@@ -224,11 +230,11 @@ def _maturity_points(m: MarketParams, strike: float, q_grid):
     if points is not None:
         yield from points
         return
-    points = []
+    points, dated = [], _dated_call(m, strike)
     for q in qs:
         _check_terms(strike, q)
         f = _closed_form(m, _CALL, strike, q, _exponents(m, q))
-        point = q, f, _solve_maturity(m, strike, q, f.premium)
+        point = q, f, _solve_maturity(m, dated, q, f.premium)
         points.append(point)
         yield point
     if failed is not None:
@@ -248,17 +254,25 @@ def ratio_study(m: MarketParams, strike: float, q_grid) -> list[RatioPoint]:
     instant the two contracts are directly comparable. Where the last
     call on the same market, strike and grid (effective_notional_curve,
     say) solved the points, they are read from _maturities: no exponent,
-    closed form or maturity is computed again.
+    closed form or maturity is computed again. Where the dated Gamma or
+    Theta underflows to 0, or the Gamma ratio overflows, the ratio is
+    refused by name (NoSolutionError).
     """
-    out = []
+    _check_strike(strike)  # before the evaluator reads it; _maturity_points checks it too
+    out, dated = [], _dated_call(m, strike)
     for q, f, res in _maturity_points(m, strike, q_grid):
-        _, _, dated_gamma, dated_theta, _ = _dated_terms(m, strike, res.effective_maturity)
+        t = res.effective_maturity
+        _, _, dated_gamma, dated_theta, _ = dated(t)
         g_ratio = _gamma(f, m) / dated_gamma if dated_gamma else math.inf
         if not g_ratio < math.inf:
             size = "underflows to 0" if dated_gamma == 0.0 else f"is {dated_gamma!r}"
             raise NoSolutionError(
-                f"dated call Gamma {size} at q = {q} "
-                f"(T = {res.effective_maturity}): the Gamma ratio is undefined"
+                f"dated call Gamma {size} at q = {q} (T = {t}): the Gamma ratio is undefined"
+            )
+        if not dated_theta:
+            raise NoSolutionError(
+                f"dated call Theta underflows to 0 at q = {q} (T = {t}): "
+                "the Theta ratio is undefined"
             )
         t_ratio = q * f.premium / abs(dated_theta)
         out.append(RatioPoint(q=q, gamma_ratio=g_ratio, theta_ratio=t_ratio))

@@ -4,6 +4,12 @@ reference pricer used by the effective-maturity comparisons.
 The perpetual price has no explicit time dependence, so the explicit
 Theta is identically zero; the holder's position still decays through
 the amortizing notional, captured by the economic Theta -q*V.
+
+The dated call is evaluated through _dated_call(m, strike), which hoists
+the terms that depend only on the market and the strike and evaluates
+each distinct maturity once per evaluator: a grid's effective-maturity
+solves share one evaluator, so the bracket ends and first Newton point
+that every q's solve asks for are computed once per grid.
 """
 
 from __future__ import annotations
@@ -44,15 +50,6 @@ class DatedGreeksReport:
     gamma: float
     theta: float
     vega: float
-
-
-def _norm_cdf(x: float) -> float:
-    # erfc keeps the lower tail relative-accurate; 1 + erf(x) cancels there
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _norm_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 def _delta(f: _ClosedForm, m: MarketParams) -> float:
@@ -132,6 +129,8 @@ def dated_bs_call(m: MarketParams, strike: float, maturity: float) -> DatedGreek
     """European call under Black-Scholes with maturity T, zero dividends.
 
     The normal CDF goes through math.erfc, relative-accurate in both tails.
+    ValidationError names the dated call where a field is not a finite
+    float (at a vol whose sigma^2 overflows, every field is nan).
     """
     _require_finite("maturity", maturity)
     _require_finite("strike", strike)
@@ -139,18 +138,68 @@ def dated_bs_call(m: MarketParams, strike: float, maturity: float) -> DatedGreek
         raise ValidationError(f"maturity must be > 0, got {maturity}")
     if strike <= 0:
         raise ValidationError(f"strike must be > 0, got {strike}")
-    return DatedGreeksReport(*_dated_terms(m, strike, maturity))
+    terms = _dated_call(m, strike)(maturity)
+    for name, value in zip(DatedGreeksReport.__slots__, terms):
+        if not abs(value) < math.inf:
+            raise _dated_out_of_range(m, strike, maturity, f"its {name} is {value!r}")
+    return DatedGreeksReport(*terms)
 
 
-def _dated_terms(m: MarketParams, strike: float, t: float) -> tuple[float, ...]:
-    """dated_bs_call's (premium, delta, gamma, theta, vega) for checked strike > 0 and t > 0."""
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _dated_out_of_range(m: MarketParams, strike: float, t: float, why: str) -> ValidationError:
+    """The error for a dated call that leaves the float range, and `why`."""
+    return ValidationError(
+        f"dated call at spot {m.spot!r}, strike {strike!r}, rate {m.rate!r}, vol {m.vol!r} "
+        f"and maturity {t!r} out of range: {why}"
+    )
+
+
+def _dated_call(m: MarketParams, strike: float):
+    """t -> dated_bs_call's (premium, delta, gamma, theta, vega) at a checked
+    strike > 0, for t > 0.
+
+    The terms that depend on the market and the strike alone are computed
+    once, and each distinct t once: its terms are kept in a dict local to
+    the evaluator, dropped with it. Every operation is the one-shot
+    formula's, in its order, so each float has the same bits whichever
+    evaluator computes it. Where S/K underflows or overflows, the
+    log-moneyness is log S - log K; where the per-t arithmetic raises
+    (sigma*sqrt(t) underflowing to 0), ValidationError names the dated call.
+    """
     s, k, r, sig = m.spot, strike, m.rate, m.vol
-    sqt = math.sqrt(t)
-    d1 = (math.log(s / k) + (r + 0.5 * sig**2) * t) / (sig * sqt)
-    d2 = d1 - sig * sqt
-    nd1, nd2 = _norm_cdf(d1), _norm_cdf(d2)
-    disc_k = k * math.exp(-r * t)
-    prem = s * nd1 - disc_k * nd2
-    pdf1 = _norm_pdf(d1)
-    theta = -s * pdf1 * sig / (2.0 * sqt) - r * disc_k * nd2
-    return prem, nd1, pdf1 / (s * sig * sqt), theta, s * pdf1 * sqt
+    moneyness = s / k
+    log_m = math.log(moneyness) if 0.0 < moneyness < math.inf else math.log(s) - math.log(k)
+    try:
+        drift = r + 0.5 * sig**2
+    except OverflowError:
+        # every field is then nan, which dated_bs_call refuses; the
+        # effective-maturity solve never sees it, as _exponents refuses the vol
+        drift = math.nan
+    s_sig, held = s * sig, {}
+
+    def at(t: float) -> tuple[float, float, float, float, float]:
+        terms = held.get(t)
+        if terms is not None:
+            return terms
+        try:
+            sqt = math.sqrt(t)
+            sig_sqt = sig * sqt
+            d1 = (log_m + drift * t) / sig_sqt
+            d2 = d1 - sig_sqt
+            # erfc keeps the lower tail relative-accurate; 1 + erf(x) cancels there
+            nd1 = 0.5 * math.erfc(-d1 / _SQRT2)
+            nd2 = 0.5 * math.erfc(-d2 / _SQRT2)
+            disc_k = k * math.exp(-r * t)
+            prem = s * nd1 - disc_k * nd2
+            pdf1 = math.exp(-0.5 * d1 * d1) / _SQRT_2PI
+            theta = -s * pdf1 * sig / (2.0 * sqt) - r * disc_k * nd2
+            terms = prem, nd1, pdf1 / (s_sig * sqt), theta, s * pdf1 * sqt
+        except ArithmeticError:
+            raise _dated_out_of_range(m, k, t, "its terms overflow or underflow a float") from None
+        held[t] = terms
+        return terms
+
+    return at

@@ -515,13 +515,16 @@ def validate_checks(
     failed lattice_convergence record holding the ConvergenceError's message.
     In the continuation region: pde_residual (the worst of ten spots up to the
     boundary, premium times `perturb`; 1e-8), then fd_delta, fd_gamma and
-    fd_vega (central differences of price(...).premium at a bumped spot or
-    vol against delta, gamma and vega; 1e-5). The residual reads the
-    contract's solve, and price re-prices a bumped spot from the contract's
-    exponents (pricing._evaluate), so the exponents are solved four
-    times in all: for the contract, the lattice's analytic price and the
-    two vols. A bumped spot or vol is a MarketParams, checked as any other;
-    a put whose boundary underflows to 0 raises ValidationError.
+    fd_vega (central first differences against delta, gamma and vega;
+    1e-5). fd_delta and fd_vega difference price(...).premium at a bumped
+    spot or vol; fd_gamma differences the analytic delta at a bumped spot,
+    which keeps its digits where Gamma*S^2/V is tiny and needs no (h*S)^2
+    denominator. The residual reads the contract's solve, and price and
+    delta re-price a bumped spot from the contract's exponents
+    (pricing._evaluate), so the exponents are solved four times in all:
+    for the contract, the lattice's analytic price and the two vols. A
+    bumped spot or vol is a MarketParams, checked as any other; a put
+    whose boundary underflows to 0 raises ValidationError.
     """
     _require_finite("perturb", perturb)
     f = _evaluate(m, c)
@@ -554,6 +557,7 @@ def validate_checks(
     check("pde_residual", max(pde_residual(m, c, spots, premium_scale=perturb)), 1e-8)
 
     prem_of_spot = lambda s: price(MarketParams(s, m.rate, m.vol), c).premium
+    delta_of_spot = lambda s: delta(MarketParams(s, m.rate, m.vol), c)
     prem_of_vol = lambda sig: price(MarketParams(m.spot, m.rate, sig), c).premium
 
     # the truncation error of the spot differences grows like (alpha*h)^2
@@ -561,7 +565,7 @@ def validate_checks(
     h = min(1e-4, 1e-3 / f.alpha, max(margin / 4.0, 1e-7))
     fd_checks = (
         ("fd_delta", delta(m, c), finite_difference(prem_of_spot, m.spot, 1, "central", h)),
-        ("fd_gamma", gamma(m, c), finite_difference(prem_of_spot, m.spot, 2, "central", h)),
+        ("fd_gamma", gamma(m, c), finite_difference(delta_of_spot, m.spot, 1, "central", h)),
         ("fd_vega", vega(m, c), finite_difference(prem_of_vol, m.vol, 1, "central", 1e-4)),
     )
     for name, analytic, fd in fd_checks:

@@ -102,6 +102,13 @@ def _record(cls):
     return cls
 
 
+def _check_strike(strike: float) -> None:
+    """A strike as ContractParams checks it: finite and > 0."""
+    _require_finite("strike", strike)
+    if strike <= 0:
+        raise ValidationError(f"strike must be > 0, got {strike}")
+
+
 def _check_terms(strike: float, amort: float) -> None:
     """Contract terms: strike and amortization rate finite and > 0."""
     _require_finite("strike", strike)

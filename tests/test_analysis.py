@@ -779,6 +779,60 @@ def test_ratio_study_reads_the_maturities_the_curve_solved(market_a, monkeypatch
     ]
 
 
+def test_a_grid_evaluates_the_dated_call_once_per_distinct_maturity(market_a, monkeypatch):
+    # every q's solve asks for the same bracket ends (1e-9, 1, 2, ...) and
+    # first Newton point; one evaluator per grid computes each maturity once
+    import ampo.greeks
+
+    asked, evaluated = [], []
+    dated_call = ampo.analysis._dated_call
+
+    def recorded(m, strike):
+        at = dated_call(m, strike)
+
+        def ask(t):
+            asked.append(t)
+            return at(t)
+
+        return ask
+
+    class CountedMath:
+        # each evaluation takes one square root, of its maturity
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def sqrt(self, t):
+            evaluated.append(t)
+            return math.sqrt(t)
+
+    monkeypatch.setattr(ampo.analysis, "_dated_call", recorded)
+    monkeypatch.setattr(ampo.greeks, "math", CountedMath())
+    qs = [0.05 + 0.95 * i / 19 for i in range(20)]
+    m = dataclasses.replace(market_a)
+    curve = effective_notional_curve(m, 100.0, qs)
+    assert (len(asked), len(set(asked))) == (147, 86)
+    assert sorted(evaluated) == sorted(set(asked))
+    # the ratios read the curve's maturities, one evaluation each
+    asked.clear()
+    evaluated.clear()
+    ratio_study(m, 100.0, qs)
+    assert asked == evaluated == [r.effective_maturity for r in curve]
+
+
+@pytest.mark.parametrize("strike", [-1.0, math.nan, "x"])
+@pytest.mark.parametrize("study", [effective_notional_curve, ratio_study])
+def test_an_empty_grid_at_a_bad_strike_is_refused_and_stores_nothing(market_a, study, strike):
+    # the strike is checked before the grid: an empty grid used to return []
+    # and store that entry whatever the strike
+    with pytest.raises(ValidationError) as want:
+        ContractParams(strike=strike, amort=0.1, kind=OptionKind.CALL)
+    effective_notional_curve(market_a, 100.0, [0.1])
+    before = ampo.analysis._maturities
+    with pytest.raises(ValidationError, match=re.escape(str(want.value))):
+        study(market_a, strike, [])
+    assert ampo.analysis._maturities is before
+
+
 def test_positional_vega_refuses_where_price_refuses_the_premium():
     # gap = 2q/sigma^2 = 2e-300 for the call, so K/gap overflows and price
     # refuses it; the put's premium is K/(1 + alpha_p), a float

@@ -152,6 +152,52 @@ def test_dated_bs_call_small_vol_limit():
     assert dated_bs_call(m, 100.0, 1.0).premium < 1e-6
 
 
+# (premium, delta, gamma, theta, vega) as float.hex, as the one-shot formula
+# gave them before the per-market evaluator: hoisting the market's terms and
+# inlining the normal CDF and PDF keep every operation and its order
+_DATED_PINS = {
+    "atm": ((100.0, 0.05, 0.5), 100.0, 1.0, (
+        "0x1.5cae81c14ef54p+4", "0x1.460eaac7c7828p-1", "0x1.ebd5c45ceadf2p-8",
+        "-0x1.6f378e4b3667cp+3", "0x1.2c313919b65abp+5")),
+    "deep_itm": ((1000.0, 0.05, 0.2), 100.0, 1.0, (
+        "0x1.c470436bfad3ap+9", "0x1.0000000000000p+0", "0x1.6e0bb57e7b814p-111",
+        "-0x1.3064b6e687828p+2", "0x1.17454ee80f9a1p-93")),
+    "deep_otm": ((100.0, 0.05, 0.2), 1000.0, 1.0, (
+        "0x1.10275e93170e0p-94", "0x1.39f8915c8e8dap-95", "0x1.6140ad34ac2c6p-96",
+        "-0x1.2007ceb8a6a93p-88", "0x1.58f9292570235p-85")),
+    "t_1e-9": ((100.0, 0.05, 0.5), 100.0, 1e-9, (
+        "0x1.4ab69d3ae0000p-11", "0x1.00009428b3698p-1", "0x1.f8a06297315e0p+7",
+        "-0x1.3400842ca0320p+18", "0x1.4ab647546c0c3p-10")),
+    "t_1e3": ((100.0, 0.05, 0.5), 100.0, 1e3, (
+        "0x1.9000000000000p+6", "0x1.0000000000000p+0", "0x1.9ad7010c57737p-101",
+        "-0x1.1df0a15a4c8c7p-89", "0x1.e9c2600ae35bep-79")),
+    "rate_0": ((100.0, 0.0, 0.5), 120.0, 2.0, (
+        "0x1.55b327c2a6b66p+4", "0x1.13852742d3a91p-1", "0x1.700ebd7189a07p-8",
+        "-0x1.c149fe4118806p+2", "0x1.c149fe4118807p+5")),
+}
+
+
+@pytest.mark.parametrize("market, strike, maturity, fields", _DATED_PINS.values(), ids=list(_DATED_PINS))
+def test_dated_bs_call_fields_are_pinned(market, strike, maturity, fields):
+    rep = dated_bs_call(MarketParams(*market), strike, maturity)
+    assert tuple(getattr(rep, f.name).hex() for f in dataclasses.fields(rep)) == fields
+
+
+def test_dated_bs_call_past_the_float_range_prices_or_is_refused_by_name():
+    # S/K underflows to 0: log S - log K, where log(S/K) raised "math domain error"
+    rep = dated_bs_call(MarketParams(1e-200, 0.05, 0.5), 1e200, 1.0)
+    assert (rep.premium, rep.delta, rep.gamma, rep.vega) == (0.0, 0.0, 0.0, 0.0)
+    # sigma*sqrt(T) underflows to 0 (ZeroDivisionError), and sigma^2
+    # overflows (OverflowError): both are refused naming the dated call
+    cases = [((100.0, 0.05, 1e-200), 1e-250, "its terms overflow or underflow a float"),
+             ((100.0, 0.05, 1e200), 1.0, "its premium is nan")]
+    for market, maturity, why in cases:
+        with pytest.raises(ValidationError) as exc:
+            dated_bs_call(MarketParams(*market), 100.0, maturity)
+        assert str(exc.value).startswith(f"dated call at spot 100.0, strike 100.0, rate 0.05, vol {market[2]!r}")
+        assert str(exc.value).endswith(f"and maturity {maturity!r} out of range: {why}")
+
+
 @pytest.mark.parametrize(
     "strike, maturity, message",
     [

@@ -18,6 +18,7 @@ from ampo import (
     Regime,
     RegionError,
     ValidationError,
+    compute_exponents,
     delta,
     exercise_boundary,
     finite_difference,
@@ -378,12 +379,12 @@ def test_validate_checks_build_no_market_per_evaluation(market_a, put_a, monkeyp
         (
             OptionKind.PUT,
             ["0x1.505f095c28f5ap-20", "0x1.b02781965570ap-10", "0x1.f4fc7ee28de74p-53",
-             "0x1.579f000000000p-27", "0x1.9187fff400000p-27", "0x1.c988c2a6625b5p-32"],
+             "0x1.579f000000000p-27", "0x1.579b61fa00000p-26", "0x1.c988c2a6625b5p-32"],
         ),
         (
             OptionKind.CALL,
             ["0x1.7c0b6c8fd9c7dp-20", "0x1.5c3965e79799ap-10", "0x1.1e60383308f7ep-52",
-             "0x1.b71418d20b925p-32", "0x1.676082b39909dp-27", "0x1.7a0c3465895f8p-32"],
+             "0x1.b71418d20b925p-32", "0x1.00f0a03d79681p-30", "0x1.7a0c3465895f8p-32"],
         ),
     ],
 )
@@ -391,6 +392,68 @@ def test_validate_checks_values_at_market_a_are_pinned(market_a, kind, values):
     checks = validate_checks(market_a, ContractParams(100.0, 0.1, kind), _CFG)
     assert [r["check"] for r in checks] == _CHECKS
     assert [r["value"].hex() for r in checks] == values
+
+
+@pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
+def test_fd_gamma_differences_the_analytic_delta(market_a, kind, monkeypatch):
+    # fd_gamma is the central first difference of delta at the spot's two
+    # bumps: the two delta calls at S +- h are the only ones after the
+    # analytic check's, and the check's value is their quotient against gamma
+    c = ContractParams(100.0, 0.1, kind)
+    spots = []
+    real_delta = oracle.delta
+
+    def recorded(m, c):
+        spots.append(m.spot)
+        return real_delta(m, c)
+
+    monkeypatch.setattr(oracle, "delta", recorded)
+    checks = {r["check"]: r for r in validate_checks(market_a, c, _CFG)}
+    assert spots[0] == market_a.spot and len(spots) == 3
+    up, down = spots[1:]
+    fd = (real_delta(MarketParams(up, 0.05, 0.5), c) - real_delta(MarketParams(down, 0.05, 0.5), c)) / (up - down)
+    analytic = gamma(market_a, c)
+    assert checks["fd_gamma"]["value"] == pytest.approx(abs(analytic - fd) / analytic, rel=1e-6)
+    assert checks["fd_gamma"]["passed"]
+
+
+def _other_kind_gamma(m, c):
+    # alpha*(alpha - s)*V/S^2 with alpha the other kind's exponent
+    ex = compute_exponents(m, c.amort)
+    s, alpha = (1.0, ex.alpha_p) if c.kind is OptionKind.CALL else (-1.0, ex.alpha_c)
+    return alpha * (alpha - s) * price(m, c).premium / m.spot**2
+
+
+@pytest.mark.parametrize(
+    "wrong", [lambda m, c: 1.01 * gamma(m, c), _other_kind_gamma], ids=["x1.01", "other_kind"]
+)
+@pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
+def test_fd_gamma_still_catches_a_wrong_gamma(wrong, kind, monkeypatch):
+    # the Delta difference keeps the check's power: over box contracts a
+    # Gamma off by 1% or taken from the other kind's exponent fails fd_gamma
+    # and nothing else
+    rng = random.Random(21)
+    monkeypatch.setattr(oracle, "gamma", wrong)
+    checked = 0
+    for _ in range(6):
+        m = MarketParams(100.0, rng.uniform(0.02, 0.15), rng.uniform(0.1, 0.6))
+        c = ContractParams(100.0, rng.uniform(0.05, 1.5), kind)
+        if price(m, c).regime is not Regime.CONTINUATION:
+            continue
+        checks = validate_checks(m, c, _CFG)
+        assert [r["check"] for r in checks if not r["passed"]] == ["fd_gamma"], checks
+        checked += 1
+    assert checked >= 4
+
+
+def test_fd_gamma_at_a_spot_past_1e158_has_no_overflowing_denominator():
+    # the second difference's (h*S)^2 overflowed at S = 0.9*boundary ~ 1.6e308
+    # and the contract was refused with "difference denominator of inf"
+    c = ContractParams(strike=8.988e307 * (1 - 1e-7), amort=1.0, kind=OptionKind.CALL)
+    m = MarketParams(spot=0.9 * price(MarketParams(1.0, 0.0, 1.0), c).boundary, rate=0.0, vol=1.0)
+    checks = {r["check"]: r for r in validate_checks(m, c, _CFG)}
+    assert checks["fd_gamma"]["passed"]
+    assert checks["fd_delta"]["passed"] and checks["pde_residual"]["passed"]
 
 
 def test_validate_checks_residual_spots_stay_in_range_past_2e307(monkeypatch):

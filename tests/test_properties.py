@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from ampo import (
     AmpoError,
     ContractParams,
+    DatedGreeksReport,
     MarketParams,
     NoSolutionError,
     OptionKind,
@@ -34,6 +35,7 @@ from ampo import (
     dated_bs_call,
     delta,
     effective_maturity,
+    effective_notional_curve,
     gamma,
     greeks_report,
     intrinsic_value,
@@ -43,6 +45,7 @@ from ampo import (
     pde_residual,
     positional_vega,
     price,
+    ratio_study,
     statics_report,
     theta_economic,
     to_equivalent_perpetual,
@@ -161,6 +164,11 @@ def test_every_accepted_input_prices_or_is_refused_by_name(rate, vol, q, spot, s
         lambda: pde_residual(m, c, [spot]),
         lambda: lattice_price(to_equivalent_perpetual(c, m), m, _CFG),
         lambda: validate_checks(m, c, _CFG),
+        # the case studies and their dated call; the two-point grids are
+        # new objects on each call, so each study solves afresh
+        lambda: effective_maturity(m, strike, q),
+        lambda: effective_notional_curve(m, strike, [q, 2.0 * q]),
+        lambda: ratio_study(m, strike, [q, 2.0 * q]),
     ]
     # and these return a finite float where they return
     finite = [
@@ -180,6 +188,8 @@ def test_every_accepted_input_prices_or_is_refused_by_name(rate, vol, q, spot, s
             (lambda: mixed_partial_factors(m, c), MixedPartialFactors),
             (lambda: statics_report(m, c).intermediates, MixedPartialFactors),
             (lambda: limit_suite(m, c), LimitReport),
+            # the dated call at maturity q
+            (lambda: dated_bs_call(m, strike, q), DatedGreeksReport),
         )
         for f in dataclasses.fields(record)
     ]
