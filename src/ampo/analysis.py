@@ -153,8 +153,12 @@ def _solve_maturity(m: MarketParams, dated, q: float, target: float) -> Maturity
     The problem is homogeneous of degree 1 in (spot, strike), and every
     test on the way is relative to the spot or a step in T, so T is the
     same at every scale: a premium within 1e-12 relative of the spot is
-    refused as at the dated call's supremum.
+    refused as at the dated call's supremum. A premium of 0.0 is refused
+    too: the dated premium is 0.0 over a range of T there, so no T is the
+    effective maturity.
     """
+    if target == 0.0:
+        raise NoSolutionError(f"AmPO call premium underflows to 0.0 at q = {q}: no maturity matches it")
     if target >= m.spot * (1.0 - _SUPREMUM_RTOL):
         raise NoSolutionError(
             f"AmPO premium {target} meets or exceeds the dated-call supremum {m.spot}"
@@ -175,7 +179,7 @@ def _solve_maturity(m: MarketParams, dated, q: float, target: float) -> Maturity
             f"effective-maturity root finding failed: the dated premium at T = {lo} "
             f"already exceeds the AmPO premium by {g_lo}"
         )
-    # gap(lo) = 0 where the AmPO premium underflows to 0.0
+    # gap(lo) = 0 where the dated premium at T = lo is the premium itself
     t = lo if g_lo == 0.0 else _safeguarded_newton(gap, lo, hi)
     return MaturityResult(q=q, effective_maturity=t, effective_notional=math.exp(-q * t))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .params import ContractParams, MarketParams, ValidationError, _record, _require_finite
+from .params import ContractParams, MarketParams, ValidationError, _check_strike, _record, _require_finite
 from .pricing import _EXERCISE_NOW, _ClosedForm, _evaluate, _out_of_range
 
 
@@ -133,11 +133,9 @@ def dated_bs_call(m: MarketParams, strike: float, maturity: float) -> DatedGreek
     float (at a vol whose sigma^2 overflows, every field is nan).
     """
     _require_finite("maturity", maturity)
-    _require_finite("strike", strike)
     if maturity <= 0:
         raise ValidationError(f"maturity must be > 0, got {maturity}")
-    if strike <= 0:
-        raise ValidationError(f"strike must be > 0, got {strike}")
+    _check_strike(strike)
     terms = _dated_call(m, strike)(maturity)
     for name, value in zip(DatedGreeksReport.__slots__, terms):
         if not abs(value) < math.inf:

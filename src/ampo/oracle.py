@@ -38,6 +38,9 @@ from .params import (
     Regime,
     RegionError,
     ValidationError,
+    _INF,
+    _check_terms,
+    _member,
     _record,
     _require_finite,
     _require_iterable,
@@ -386,8 +389,10 @@ def lattice_price(
     the relative price change exceeds it. A spot-to-strike ratio whose
     grid would leave the float range raises ValidationError.
     """
-    for name in ("rate_eff", "dividend_eff", "strike"):
-        _require_finite(name, getattr(e, name))
+    if not (type(e.rate_eff) is type(e.dividend_eff) is type(e.strike) is float
+            and abs(e.rate_eff) < _INF and abs(e.dividend_eff) < _INF and abs(e.strike) < _INF):
+        for name in ("rate_eff", "dividend_eff", "strike"):
+            _require_finite(name, getattr(e, name))
     rate = e.rate_eff - e.dividend_eff
     # 2r+q and r+q round by half an ulp each: the rate is off by up to an ulp of rate_eff
     if abs(rate - m.rate) > 1e-12 * max(1.0, abs(m.rate)) + 2.0 * math.ulp(e.rate_eff):
@@ -398,8 +403,10 @@ def lattice_price(
     amort = e.dividend_eff - rate
     if amort <= 0:
         raise ValidationError(f"implied amort must be > 0, got {amort}")
-    contract = ContractParams(strike=e.strike, amort=amort, kind=e.payoff_kind)
-    analytic = _closed_form(m, contract.kind, contract.strike, amort).premium
+    # the terms as ContractParams checks them: an int or Fraction amort may overflow a float
+    _check_terms(e.strike, amort)
+    kind = e.payoff_kind if isinstance(e.payoff_kind, OptionKind) else _member(OptionKind, e.payoff_kind)
+    analytic = _closed_form(m, kind, e.strike, amort).premium
 
     def solve(steps: int) -> tuple[float, float]:
         return _perpetual_sweep(
@@ -448,10 +455,12 @@ def pde_residual(
     half_var = 0.5 * m.vol**2
     out = []
     for s in _require_iterable("spots", spots):
-        _require_finite("spot", s)
-        spot = float(s)
-        if spot <= 0:
-            raise ValidationError(f"spot must be > 0, got {spot}")
+        spot = s
+        if not (type(s) is float and 0.0 < s < _INF):
+            _require_finite("spot", s)
+            spot = float(s)
+            if spot <= 0:
+                raise ValidationError(f"spot must be > 0, got {spot}")
         _, sign, alpha, gap, _, regime, premium, _, _ = _kernel(m, kind, strike, q, ex, spot)
         if regime is not _CONTINUATION:
             raise RegionError(f"spot {s} is outside the continuation region")
@@ -483,7 +492,8 @@ def finite_difference(
         raise ValidationError(f"order must be 1 or 2, got {order}")
     if mode not in ("central", "forward"):
         raise ValidationError(f"mode must be 'central' or 'forward', got {mode!r}")
-    _require_finite("x", x)
+    if not (type(x) is float and abs(x) < _INF):
+        _require_finite("x", x)
     try:
         in_range = 0.0 < step < math.inf
     except TypeError:

@@ -2,6 +2,15 @@
 
 Every record of the package, here and in the other modules, is a
 frozen, slotted dataclass made by _record.
+
+The input checks on hot paths (MarketParams, _check_terms, _check_strike,
+and oracle's per-spot, effective-term and point checks) accept their
+common case with one comparison chain, such as
+type(x) is float and 0.0 < x < _INF: only an exact float in range passes
+it. Everything else (an int, a bool, a Fraction, a Decimal, a float
+subclass, nan, an infinity, -0.0 where > 0 is asked, or any value out of
+range) goes on to the full checks, so the inputs accepted, and every
+message in its order, are the full checks' alone.
 """
 
 from __future__ import annotations
@@ -39,6 +48,9 @@ class OptionKind(str, Enum):
 class Regime(str, Enum):
     CONTINUATION = "continuation"
     EXERCISE_NOW = "exercise_now"
+
+
+_INF = math.inf
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -104,19 +116,21 @@ def _record(cls):
 
 def _check_strike(strike: float) -> None:
     """A strike as ContractParams checks it: finite and > 0."""
-    _require_finite("strike", strike)
-    if strike <= 0:
-        raise ValidationError(f"strike must be > 0, got {strike}")
+    if not (type(strike) is float and 0.0 < strike < _INF):
+        _require_finite("strike", strike)
+        if strike <= 0:
+            raise ValidationError(f"strike must be > 0, got {strike}")
 
 
 def _check_terms(strike: float, amort: float) -> None:
     """Contract terms: strike and amortization rate finite and > 0."""
-    _require_finite("strike", strike)
-    _require_finite("amort", amort)
-    if strike <= 0:
-        raise ValidationError(f"strike must be > 0, got {strike}")
-    if amort <= 0:
-        raise ValidationError(f"amort must be > 0, got {amort}")
+    if not (type(strike) is type(amort) is float and 0.0 < strike < _INF and 0.0 < amort < _INF):
+        _require_finite("strike", strike)
+        _require_finite("amort", amort)
+        if strike <= 0:
+            raise ValidationError(f"strike must be > 0, got {strike}")
+        if amort <= 0:
+            raise ValidationError(f"amort must be > 0, got {amort}")
 
 
 @_record
@@ -132,14 +146,17 @@ class MarketParams:
     vol: float
 
     def __post_init__(self):
-        for name in ("spot", "rate", "vol"):
-            _require_finite(name, getattr(self, name))
-        if self.spot <= 0:
-            raise ValidationError(f"spot must be > 0, got {self.spot}")
-        if self.vol <= 0:
-            raise ValidationError(f"vol must be > 0, got {self.vol}")
-        if self.rate < 0:
-            raise ValidationError(f"rate must be >= 0, got {self.rate}")
+        spot, rate, vol = self.spot, self.rate, self.vol
+        if not (type(spot) is type(rate) is type(vol) is float
+                and 0.0 < spot < _INF and 0.0 <= rate < _INF and 0.0 < vol < _INF):
+            for name in ("spot", "rate", "vol"):
+                _require_finite(name, getattr(self, name))
+            if spot <= 0:
+                raise ValidationError(f"spot must be > 0, got {spot}")
+            if vol <= 0:
+                raise ValidationError(f"vol must be > 0, got {vol}")
+            if rate < 0:
+                raise ValidationError(f"rate must be >= 0, got {rate}")
 
 
 @_record

@@ -25,6 +25,7 @@ from .params import (
     Quote,
     Regime,
     ValidationError,
+    _INF,
     _require_finite,
     intrinsic_value,
 )
@@ -34,7 +35,6 @@ from .params import (
 _CALL = OptionKind.CALL
 _EXERCISE_NOW = Regime.EXERCISE_NOW
 _CONTINUATION = Regime.CONTINUATION
-_INF = math.inf
 _TUPLE_NEW = tuple.__new__
 
 

@@ -532,18 +532,16 @@ def test_examples_2_underflowing_dated_gamma_exits_3(cli):
 def test_examples_where_spot_over_strike_underflows_print_no_traceback(cli):
     # S/K = 1e-400 underflows to 0, where log(S/K) raised "math domain error";
     # the dated call takes log S - log K. The AmPO premium underflows to 0,
-    # so T is the bracket's lower end, and the dated Gamma there is 0
+    # where the dated premium is 0 over a range of T, so no T is a solution
+    # and the bracket's lower end, T = 1e-9, is not one: both studies refuse
+    # the premium by name
     args = ("--spot", "1e-200", "--strike", "1e200", "--q-steps", "2", "--output", "csv")
-    res = cli("examples", "1", *args)
-    assert (res.returncode, res.stderr) == (0, "")
-    assert res.stdout.splitlines() == [
-        "q,effective_maturity,effective_notional", "0.05,1e-09,0.99999999995", "1.0,1e-09,0.999999999",
-    ]
-    res = cli("examples", "2", *args)
-    assert (res.returncode, res.stdout) == (3, "")
-    assert res.stderr == (
-        "error: dated call Gamma underflows to 0 at q = 0.05 (T = 1e-09): the Gamma ratio is undefined\n"
-    )
+    for example in ("1", "2"):
+        res = cli("examples", example, *args)
+        assert (res.returncode, res.stdout) == (3, "")
+        assert res.stderr == (
+            "error: AmPO call premium underflows to 0.0 at q = 0.05: no maturity matches it\n"
+        )
 
 
 def test_validate_refuses_a_nan_tolerance_or_fractional_steps(cli):

@@ -544,6 +544,47 @@ def test_market_a_benchmark_calls_make_pinned_solve_and_kernel_counts(market_a, 
                    "validate call": (4, 20), "validate put": (4, 20)}
 
 
+def test_market_a_validate_calls_take_the_comparison_chains(market_a, monkeypatch):
+    # the validate workload's calls and validate_checks on market A: each
+    # bumped MarketParams, residual spot, lattice term and difference point is
+    # an exact float in range, which its check's comparison chain accepts with
+    # no _require_finite call; only the premium scale and perturb knobs make one
+    import ampo.analysis
+    import ampo.greeks
+    import ampo.oracle
+    import ampo.params
+    import ampo.pricing
+
+    names = []
+    require_finite = ampo.params._require_finite
+
+    def counted(name, value):
+        names.append(name)
+        return require_finite(name, value)
+
+    for module in (ampo.params, ampo.pricing, ampo.greeks, ampo.oracle, ampo.analysis):
+        monkeypatch.setattr(module, "_require_finite", counted)
+    m = dataclasses.replace(market_a)
+    cfg = ampo.LatticeConfig(horizon=200.0, steps=4000, convergence=5e-3)
+    got = {}
+    for kind in OptionKind:
+        c = ContractParams(strike=100.0, amort=0.1, kind=kind)
+        names.clear()
+        ampo.lattice_price(to_equivalent_perpetual(c, m), m, cfg)
+        lo, hi = sorted((m.spot, price(m, c).boundary))
+        a, b = (0.5 * lo, 0.999 * hi) if kind is OptionKind.CALL else (1.001 * lo, 1.5 * hi)
+        pde_residual(m, c, [a + (b - a) * i / 9 for i in range(10)])
+        for field, order in (("spot", 1), ("spot", 2), ("vol", 1)):
+            bumped = lambda x: price(dataclasses.replace(m, **{field: x}), c).premium
+            ampo.finite_difference(bumped, getattr(m, field), order, "central", 1e-4)
+        got[f"workload {kind.value}"] = names[:]
+        names.clear()
+        ampo.validate_checks(m, c, cfg)
+        got[f"validate {kind.value}"] = names[:]
+    assert got == {"workload call": ["premium_scale"], "validate call": ["perturb", "premium_scale"],
+                   "workload put": ["premium_scale"], "validate put": ["perturb", "premium_scale"]}
+
+
 def test_memo_matches_fresh_evaluations_in_any_order():
     rng = random.Random(14)
     pairs = [sample_set(rng) for _ in range(6)]

@@ -3,9 +3,12 @@ conftest box: rate 0 or 1e-6..2, vol 1e-4..5, amort 1e-8..1e5, spot
 1e-3..1e5 and strike 1e-2..1e4, each drawn log-uniformly."""
 
 import dataclasses
+import itertools
 import math
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,13 +22,16 @@ from ampo import (
     AmpoError,
     ContractParams,
     DatedGreeksReport,
+    EquivalentPerpetual,
     MarketParams,
     NoSolutionError,
     OptionKind,
     Regime,
+    RegionError,
     StrategyKind,
     StrategySpec,
     LatticeConfig,
+    ValidationError,
     LimitReport,
     MixedPartialFactors,
     compute_exponents,
@@ -53,6 +59,7 @@ from ampo import (
     vega,
 )
 from ampo import oracle
+from ampo.params import _check_strike, _check_terms, _member, _require_finite
 from test_oracle import _NEAR_DOUBLE_ROOT, _REBUILT, _linear_sweep
 from test_pricing import _views
 
@@ -402,6 +409,181 @@ def test_fixed_point_start_is_below_the_fixed_point_and_bounds_the_walk(discount
     k, landed = _walk(to_exercise, to_continuation, start)
     assert landed == fixed
     assert steps <= i_max + k
+
+
+# ------------------------------------------ the input checks' comparison chains
+#
+# Each hot input check accepts an exact float in range with one comparison
+# chain and sends everything else through its full checks. The rules below
+# write each check out without its chain, as the reference: every check
+# must accept and refuse as its rule does, with the same message.
+
+
+class _SubFloat(float):
+    """A float subclass: equal to its float, but not an exact float."""
+
+
+# the values each check must treat as its full checks do, one per type and edge
+_EDGES = (
+    0.0, -0.0, 5e-324, -5e-324, 0.05, 100.0, sys.float_info.max, -sys.float_info.max,
+    math.inf, -math.inf, math.nan,
+    0, 1, -1, 10**400, True, False,
+    Fraction(1, 10**400), Fraction(-1, 10**400), Fraction(1, 3),
+    Decimal("1.5"), Decimal(0), Decimal("nan"), Decimal("inf"),
+    _SubFloat(0.5), _SubFloat(-0.0), _SubFloat(math.inf), _SubFloat(math.nan),
+    "1.0",
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_MIXED = st.one_of(
+    st.sampled_from(_EDGES),
+    st.floats(),
+    log_uniform(1e-300, 1e300),
+    st.integers(-(10**400), 10**400),
+    _FINITE.map(Fraction),
+    _FINITE.map(_SubFloat),
+)
+
+
+def _market_rule(spot, rate, vol):
+    for name, value in (("spot", spot), ("rate", rate), ("vol", vol)):
+        _require_finite(name, value)
+    if spot <= 0:
+        raise ValidationError(f"spot must be > 0, got {spot}")
+    if vol <= 0:
+        raise ValidationError(f"vol must be > 0, got {vol}")
+    if rate < 0:
+        raise ValidationError(f"rate must be >= 0, got {rate}")
+
+
+def _strike_rule(strike):
+    _require_finite("strike", strike)
+    if strike <= 0:
+        raise ValidationError(f"strike must be > 0, got {strike}")
+
+
+def _terms_rule(strike, amort):
+    _require_finite("strike", strike)
+    _require_finite("amort", amort)
+    if strike <= 0:
+        raise ValidationError(f"strike must be > 0, got {strike}")
+    if amort <= 0:
+        raise ValidationError(f"amort must be > 0, got {amort}")
+
+
+def _spot_rule(s):
+    # pde_residual's per-spot check; the spot is evaluated as a float
+    _require_finite("spot", s)
+    spot = float(s)
+    if spot <= 0:
+        raise ValidationError(f"spot must be > 0, got {spot}")
+    return spot
+
+
+def _lattice_by_rule(e, m, cfg):
+    # lattice_price as it was: its term checks, then a ContractParams of the
+    # strike, the implied amort and the kind, then the closed form and sweep
+    for name in ("rate_eff", "dividend_eff", "strike"):
+        _require_finite(name, getattr(e, name))
+    rate = e.rate_eff - e.dividend_eff
+    if abs(rate - m.rate) > 1e-12 * max(1.0, abs(m.rate)) + 2.0 * math.ulp(e.rate_eff):
+        raise ValidationError(
+            f"market rate {m.rate} inconsistent with effective rates ({e.rate_eff}, {e.dividend_eff})"
+        )
+    amort = e.dividend_eff - rate
+    if amort <= 0:
+        raise ValidationError(f"implied amort must be > 0, got {amort}")
+    _terms_rule(e.strike, amort)
+    analytic = oracle._closed_form(m, _member(OptionKind, e.payoff_kind), e.strike, amort).premium
+    return analytic, oracle._perpetual_sweep(e.payoff_kind, m.spot, e.strike, rate, e.rate_eff,
+                                             m.vol, cfg.steps)
+
+
+def _lattice_now(e, m, cfg):
+    rep = lattice_price(e, m, cfg)
+    return rep.analytic_price, (rep.oracle_price, rep.boundary_estimate)
+
+
+def _result(fn, *args):
+    """repr of what fn returns, or the type and message of what it raises."""
+    try:
+        return repr(fn(*args))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _refusal(check, *args):
+    """The type and message of what check raises, or None where it returns."""
+    got = _result(check, *args)
+    return None if isinstance(got, str) else got
+
+
+# the types lattice_price's effective rates are given in, and its kinds
+_RATE_EFF_TYPES = (float, _SubFloat, Fraction, Decimal, lambda x: int(x) if math.isfinite(x) else x)
+_KINDS = (OptionKind.CALL, OptionKind.PUT, "call", "put", "straddle")
+
+
+def _assert_chains_agree_with_the_rules(spot, rate, vol, strike, amort, as_type, kind):
+    market_a = MarketParams(100.0, 0.05, 0.5)
+    assert _refusal(MarketParams, spot, rate, vol) == _refusal(_market_rule, spot, rate, vol)
+    for name, value in (("spot", spot), ("rate", rate), ("vol", vol)):
+        terms = {"spot": 100.0, "rate": 0.05, "vol": 0.5, name: value}
+        got = _refusal(lambda: dataclasses.replace(market_a, **{name: value}))
+        assert got == _refusal(_market_rule, *terms.values()), name
+    assert _refusal(_check_strike, strike) == _refusal(_strike_rule, strike)
+    assert _refusal(_check_terms, strike, amort) == _refusal(_terms_rule, strike, amort)
+    assert _refusal(ContractParams, strike, amort, OptionKind.PUT) == _refusal(_terms_rule, strike, amort)
+
+    # pde_residual: a spot the rule accepts is evaluated as its float; the
+    # call's boundary at market A is 266.67, and a spot beyond it is refused
+    # as outside the continuation region, named as given
+    call = ContractParams(100.0, 0.1, OptionKind.CALL)
+    want, got = _refusal(_spot_rule, spot), _result(pde_residual, market_a, call, [spot])
+    if want or isinstance(got, str):
+        assert got == (want or _result(pde_residual, market_a, call, [float(spot)]))
+    else:
+        assert got[0] is RegionError and float(spot) > 266.0
+    # finite_difference's point: refused by the rule's message, or not for the point
+    want, got = _refusal(_require_finite, "x", spot), _refusal(oracle.finite_difference, abs, spot)
+    assert got == want if want else not (got and got[1].startswith("x must"))
+
+    # lattice_price: the effective rates of amort at market A in one of the
+    # mixed types, at the drawn strike and at 100.0, then (vol, amort) as
+    # drawn; the kind is a member, a value or none
+    cfg = LatticeConfig(steps=64)
+    try:
+        pair = as_type(2 * market_a.rate + amort), as_type(market_a.rate + amort)
+    except Exception:
+        pair = vol, amort
+    for (rate_eff, dividend_eff), k in ((pair, strike), (pair, 100.0), ((vol, amort), strike)):
+        e = EquivalentPerpetual(rate_eff, dividend_eff, kind, k)
+        assert _result(_lattice_now, e, market_a, cfg) == _result(_lattice_by_rule, e, market_a, cfg)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    spot=_MIXED, rate=_MIXED, vol=_MIXED, strike=_MIXED, amort=_MIXED,
+    as_type=st.sampled_from(_RATE_EFF_TYPES), kind=st.sampled_from(_KINDS),
+)
+def test_comparison_chains_accept_and_refuse_as_the_full_checks(spot, rate, vol, strike, amort, as_type, kind):
+    # mixed types over the whole accepted range: exact floats in and out of
+    # range, +-0.0, 5e-324, the largest float, +-inf and nan, ints and bools,
+    # Fraction(+-1, 10**400), Decimals and a float subclass
+    _assert_chains_agree_with_the_rules(spot, rate, vol, strike, amort, as_type, kind)
+
+
+def test_comparison_chains_agree_with_the_full_checks_at_every_edge():
+    # each edge value in each place, the others at market A's call; then
+    # every triple of edges for MarketParams and every pair for the terms
+    typical = {"spot": 100.0, "rate": 0.05, "vol": 0.5, "strike": 100.0, "amort": 0.1}
+    for name in typical:
+        for i, value in enumerate(_EDGES):
+            args = {**typical, name: value}
+            _assert_chains_agree_with_the_rules(*args.values(), _RATE_EFF_TYPES[i % len(_RATE_EFF_TYPES)],
+                                                _KINDS[i % len(_KINDS)])
+    for spot, rate, vol in itertools.product(_EDGES, repeat=3):
+        assert _refusal(MarketParams, spot, rate, vol) == _refusal(_market_rule, spot, rate, vol)
+    for strike, amort in itertools.product(_EDGES, repeat=2):
+        assert _refusal(_check_terms, strike, amort) == _refusal(_terms_rule, strike, amort)
 
 
 def test_a_failing_property_reports_its_example(tmp_path):
