@@ -23,7 +23,7 @@ from enum import Enum
 
 from .greeks import _dated_call, _gamma
 from .params import MarketParams, NoSolutionError, OptionKind, ValidationError
-from .params import _check_strike, _check_terms, _member, _record, _require_finite, _require_iterable
+from .params import _check_strike, _check_terms, _member, _record, _require_iterable, _require_positive
 from .pricing import _CALL, _INF, _NOTHING, _closed_form, _exponents, _kernel, _out_of_range
 
 
@@ -42,9 +42,7 @@ class StrategySpec:
     budget: float
 
     def __post_init__(self):
-        _require_finite("budget", self.budget)
-        if self.budget <= 0:
-            raise ValidationError(f"budget must be > 0, got {self.budget}")
+        _require_positive(("budget", self.budget))
         if not isinstance(self.kind, StrategyKind):
             object.__setattr__(self, "kind", _member(StrategyKind, self.kind))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .params import ContractParams, MarketParams, ValidationError, _check_strike, _record, _require_finite
+from .params import ContractParams, MarketParams, ValidationError, _check_strike, _record, _require_positive
 from .pricing import _EXERCISE_NOW, _ClosedForm, _evaluate, _out_of_range
 
 
@@ -132,9 +132,7 @@ def dated_bs_call(m: MarketParams, strike: float, maturity: float) -> DatedGreek
     ValidationError names the dated call where a field is not a finite
     float (at a vol whose sigma^2 overflows, every field is nan).
     """
-    _require_finite("maturity", maturity)
-    if maturity <= 0:
-        raise ValidationError(f"maturity must be > 0, got {maturity}")
+    _require_positive(("maturity", maturity))
     _check_strike(strike)
     terms = _dated_call(m, strike)(maturity)
     for name, value in zip(DatedGreeksReport.__slots__, terms):
@@ -168,7 +166,7 @@ def _dated_call(m: MarketParams, strike: float):
     (sigma*sqrt(t) underflowing to 0), ValidationError names the dated call.
     """
     s, k, r, sig = m.spot, strike, m.rate, m.vol
-    moneyness = s / k
+    moneyness = float(s) / float(k)  # of the floats: Fraction / Fraction stays exact
     log_m = math.log(moneyness) if 0.0 < moneyness < math.inf else math.log(s) - math.log(k)
     try:
         drift = r + 0.5 * sig**2

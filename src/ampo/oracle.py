@@ -44,6 +44,7 @@ from .params import (
     _record,
     _require_finite,
     _require_iterable,
+    _require_positive,
 )
 from .greeks import delta, gamma, vega
 from .pricing import (
@@ -74,8 +75,8 @@ class LatticeConfig:
     halving `steps` moves the price by more than that relative amount.
     `horizon` is validated but not used, since the lattice is perpetual;
     it stays so that callers which still set it (perfbench/workloads.py)
-    keep working. `horizon` and `convergence` must be finite and `steps`
-    an int (not a bool).
+    keep working. `horizon` and `convergence` are positive inputs, and
+    `steps` an int (not a bool).
     """
 
     horizon: float = 200.0
@@ -83,19 +84,13 @@ class LatticeConfig:
     convergence: float | None = None
 
     def __post_init__(self):
-        _require_finite("horizon", self.horizon)
-        if self.horizon <= 0:
-            raise ValidationError(f"horizon must be > 0, got {self.horizon}")
+        _require_positive(("horizon", self.horizon))
         if not isinstance(self.steps, int) or isinstance(self.steps, bool):
             raise ValidationError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValidationError(f"steps must be >= 2, got {self.steps}")
         if self.convergence is not None:
-            _require_finite("convergence tolerance", self.convergence)
-            if self.convergence <= 0:
-                raise ValidationError(
-                    f"convergence tolerance must be > 0, got {self.convergence}"
-                )
+            _require_positive(("convergence tolerance", self.convergence))
 
 
 @_record
@@ -298,7 +293,8 @@ def _perpetual_sweep(
     b = math.exp(-discount_rate * dt)
     # node j is the spot times e^(j*dx), |j*dx| <= |x| + reach + dx, so that
     # factor must be a float; a ratio that over- or underflows refuses too
-    moneyness = spot / strike
+    # (of the floats: a Fraction spot over a Fraction strike would stay exact)
+    moneyness = float(spot) / float(strike)
     x = math.log(moneyness) if 0.0 < moneyness < math.inf else math.inf
     if not abs(x) + reach + dx < _LOG_MAX:
         raise ValidationError(
@@ -459,8 +455,7 @@ def pde_residual(
         if not (type(s) is float and 0.0 < s < _INF):
             _require_finite("spot", s)
             spot = float(s)
-            if spot <= 0:
-                raise ValidationError(f"spot must be > 0, got {spot}")
+            _require_positive(("spot", spot))
         _, sign, alpha, gap, _, regime, premium, _, _ = _kernel(m, kind, strike, q, ex, spot)
         if regime is not _CONTINUATION:
             raise RegionError(f"spot {s} is outside the continuation region")
@@ -525,11 +520,12 @@ def validate_checks(
     failed lattice_convergence record holding the ConvergenceError's message.
     In the continuation region: pde_residual (the worst of ten spots up to the
     boundary, premium times `perturb`; 1e-8), then fd_delta, fd_gamma and
-    fd_vega (central first differences against delta, gamma and vega;
-    1e-5). fd_delta and fd_vega difference price(...).premium at a bumped
-    spot or vol; fd_gamma differences the analytic delta at a bumped spot,
-    which keeps its digits where Gamma*S^2/V is tiny and needs no (h*S)^2
-    denominator. The residual reads the contract's solve, and price and
+    fd_vega (central first differences against delta, gamma and vega,
+    relative to the Greek or, where it is smaller, to 1e-12 of its natural
+    size V/S, V/S^2 or V/sigma; 1e-5). fd_delta and fd_vega difference
+    price(...).premium at a bumped spot or vol; fd_gamma differences the
+    analytic delta at a bumped spot, which keeps its digits where
+    Gamma*S^2/V is tiny and needs no (h*S)^2 denominator. The residual reads the contract's solve, and price and
     delta re-price a bumped spot from the contract's exponents
     (pricing._evaluate), so the exponents are solved four times in all:
     for the contract, the lattice's analytic price and the two vols. A
@@ -573,11 +569,15 @@ def validate_checks(
     # the truncation error of the spot differences grows like (alpha*h)^2
     margin = abs(f.boundary - m.spot) / m.spot
     h = min(1e-4, 1e-3 / f.alpha, max(margin / 4.0, 1e-7))
+    # with each Greek its natural size, so the error's floor scales with the contract
+    v = f.premium
     fd_checks = (
-        ("fd_delta", delta(m, c), finite_difference(prem_of_spot, m.spot, 1, "central", h)),
-        ("fd_gamma", gamma(m, c), finite_difference(delta_of_spot, m.spot, 1, "central", h)),
-        ("fd_vega", vega(m, c), finite_difference(prem_of_vol, m.vol, 1, "central", 1e-4)),
+        ("fd_delta", delta(m, c), finite_difference(prem_of_spot, m.spot, 1, "central", h), v / m.spot),
+        ("fd_gamma", gamma(m, c), finite_difference(delta_of_spot, m.spot, 1, "central", h),
+         v / m.spot / m.spot),
+        ("fd_vega", vega(m, c), finite_difference(prem_of_vol, m.vol, 1, "central", 1e-4), v / m.vol),
     )
-    for name, analytic, fd in fd_checks:
-        check(name, abs(analytic - fd) / max(abs(analytic), 1e-12), 1e-5)
+    for name, analytic, fd, size in fd_checks:
+        # 5e-324 where the premium, and with it the Greek, underflows to 0
+        check(name, abs(analytic - fd) / max(abs(analytic), 1e-12 * size, 5e-324), 1e-5)
     return checks

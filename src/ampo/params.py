@@ -3,6 +3,11 @@
 Every record of the package, here and in the other modules, is a
 frozen, slotted dataclass made by _record.
 
+A positive input is one whose float is positive, since the closed forms
+compute with the float: Fraction(1, 10**400) is refused like 0. Every
+input that must be > 0 is checked by _require_positive, and any other is
+refused by name.
+
 The input checks on hot paths (MarketParams, _check_terms, _check_strike,
 and oracle's per-spot, effective-term and point checks) accept their
 common case with one comparison chain, such as
@@ -65,6 +70,23 @@ def _require_finite(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
+def _require_positive(*named: tuple[str, float]) -> None:
+    """Each (name, value) finite, then each value > 0 as a float, in the order given."""
+    for name, value in named:
+        _require_finite(name, value)
+    for name, value in named:
+        # an exact value <= 0 rounds to a float <= 0, so this is also the exact test
+        if not value + 0.0 > 0.0:
+            raise ValidationError(f"{name} must be > 0, got {value}")
+
+
+def _require_nonnegative(name: str, value: float) -> None:
+    """`value` finite and >= 0; a negative value whose float is -0.0 is refused."""
+    _require_finite(name, value)
+    if value < 0:
+        raise ValidationError(f"{name} must be >= 0, got {value}")
+
+
 def _require_iterable(name: str, values):
     """An iterator over `values`; ValidationError if they cannot be iterated."""
     try:
@@ -115,22 +137,15 @@ def _record(cls):
 
 
 def _check_strike(strike: float) -> None:
-    """A strike as ContractParams checks it: finite and > 0."""
+    """A strike as ContractParams checks it, as a positive input."""
     if not (type(strike) is float and 0.0 < strike < _INF):
-        _require_finite("strike", strike)
-        if strike <= 0:
-            raise ValidationError(f"strike must be > 0, got {strike}")
+        _require_positive(("strike", strike))
 
 
 def _check_terms(strike: float, amort: float) -> None:
-    """Contract terms: strike and amortization rate finite and > 0."""
+    """Contract terms: strike and amortization rate, each a positive input."""
     if not (type(strike) is type(amort) is float and 0.0 < strike < _INF and 0.0 < amort < _INF):
-        _require_finite("strike", strike)
-        _require_finite("amort", amort)
-        if strike <= 0:
-            raise ValidationError(f"strike must be > 0, got {strike}")
-        if amort <= 0:
-            raise ValidationError(f"amort must be > 0, got {amort}")
+        _require_positive(("strike", strike), ("amort", amort))
 
 
 @_record
@@ -149,14 +164,11 @@ class MarketParams:
         spot, rate, vol = self.spot, self.rate, self.vol
         if not (type(spot) is type(rate) is type(vol) is float
                 and 0.0 < spot < _INF and 0.0 <= rate < _INF and 0.0 < vol < _INF):
-            for name in ("spot", "rate", "vol"):
-                _require_finite(name, getattr(self, name))
-            if spot <= 0:
-                raise ValidationError(f"spot must be > 0, got {spot}")
-            if vol <= 0:
-                raise ValidationError(f"vol must be > 0, got {vol}")
-            if rate < 0:
-                raise ValidationError(f"rate must be >= 0, got {rate}")
+            # finite in the order spot, rate, vol; then spot, vol and rate in range
+            _require_finite("spot", spot)
+            _require_finite("rate", rate)
+            _require_positive(("spot", spot), ("vol", vol))
+            _require_nonnegative("rate", rate)
 
 
 @_record
@@ -222,14 +234,7 @@ class AmortizationSchedule:
     amort: float
 
     def __post_init__(self):
-        _require_finite("initial_notional", self.initial_notional)
-        _require_finite("amort", self.amort)
-        if self.initial_notional <= 0:
-            raise ValidationError(
-                f"initial_notional must be > 0, got {self.initial_notional}"
-            )
-        if self.amort <= 0:
-            raise ValidationError(f"amort must be > 0, got {self.amort}")
+        _require_positive(("initial_notional", self.initial_notional), ("amort", self.amort))
 
 
 def intrinsic_value(kind: OptionKind, spot: float, strike: float) -> float:

@@ -27,6 +27,7 @@ from .params import (
     ValidationError,
     _INF,
     _require_finite,
+    _require_nonnegative,
     intrinsic_value,
 )
 
@@ -73,9 +74,8 @@ def _exponents(m: MarketParams, q: float) -> tuple[float, float, float]:
         in_range = 0.0 <= q < _INF
     except TypeError:
         in_range = False
-    if not in_range:
-        _require_finite("amort", q)
-        raise ValidationError(f"amort must be >= 0, got {q}")
+    if not in_range:  # q is negative or not a finite real
+        _require_nonnegative("amort", q)
     try:
         s2 = m.vol**2
         x = m.rate / s2
@@ -281,7 +281,5 @@ def to_equivalent_perpetual(c: ContractParams, m: MarketParams) -> EquivalentPer
 
 def notional_at(s: AmortizationSchedule, t: float) -> float:
     """Notional at time t under exponential decay: N0 * e^{-q t}."""
-    _require_finite("t", t)
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
+    _require_nonnegative("t", t)
     return s.initial_notional * math.exp(-s.amort * t)

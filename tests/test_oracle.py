@@ -446,14 +446,28 @@ def test_fd_gamma_still_catches_a_wrong_gamma(wrong, kind, monkeypatch):
     assert checked >= 4
 
 
-def test_fd_gamma_at_a_spot_past_1e158_has_no_overflowing_denominator():
-    # the second difference's (h*S)^2 overflowed at S = 0.9*boundary ~ 1.6e308
-    # and the contract was refused with "difference denominator of inf"
+def _past_1e158():
+    # a call at S = 0.9*boundary ~ 1.6e308, where Gamma is 5.6e-309
     c = ContractParams(strike=8.988e307 * (1 - 1e-7), amort=1.0, kind=OptionKind.CALL)
-    m = MarketParams(spot=0.9 * price(MarketParams(1.0, 0.0, 1.0), c).boundary, rate=0.0, vol=1.0)
-    checks = {r["check"]: r for r in validate_checks(m, c, _CFG)}
+    return MarketParams(spot=0.9 * price(MarketParams(1.0, 0.0, 1.0), c).boundary, rate=0.0, vol=1.0), c
+
+
+def test_fd_gamma_at_a_spot_past_1e158_has_no_overflowing_denominator():
+    # the second difference's (h*S)^2 overflowed there and the contract was
+    # refused with "difference denominator of inf"
+    checks = {r["check"]: r for r in validate_checks(*_past_1e158(), _CFG)}
     assert checks["fd_gamma"]["passed"]
     assert checks["fd_delta"]["passed"] and checks["pde_residual"]["passed"]
+
+
+def test_fd_gamma_at_a_spot_past_1e158_catches_a_gamma_off_by_1_percent(monkeypatch):
+    # the error's floor is 1e-12 of V/S^2; an absolute 1e-12 floor passed any
+    # error below 1e-17, so any wrong Gamma there: one off by 1% reads about 1e-2
+    real_gamma = oracle.gamma
+    monkeypatch.setattr(oracle, "gamma", lambda m, c: 1.01 * real_gamma(m, c))
+    checks = {r["check"]: r for r in validate_checks(*_past_1e158(), _CFG)}
+    assert not checks["fd_gamma"]["passed"] and checks["fd_gamma"]["value"] > 9e-3
+    assert checks["fd_delta"]["passed"] and checks["fd_vega"]["passed"]
 
 
 def test_validate_checks_residual_spots_stay_in_range_past_2e307(monkeypatch):

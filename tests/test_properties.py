@@ -48,6 +48,7 @@ from ampo import (
     lattice_price,
     limit_suite,
     mixed_partial_factors,
+    optimize_q,
     pde_residual,
     positional_vega,
     price,
@@ -206,6 +207,51 @@ def test_every_accepted_input_prices_or_is_refused_by_name(rate, vol, q, spot, s
         except AmpoError:
             continue
         assert call not in finite or math.isfinite(value), value
+
+
+def _as_mixed(floats):
+    # each value as a float, an int (rounded up, so still > 0) or a Fraction,
+    # or 1/10**k, whose float is subnormal or 0.0 although the value is > 0
+    return st.one_of(
+        floats, floats.map(math.ceil), floats.map(Fraction),
+        st.integers(300, 400).map(lambda k: Fraction(1, 10**k)),
+    )
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    rate=st.one_of(st.just(0.0), log_uniform(1e-300, 1e10)),
+    vol=_as_mixed(log_uniform(1e-80, 1e60)),
+    q=_as_mixed(log_uniform(1e-300, 1e300)),
+    spot=_as_mixed(log_uniform(1e-300, 1e300)),
+    strike=_as_mixed(log_uniform(1e-300, 1e300)),
+    budget=_as_mixed(log_uniform(1e-300, 1e300)),
+    maturity=_as_mixed(log_uniform(1e-300, 1e300)),
+    kind=st.sampled_from(OptionKind),
+)
+def test_every_accepted_mixed_type_input_prices_or_is_refused_by_name(
+    rate, vol, q, spot, strike, budget, maturity, kind
+):
+    # as above, with ints and Fractions: a positive value whose float is 0.0
+    # is refused by name where it is given, not by a log or a division later
+    market = lambda: MarketParams(spot, rate, vol)
+    contract = lambda: ContractParams(strike, q, kind)
+    calls = [
+        market, contract, lambda: StrategySpec(StrategyKind.STRADDLE, budget),
+        lambda: price(market(), contract()), lambda: greeks_report(market(), contract()),
+        lambda: statics_report(market(), contract()),
+        lambda: lattice_price(to_equivalent_perpetual(contract(), market()), market(), _CFG),
+        lambda: effective_maturity(market(), strike, q),
+        lambda: effective_notional_curve(market(), strike, [q]),
+        lambda: ratio_study(market(), strike, [q]),
+        lambda: dated_bs_call(market(), strike, maturity),
+        lambda: optimize_q(market(), strike, StrategySpec(StrategyKind.PUT_ONLY, budget), (q, 2 * q)),
+    ] + [lambda k=k: positional_vega(market(), strike, StrategySpec(k, budget), q) for k in StrategyKind]
+    for call in calls:
+        try:
+            call()
+        except AmpoError:
+            continue
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
@@ -444,12 +490,13 @@ _MIXED = st.one_of(
 )
 
 
+# the rules as stated in params: finite, then > 0 where the float is > 0
 def _market_rule(spot, rate, vol):
     for name, value in (("spot", spot), ("rate", rate), ("vol", vol)):
         _require_finite(name, value)
-    if spot <= 0:
+    if not float(spot) > 0.0:
         raise ValidationError(f"spot must be > 0, got {spot}")
-    if vol <= 0:
+    if not float(vol) > 0.0:
         raise ValidationError(f"vol must be > 0, got {vol}")
     if rate < 0:
         raise ValidationError(f"rate must be >= 0, got {rate}")
@@ -457,16 +504,16 @@ def _market_rule(spot, rate, vol):
 
 def _strike_rule(strike):
     _require_finite("strike", strike)
-    if strike <= 0:
+    if not float(strike) > 0.0:
         raise ValidationError(f"strike must be > 0, got {strike}")
 
 
 def _terms_rule(strike, amort):
     _require_finite("strike", strike)
     _require_finite("amort", amort)
-    if strike <= 0:
+    if not float(strike) > 0.0:
         raise ValidationError(f"strike must be > 0, got {strike}")
-    if amort <= 0:
+    if not float(amort) > 0.0:
         raise ValidationError(f"amort must be > 0, got {amort}")
 
 
