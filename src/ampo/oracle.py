@@ -7,21 +7,18 @@ and statics test suites. validate_checks runs all three against the
 closed form of one contract; `ampo validate` prints its records.
 
 The lattice is perpetual, not truncated in time: on a fixed log-spot
-grid its value is the fixed point of one CRR step with early exercise,
-which the Brennan-Schwartz sweep solves exactly in two passes
-(Brennan & Schwartz 1977, J. Finance 32:449; proved correct for the
-American put by Jaillet, Lamberton & Lapeyre 1990, Acta Appl. Math.
-21:263). Its first pass starts just below the smaller root of its
-recurrence's quadratic and stops at the recurrence's floating-point
-fixed point, keeping only that ratio and a bound on the node where a
-walk from the far end reaches it. The second takes the exercise boundary
-below that node from Brennan and Schwartz's exercise condition, which
-that ratio turns into a closed form, confirms it with two float tests and
-bisects only where rounding could move it; so most nodes are never
-visited, with the same floats as a full walk. The ratios above that
-node, near the far continuation end, are rebuilt on first read.
-`LatticeConfig.steps` sets the grid resolution. The sweep uses only the
-lattice's own step constants and the payoff, never the closed form.
+grid its value is the fixed point of one CRR step with early exercise.
+Its continuation values follow a three-point recurrence with constant
+coefficients (Brennan & Schwartz 1977, J. Finance 32:449; proved correct
+for the American put by Jaillet, Lamberton & Lapeyre 1990, Acta Appl.
+Math. 21:263), which is solved in closed form: the ratio of neighbouring
+values from the roots of its quadratic, the exercise boundary from the
+exercise condition in logs, and the value at the spot as one power of the
+smaller root times a factor for the grid's far end. Apart from a few
+nodes near that end, tested one by one, the work is the same at any
+`LatticeConfig.steps`, which sets the grid resolution. The solve
+uses only the lattice's own step constants and the payoff, never the
+closed form.
 """
 
 from __future__ import annotations
@@ -108,99 +105,9 @@ class OracleReport:
     boundary_estimate: float
 
 
-# pass 1 starts _START_MARGIN*u*r1/(1 - rho) below the recurrence's root r1,
-# u = 2^-53: its rounding drifts by at most about 3u*r1/(1 - rho), and r1 by
-# about u*r1/(2(1 - rho)) more
-_START_MARGIN = 16.0
-_UNIT_ROUNDOFF = 2.0**-53
-
-
-def _fixed_point_start(to_exercise: float, to_continuation: float) -> tuple[int, float]:
-    """(i_max, start) of pass 1, as _perpetual_sweep's docstring derives them.
-
-    (0, 0.0), the walk from 0, where the bounds do not hold. With
-    s = sqrt(1 - 4*tc*te), r1 = 2te/(1 + s) and rho = tc*r1^2/te = r1/r2 =
-    (1 - s)/(1 + s). They need rho >= 1/2, so that te and tc are at least
-    1/9 and nothing underflows, and s >= 2^-14, so that the rounding of
-    1 - 4*tc*te moves s and 1 - rho = 2s/(1 + s) by under 2^-26 relative.
-    """
-    d = 1.0 - 4.0 * to_continuation * to_exercise
-    if not 2.0**-28 <= d <= 1.0 / 9.0:
-        return 0, 0.0
-    s = math.sqrt(d)
-    gap = 2.0 * s / (1.0 + s)
-    start = 2.0 * to_exercise / (1.0 + s) * (1.0 - _START_MARGIN * _UNIT_ROUNDOFF / gap)
-    # rho^j <= k/(1 + k) puts the exact iterate within (M - 4)u*r1/gap of r1,
-    # M = _START_MARGIN; the other 4u*r1/gap cover the float walk's lag and the
-    # rounding of r1, and the + 1 that of the logs
-    k = (_START_MARGIN - 4.0) * _UNIT_ROUNDOFF / (gap * gap)
-    return math.ceil(math.log1p(1.0 / k) / -math.log1p(-gap)) + 1, start
-
-
-def _first_pass(
-    to_exercise: float, to_continuation: float, first: int, ratio: float
-) -> tuple[int, float]:
-    """(top, B): pass 1 from `ratio` at node `first` until the map returns its input.
-
-    top is the node where it does, or 0 if it does not by node 1.
-    """
-    for k in range(first, 0, -1):
-        following = to_exercise / (1.0 - to_continuation * ratio)
-        if following == ratio:
-            return k, ratio
-        ratio = following
-    return 0, ratio
-
-
-def _flip_node(
-    spot: float, strike: float, x: float, u: float, step: float, ratio: float, at_spot: int,
-    span: float,
-) -> int | None:
-    """The first node k >= 1 where pass 2's exercise test fails, or None where rounding could move it.
-
-    With B = ratio and a = u - B for the put (step > 0) or 1/u - B for the
-    call, the exact test at node k holds iff a*S_{k-1} > K(1 - B) (put) or
-    a*S_{k-1} < K(1 - B) (call), so the guess is the first node past the
-    root S_{k-1} = K(1 - B)/a. The float test payoff(k) < B*payoff(k - 1)
-    is off from the exact one by at most e1*S_{k-1} + e2*K, with
-    e1 = (span + 16)*u0*(u + 1), e2 = 8*u0, u0 = 2^-53 and span the largest
-    |(k - at_spot)*dx| on the grid, given an exp within one ulp and S_k and
-    K in the normal range; the margins cover the rounding of a and 1 - B
-    too. So the two agree outside an interval of S around the root whose
-    ends are in the ratio (1 - B + e2)(a + e1)/((1 - B - e2)(a - e1)).
-    Where that is below 1 + (u - 1)/4, under one grid step after this
-    check's own rounding, at most one node lies inside it, next to the
-    root, and the float test flips exactly once: a guess that it confirms
-    at k - 1 and k is the node a bisection finds. None elsewhere, a <= e1
-    included (a call whose 1/u is below, at or just above B).
-    """
-    # the grid reaches at most e^(reach + dx) <= e^18 beyond the spot and the
-    # strike, so these keep every S_k normal
-    if not (1e-280 < min(spot, strike) and max(spot, strike) < 1e280):
-        return None
-    held = 1.0 - ratio
-    slope = (u if step > 0.0 else 1.0 / u) - ratio
-    e1 = (span + 16.0) * _UNIT_ROUNDOFF * (u + 1.0)
-    e2 = 8.0 * _UNIT_ROUNDOFF
-    if not (
-        held > e2
-        and slope > e1
-        and (held + e2) * (slope + e1) < (held - e2) * (slope - e1) * (1.0 + 0.25 * (u - 1.0))
-    ):
-        return None
-    return math.floor((math.log(held / slope) - x) / step) + at_spot + 2
-
-
-def _bisect_flip(payoff, ratio: float, top: int) -> int:
-    """The first node of 1..top where payoff(k) < ratio*payoff(k - 1), or top + 1, by bisection."""
-    lo, hi = 1, top + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if payoff(mid) < ratio * payoff(mid - 1):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _log(v: float) -> float:
+    """log(v), or -inf where v is 0."""
+    return math.log(v) if v > 0.0 else -math.inf
 
 
 def _perpetual_sweep(
@@ -226,53 +133,24 @@ def _perpetual_sweep(
     V_j = max(g_j, b*(p*V_{j+1} + (1-p)*V_{j-1})) with payoff g. Nodes
     are numbered k = 0..n-1 from the deep-exercise end, so a call is the
     put's picture mirrored, with c the probability of a step toward
-    continuation (k+1). Pass 1 runs from the far continuation end, where
-    V = 0, and reduces each node to V_k = B_k*V_{k-1}; pass 2 runs from
-    node 0, where V = g, and sets V_k = max(g_k, B_k*V_{k-1}) until the
-    first continuation node. The boundary estimate is the geometric
-    midpoint of the last exercised node and that one.
+    continuation (k+1). The payoff is g_k = -/+K*expm1(log(S_k/K)), finite
+    wherever the grid is. From the far end, where V = 0, the continuation
+    value is V_k = B_k*V_{k-1} with B_k = te/(1 - tc*B_{k+1}), te = b(1-c),
+    tc = bc, and from node 0, where V = g, nodes are exercised up to the
+    first k with g_k < B_k*g_{k-1}. That recurrence has constant coefficients, so it is solved
+    in closed form: with r1 = 2te/(1 + s) the smaller root of
+    tc*B^2 - B + te = 0, s^2 = 1 - 4*tc*te and rho = r1/r2 = 4*tc*te/(1 + s)^2,
+    B_k = r1*(1 - rho^m)/(1 - rho^(m+1)) at m = n - k nodes from the far end.
 
-    B_k = b(1-c)/(1 - bc*B_{k+1}) is a fixed map, so once it returns the
-    float it was given, every B_k below is that B and pass 1 stops, keeping
-    only B and a node `top` at or below the one where B is first reached,
-    nothing per node. On 1..top node k is exercised iff g_k >= B*g_{k-1},
-    for the put iff (u - B)*S_{k-1} <= K*(1 - B), for the call iff
-    (1/u - B)*S_{k-1} >= K*(1 - B): one flip as k rises, so the exercised
-    nodes form a prefix. Pass 2 guesses its end from that condition
-    (_flip_node), confirms the guess with the float test at the last
-    exercised node and the first held one, and bisects for the end
-    instead where the guess is refused or not confirmed; then it walks on
-    above `top`. The B_k above `top`
-    are rebuilt, from node n-1 by the same recurrence, only when pass 2
-    first reads one, which the walk or the spot reaches on few grids.
-    Any `top` at or below the first node with B gives the same floats,
-    since the rebuilt ratios between the two are B as well.
-
-    Pass 1 starts next to B, not at 0. With te = b(1-c) and tc = bc, the
-    float map fl(te/fl(1 - fl(tc*B))) is monotone non-decreasing: each
-    correctly rounded step is, and 1 - tc*B >= 1/2 below r1, the smaller
-    root of tc*B^2 - B + te = 0. So the walk from 0 rises to the smallest
-    float fixed point B, and so does a walk from any float at or below B.
-    One step rounds by at most about 3u relative (u = 2^-53), and the
-    slope below r1 is at most rho = tc*r1^2/te < 1, so the walk from 0
-    stays within about 3u*r1/(1 - rho) of the exact iterate
-    r1 - (r2 - r1)*rho^(j+1)/(1 - rho^(j+1)), and every float below
-    r1*(1 - 3u/(1 - rho)) is moved up by the map: the start
-    r1*(1 - 16u/(1 - rho)) is at or below B. The exact iterate bounds the
-    steps i_max after which the walk from 0 is at or above the start; from
-    there, by monotonicity, it stays at or above the walk from the start,
-    so it reaches B within i_max + k steps if the walk from the start takes
-    k. `top` is node n-1-(i_max + k). Where that is below 1, or where
-    1 - rho < 2^-13 (near the double root) or rho < 1/2 puts the bounds
-    out of reach, pass 1 walks from 0 as it always did.
-
-    A limit: where dx is below about 1e-14, a grid step is below the
-    rounding of the float exercise test, which can then flip more than
-    once. The bisection assumes one flip, so its boundary node can differ
-    from a full walk's by a few: in tests/test_oracle.py's case (a call at
-    dx about 1e-15) the boundaries differ by 2.6e-15 relative and the
-    prices agree bit for bit. A walk instead would visit every node, about
-    1e14 of them for a spot far from the strike at such a dx.
+    Where B_k is r1, node k is exercised iff (u - r1)*S_{k-1} <= K(1 - r1)
+    for the put, (1/u - r1)*S_{k-1} >= K(1 - r1) for the call: so the
+    exercised nodes form a prefix, whose end comes from that condition in
+    logs. Near the far end B_k is below r1 and may exercise a few nodes
+    more, which are tested one by one with the exact B_k. The value past
+    the last exercised node k0 is g_{k0} times the product of the B_k up
+    to the spot's node, which telescopes to
+    r1^(at - k0)*(1 - rho^(n - at))/(1 - rho^(n - k0)). The boundary
+    estimate is the geometric midpoint of node k0 and the next.
     """
     dx = min(_REACH / steps, vol * math.sqrt(_DISCOUNT / (steps * discount_rate)))
     reach = steps * dx
@@ -304,52 +182,35 @@ def _perpetual_sweep(
     below = math.ceil((max(x, 0.0) + reach) / dx)
     above = math.ceil((reach - min(x, 0.0)) / dx)
     if kind == OptionKind.PUT:
-        sign, step, at_spot, c = -1.0, dx, below, p
+        sign, step, at_spot, c, grow = -1.0, dx, below, p, u
     else:
-        sign, step, at_spot, c = 1.0, -dx, above, 1.0 - p
+        sign, step, at_spot, c, grow = 1.0, -dx, above, 1.0 - p, 1.0 / u
     n = below + above + 1
 
-    to_exercise, to_continuation = b * (1.0 - c), b * c
-    i_max, start = _fixed_point_start(to_exercise, to_continuation)
-    top, ratio = _first_pass(to_exercise, to_continuation, n - 1 - i_max, start)
-    if top == 0 and i_max:
-        # the bound left no node to land on: walk from the far end instead
-        top, ratio = _first_pass(to_exercise, to_continuation, n - 1, 0.0)
-    late = None
-
-    def transient() -> list[float]:
-        # pass 1 again, kept this time: B_k for k > top is late[n - 1 - k]
-        nonlocal late
-        if late is None:
-            late, ratio_k = [], 0.0
-            for _ in range(n - 1 - top):
-                ratio_k = to_exercise / (1.0 - to_continuation * ratio_k)
-                late.append(ratio_k)
-        return late
-
     def payoff(k: int) -> float:
-        return sign * (spot * math.exp((k - at_spot) * step) - strike)
+        return sign * strike * math.expm1(x + (k - at_spot) * step)
 
-    # lo is the first node of 1..top not exercised, or top + 1: the exercise
-    # condition's guess where the test confirms it, else the bisection's
-    lo = _flip_node(spot, strike, x, u, step, ratio, at_spot, n * dx)
-    if lo is not None:
-        lo = min(max(lo, 1), top + 1)
-        value = payoff(lo - 1)
-        if (lo > 1 and value < ratio * payoff(lo - 2)) or (
-            lo <= top and not payoff(lo) < ratio * value
-        ):
-            lo = None
-    if lo is None:
-        lo = _bisect_flip(payoff, ratio, top)
-        value = payoff(lo - 1)
-    # lo <= top is a node found not exercised; above top walk on
-    k = lo
-    while top < k < n:
-        g = payoff(k)
-        if g < transient()[n - 1 - k] * value:
+    to_exercise, to_continuation = b * (1.0 - c), b * c
+    # s^2 = 1 - 4*tc*te = (1 - b^2) + (b(1 - 2c))^2, summed without cancellation
+    s = math.sqrt(-math.expm1(-2.0 * discount_rate * dt) + (b * (1.0 - 2.0 * c)) ** 2)
+    r1 = 2.0 * to_exercise / (1.0 + s)
+    # rho is 1 at the double root, where (1 - rho^i)/(1 - rho^j) tends to i/j:
+    # a log rho of -1e-300 gives that ratio of expm1s without dividing 0 by 0
+    log_rho = min(_log(4.0 * to_continuation * to_exercise) - 2.0 * math.log1p(s), -1e-300)
+    held, slope = 1.0 - r1, grow - r1
+    # k is the first node not exercised where B_k is r1; where held or slope is
+    # not positive no node is: r1 >= 1 holds every node, since g_k < g_{k-1},
+    # and so does a call's 1/u <= r1
+    k = 1
+    if held > 0.0 and slope > 0.0:
+        t = (math.log(held / slope) - x) / step
+        k = min(max(math.floor(min(max(t, -n), n)) + at_spot + 2, 1), n)
+    # then the far end's B_k, below r1 where rho^(n - k) is above 2^-53
+    while k < n and (n - k) * log_rho > -37.0:
+        ratio = r1 * math.expm1((n - k) * log_rho) / math.expm1((n - k + 1) * log_rho)
+        if payoff(k) < ratio * payoff(k - 1):
             break
-        value, k = g, k + 1
+        k += 1
     if k == 1:
         raise ConvergenceError(
             "lattice never reaches the exercise region: its first interior node "
@@ -358,18 +219,13 @@ def _perpetual_sweep(
     boundary = spot * math.exp((k - 0.5 - at_spot) * step)
     if at_spot < k:
         return payoff(at_spot), boundary
-    # B once per node up to the spot's node or top; once one more factor B
-    # leaves the value as it is, so do all the rest (an underflowed price,
-    # say), which is tested once per 64 nodes to keep the loop itself bare
-    first, stop = k, min(at_spot, top) + 1
-    while first < stop and value * ratio != value:
-        last = min(stop, first + 64)
-        for _ in range(first, last):
-            value *= ratio
-        first = last
-    for j in range(max(k, top + 1), at_spot + 1):
-        value *= transient()[n - 1 - j]
-    return value, boundary
+    # g_{k0}*r1^(at - k0)*far in logs, so that no factor over- or underflows
+    # alone; far is at least 1e-300, and the value at most K or about S
+    k0 = k - 1
+    far = math.expm1((n - at_spot) * log_rho) / math.expm1((n - k0) * log_rho)
+    log_value = (_log(abs(math.expm1(x + (k0 - at_spot) * step))) + math.log(strike)
+                 + (at_spot - k0) * _log(r1) + math.log(far))
+    return math.exp(min(log_value, _LOG_MAX)), boundary
 
 
 def lattice_price(
@@ -491,7 +347,7 @@ def finite_difference(
         _require_finite("x", x)
     try:
         in_range = 0.0 < step < math.inf
-    except TypeError:
+    except (TypeError, ArithmeticError):  # ArithmeticError: a Decimal nan
         in_range = False
     if not in_range:
         raise ValidationError(f"step must be finite and > 0, got {step!r}")

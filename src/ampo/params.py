@@ -238,7 +238,18 @@ class AmortizationSchedule:
 
 
 def intrinsic_value(kind: OptionKind, spot: float, strike: float) -> float:
-    """Immediate-exercise payoff per unit notional."""
+    """Immediate-exercise payoff per unit notional.
+
+    spot and strike are positive inputs and kind an OptionKind or its
+    value, checked as MarketParams and ContractParams check them.
+    """
+    if not (type(spot) is type(strike) is float and 0.0 < spot < _INF and 0.0 < strike < _INF):
+        _require_positive(("spot", spot), ("strike", strike))
+    return _intrinsic(_member(OptionKind, kind), spot, strike)
+
+
+def _intrinsic(kind: OptionKind, spot: float, strike: float) -> float:
+    """intrinsic_value of inputs already checked."""
     if kind == OptionKind.CALL:
         return max(spot - strike, 0.0)
     return max(strike - spot, 0.0)

@@ -26,9 +26,9 @@ from .params import (
     Regime,
     ValidationError,
     _INF,
+    _intrinsic,
     _require_finite,
     _require_nonnegative,
-    intrinsic_value,
 )
 
 
@@ -72,7 +72,7 @@ def _exponents(m: MarketParams, q: float) -> tuple[float, float, float]:
     """compute_exponents as a plain (alpha_c, alpha_p, alpha_bar) tuple."""
     try:
         in_range = 0.0 <= q < _INF
-    except TypeError:
+    except (TypeError, ArithmeticError):  # ArithmeticError: a Decimal nan
         in_range = False
     if not in_range:  # q is negative or not a finite real
         _require_nonnegative("amort", q)
@@ -172,7 +172,7 @@ def _kernel(m: MarketParams, kind: OptionKind, strike: float, q: float, ex, spot
     if not log_m < _INF:  # that, or gap*S overflowed and the quotient is inf or nan
         log_m = _split_log(spot, strike, gap, alpha)
     if (spot > boundary) if call else (spot < boundary):
-        intrinsic = intrinsic_value(kind, spot, strike)
+        intrinsic = _intrinsic(kind, spot, strike)
         return alpha_bar, sign, alpha, gap, boundary, _EXERCISE_NOW, intrinsic, log_m, 0.0
     # s*L <= 0 here, so a positive power is the boundary's rounding (at
     # vol 1e-20 it can overflow exp): value matching gives K/gap there

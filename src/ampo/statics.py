@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 
-from .params import ContractParams, MarketParams, RegionError, _record, intrinsic_value
+from .params import ContractParams, MarketParams, RegionError, _intrinsic, _record
 from .pricing import _CALL, _EXERCISE_NOW, _INF, _ClosedForm, _closed_form, _evaluate, _out_of_range
 
 
@@ -239,7 +239,7 @@ def limit_suite(m: MarketParams, c: ContractParams) -> LimitReport:
     vanilla = _closed_form(m, c.kind, c.strike, 0.0).premium
     small_err = abs(small - vanilla) / max(abs(vanilla), 1e-300)
     f = _closed_form(m, c.kind, c.strike, LARGE_Q)
-    intr = intrinsic_value(c.kind, m.spot, c.strike)
+    intr = _intrinsic(c.kind, m.spot, c.strike)
     gap = abs(f.premium - intr)
     bound = c.strike / (math.e * (f.gap if c.kind == _CALL else f.alpha))
     # a put's alpha_p at q = 1e4 is about 2(2r+q)/sigma^2 at a vol far above

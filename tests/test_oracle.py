@@ -117,6 +117,15 @@ def test_lattice_prices_a_wide_spot_to_strike_ratio_inside_the_float_range():
     assert rep.oracle_price == rep.analytic_price == 1e150
 
 
+def test_lattice_prices_a_call_whose_exercise_nodes_pass_the_float_range():
+    # the boundary is about 2K here, above the largest float: the payoff
+    # S_k - K at the last exercised node was inf, and so was oracle_price
+    m = MarketParams(spot=1e150, rate=0.0, vol=1.0)
+    c = ContractParams(strike=8.988e307 * (1 - 1e-7), amort=1.0, kind=OptionKind.CALL)
+    rep = lattice_price(to_equivalent_perpetual(c, m), m, LatticeConfig(steps=4000, convergence=5e-3))
+    assert rep.rel_error < 5e-3  # 9.1e-4, and halving the steps moves the price by 2.7e-3
+
+
 def test_lattice_rejects_inconsistent_rate(market_a, put_a):
     e = to_equivalent_perpetual(put_a, market_a)
     bad = dataclasses.replace(market_a, rate=0.07)
@@ -378,12 +387,12 @@ def test_validate_checks_build_no_market_per_evaluation(market_a, put_a, monkeyp
     [
         (
             OptionKind.PUT,
-            ["0x1.505f095c28f5ap-20", "0x1.b02781965570ap-10", "0x1.f4fc7ee28de74p-53",
+            ["0x1.505e763e147acp-20", "0x1.b02781965570ap-10", "0x1.f4fc7ee28de74p-53",
              "0x1.579f000000000p-27", "0x1.579b61fa00000p-26", "0x1.c988c2a6625b5p-32"],
         ),
         (
             OptionKind.CALL,
-            ["0x1.7c0b6c8fd9c7dp-20", "0x1.5c3965e79799ap-10", "0x1.1e60383308f7ep-52",
+            ["0x1.7c0aba995b5c5p-20", "0x1.5c3965e79799ap-10", "0x1.1e60383308f7ep-52",
              "0x1.b71418d20b925p-32", "0x1.00f0a03d79681p-30", "0x1.7a0c3465895f8p-32"],
         ),
     ],
@@ -575,13 +584,17 @@ def test_lattice_config_refuses_non_finite_and_fractional_input():
 
 @pytest.mark.parametrize(
     "x, step",
-    [(1.0, 0.0), (1.0, -1e-6), (1.0, math.nan), (1.0, math.inf), (math.inf, 1e-6), (math.nan, 1e-6)],
+    [
+        (1.0, 0.0), (1.0, -1e-6), (1.0, math.nan), (1.0, math.inf), (math.inf, 1e-6), (math.nan, 1e-6),
+        (1.0, decimal.Decimal("nan")),
+    ],
 )
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("mode", ["central", "forward"])
 def test_finite_difference_refuses_a_bad_step_or_point(x, step, order, mode):
     # step 0 used to raise ZeroDivisionError, a negative step put the forward
-    # stencil left of x, and a nan step or an infinite x returned nan
+    # stencil left of x, a nan step or an infinite x returned nan, and a
+    # Decimal nan step raised decimal.InvalidOperation
     with pytest.raises(ValidationError, match=r"^(step|x) must be finite"):
         finite_difference(math.sin, x, order, mode, step)
 
@@ -630,7 +643,7 @@ def _linear_sweep(kind, spot, strike, growth, discount_rate, vol, steps):
         ratio = ratios[k] = b * (1.0 - c) / (1.0 - b * c * ratio)
 
     def payoff(k):
-        return sign * (spot * math.exp((k - at_spot) * step) - strike)
+        return sign * strike * math.expm1(x + (k - at_spot) * step)
 
     value, k = payoff(0), 1
     while k < n:
@@ -651,9 +664,46 @@ def _linear_sweep(kind, spot, strike, growth, discount_rate, vol, steps):
     return value, boundary
 
 
-# (spot, rate, vol, strike, amort, kind, steps) where pass 2 reads ratios above
-# the fixed-point node at full resolution: three contracts of the `validate`
-# benchmark and four full-domain draws
+_EPS = sys.float_info.epsilon
+
+
+def _walk_tolerance(args, want, c=4.0):
+    """The allowed |closed form - walk| in value, at the walk's (V, boundary) = want.
+
+    c*eps*((k + 1)/(1 - rho) + |log V| + |log K|)*V, k the nodes from want's boundary
+    to the spot: each of the walk's k factors B_k is off by up to about
+    1.5*eps/(1 - rho) and rounds once more as it is multiplied in, and the
+    closed form's r1^k and its exp of a sum of logs add about eps per node
+    and eps*(|log V| + |log K|). Plus c/(2(1 - r1)) subnormal ulps: the walk's
+    product stops at a subnormal where one more factor B rounds back to it,
+    at up to 1/(2(1 - B)) ulps. 0.0 where the spot is exercised, since both
+    then return its payoff.
+    """
+    kind, spot, strike, growth, discount_rate, vol, steps = args
+    value, boundary = want
+    if (spot < boundary) == (kind == OptionKind.PUT):
+        return 0.0
+    dx = min(oracle._REACH / steps, vol * math.sqrt(oracle._DISCOUNT / (steps * discount_rate)))
+    dt = (dx / vol) ** 2
+    u = math.exp(dx)
+    p = (math.exp(growth * dt) - 1.0 / u) / (u - 1.0 / u)
+    b = math.exp(-discount_rate * dt)
+    s = math.sqrt(-math.expm1(-2.0 * discount_rate * dt) + (b * (1.0 - 2.0 * p)) ** 2)
+    r1 = 2.0 * b * (1.0 - (p if kind == OptionKind.PUT else 1.0 - p)) / (1.0 + s)
+    k = abs(math.log(boundary / spot)) / dx + 0.5
+    logs = abs(math.log(strike)) + (abs(math.log(value)) if value > 0.0 else 0.0)
+    return c * (_EPS * ((k + 1.0) * (1.0 + s) / (2.0 * s) + logs) * value
+                + 2.0**-1074 / (2.0 * (1.0 - r1)))
+
+
+def _near_walk(args, got, want):
+    """The sweep's (value, boundary) got against the walk's want: the same boundary, values within _walk_tolerance."""
+    return got[1] == want[1] and abs(got[0] - want[0]) <= _walk_tolerance(args, want)
+
+
+# (spot, rate, vol, strike, amort, kind, steps) where the walk reads ratios B_k
+# that have not reached their fixed point, between the boundary and the spot:
+# three contracts of the `validate` benchmark and four full-domain draws
 _ABOVE_TOP = [
     (52.04133872396719, 0.027739219187103713, 0.5827206449817832, 100.0, 0.09136306611519564, "put", 4000),
     (294.80084248143834, 0.04726582944152719, 0.5682721579698855, 100.0, 0.05618954098690219, "call", 2000),
@@ -668,8 +718,8 @@ _ABOVE_TOP = [
 ]
 
 
-# full-domain draws whose spot lies above the node pass 1 reports after landing from its
-# start, so that pass 2 reads the ratios rebuilt from the far end
+# full-domain draws whose spot lies near the far continuation end, where
+# B_k is still below its fixed point
 _REBUILT = [
     dict(spot=22.638741377080837, rate=0.0048614591836975305, vol=3.0839074639658315,
          strike=0.05188719565722055, q=0.0012077025683622958, kind=OptionKind.CALL, steps=2000),
@@ -678,11 +728,23 @@ _REBUILT = [
 ]
 
 
-# 1 - 4*tc*te is about 6e-7 at 8000 steps, where pass 1 lands from its start,
-# and 2e-6 at 4000, where the bound leaves no node and it walks from 0
+# near the double root of tc*B^2 - B + te = 0: 1 - 4*tc*te is about 6e-7 at
+# 8000 steps and 2e-6 at 4000, so 1/(1 - rho) is about 640 and 350
 _NEAR_DOUBLE_ROOT = [
     dict(spot=100.0, rate=0.0, vol=0.5, strike=100.0, q=1e-6, kind=OptionKind.PUT, steps=8000),
     dict(spot=100.0, rate=0.0, vol=0.5, strike=100.0, q=1e-6, kind=OptionKind.CALL, steps=4000),
+]
+
+
+# where the exercise test's rounding spans a grid step or more
+_BELOW_ROUNDING = [
+    # 1/u - r1 is about 1e-11: every node is held and the lattice refuses
+    dict(spot=100.0, rate=0.0, vol=3.0, strike=100.0, q=1e-8, kind=OptionKind.CALL, steps=4000),
+    # dx is about 1.3e-13, below the test's rounding at the boundary
+    dict(spot=100.0, rate=0.0, vol=1e-9, strike=100.0, q=1e5, kind=OptionKind.PUT, steps=8000),
+    # dx is about 1e-15, where the walk's float test flips more than once
+    dict(spot=100.00000001000001, rate=0.0, vol=1e-11, strike=100.0, q=1e5, kind=OptionKind.CALL,
+         steps=8000),
 ]
 
 
@@ -707,7 +769,24 @@ def _sweep_cases(market_a):
         cases.append((m, c, rng.choice([2, 3, 5, 50, 4000])))
     for spot, rate, vol, strike, q, kind, steps in _ABOVE_TOP:
         cases.append((MarketParams(spot, rate, vol), ContractParams(strike, q, kind), steps))
+    for d in _BELOW_ROUNDING:
+        cases.append((MarketParams(d["spot"], d["rate"], d["vol"]),
+                      ContractParams(d["strike"], d["q"], d["kind"]), d["steps"]))
     return cases
+
+
+def _lattice_args(m, c, steps):
+    # _perpetual_sweep's arguments as lattice_price passes them
+    e = to_equivalent_perpetual(c, m)
+    return e.payoff_kind, m.spot, e.strike, e.rate_eff - e.dividend_eff, e.rate_eff, m.vol, steps
+
+
+def _run_sweep(sweep, args):
+    # a sweep's (value, boundary), or the type and message of its AmpoError
+    try:
+        return sweep(*args)
+    except AmpoError as exc:
+        return type(exc), str(exc)
 
 
 def _outcome(m, c, cfg):
@@ -715,11 +794,13 @@ def _outcome(m, c, cfg):
         rep = lattice_price(to_equivalent_perpetual(c, m), m, cfg)
     except AmpoError as exc:
         return type(exc), str(exc)
-    return rep.oracle_price.hex(), rep.boundary_estimate.hex()
+    return rep.oracle_price, rep.boundary_estimate
 
 
 @pytest.mark.parametrize("convergence", [None, 5e-3])
 def test_sweep_matches_linear_walk(market_a, convergence, monkeypatch):
+    # the walk's refusals and boundaries, and its prices within _walk_tolerance;
+    # the largest difference here is 0.34 of it (a put at vol 5, q 100)
     cases = [
         (m, c, LatticeConfig(steps=n, convergence=convergence))
         for m, c, n in _sweep_cases(market_a)
@@ -727,43 +808,51 @@ def test_sweep_matches_linear_walk(market_a, convergence, monkeypatch):
     got = [_outcome(*case) for case in cases]
     monkeypatch.setattr(oracle, "_perpetual_sweep", _linear_sweep)
     want = [_outcome(*case) for case in cases]
-    assert got == want
-    assert sum(isinstance(w[0], str) for w in want) > len(want) // 2
+    for (m, c, cfg), g, w in zip(cases, got, want):
+        if isinstance(w[0], float):
+            assert _near_walk(_lattice_args(m, c, cfg.steps), g, w), (m, c, cfg.steps, g, w)
+        else:
+            assert g == w
+    assert sum(isinstance(w[0], float) for w in want) > len(want) // 2
+
+
+@pytest.mark.parametrize("spot", [90.0, 110.0])
+@pytest.mark.parametrize("kind", list(OptionKind))
+def test_sweep_at_an_up_probability_of_one_matches_the_walk(kind, spot):
+    # exp(growth*dt) rounds to u here, so p is 1.0: the put's te and the
+    # call's tc are 0, and so is 4*tc*te, whose log the closed form takes;
+    # the call's first node is held and the lattice refuses
+    args = (kind, spot, 100.0, 333.33333333333326, 1e-3, 1.0, 4000)
+    got, want = _run_sweep(oracle._perpetual_sweep, args), _run_sweep(_linear_sweep, args)
+    assert _near_walk(args, got, want) if isinstance(want[0], float) else got == want
 
 
 @pytest.mark.parametrize("kind", list(OptionKind))
-def test_sweep_work_is_logarithmic_below_the_fixed_point(market_a, kind, monkeypatch):
-    # full grid plus half grid; a walk over every node makes about 5,600 calls,
-    # bisecting for the exercise flip 59 and guessing it from the exercise condition 15
-    calls = 0
-    exp = math.exp
+def test_sweep_work_is_the_same_at_any_steps(market_a, kind, monkeypatch):
+    # a walk makes one exp per node, about 5,600 calls on the 4000-step grid
+    # and its half; the closed form makes the same few at any steps
+    calls = collections.Counter()
 
-    def counted(x):
-        nonlocal calls
-        calls += 1
-        return exp(x)
+    def counted(name):
+        f = getattr(math, name)
 
-    e = to_equivalent_perpetual(ContractParams(100.0, 0.1, kind), market_a)
-    monkeypatch.setattr(math, "exp", counted)
-    lattice_price(e, market_a, LatticeConfig(steps=4000, convergence=5e-3))
-    monkeypatch.undo()
-    assert calls < 40
+        def call(v):
+            calls[name] += 1
+            return f(v)
 
+        return call
 
-
-@pytest.mark.parametrize("kind", list(OptionKind))
-def test_sweep_keeps_no_per_node_list(market_a, kind):
-    # a list of one ratio per node peaked at about 208 KB on this grid
-    e = to_equivalent_perpetual(ContractParams(100.0, 0.1, kind), market_a)
-    args = (e.payoff_kind, market_a.spot, e.strike, e.rate_eff - e.dividend_eff, e.rate_eff, market_a.vol, 4000)
-    oracle._perpetual_sweep(*args)
-    tracemalloc.start()
-    try:
+    grids = [_lattice_args(market_a, ContractParams(100.0, 0.1, kind), steps) for steps in (50, 4000, 10**6)]
+    counts = []
+    for args in grids:
+        calls.clear()
+        for name in ("exp", "expm1", "log", "log1p"):
+            monkeypatch.setattr(math, name, counted(name))
         oracle._perpetual_sweep(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 1024
+        monkeypatch.undo()
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == counts[2]
+    assert sum(counts[0].values()) < 25  # 20 here
 
 
 class _TooManyLines(Exception):
@@ -793,124 +882,19 @@ def _line_events(args, cap=math.inf):
     return counts
 
 
-@pytest.mark.parametrize("kind", list(OptionKind))
-def test_sweep_starts_pass_one_next_to_its_fixed_point(market_a, kind):
-    # walking pass 1 from 0 made about 14,000 line events on this grid
-    e = to_equivalent_perpetual(ContractParams(100.0, 0.1, kind), market_a)
-    args = (e.payoff_kind, market_a.spot, e.strike, e.rate_eff - e.dividend_eff, e.rate_eff, market_a.vol, 4000)
-    assert sum(_line_events(args).values()) < 4000
-
-
 def _sweep_args(spot, rate, vol, strike, q, kind, steps):
     return kind, spot, strike, rate, 2.0 * rate + q, vol, steps
 
 
 def test_boundary_to_spot_product_stops_once_it_stops_changing():
     # dx is about 4.7e-8 here and the spot about 1.9e8 nodes above the
-    # boundary: multiplying by B at every node took tens of seconds to
-    # reach the same subnormal, which no later factor B moves
+    # boundary: multiplying by B at every node took tens of seconds, and
+    # stopped at 8 subnormal ulps, where one more factor B rounds back to the
+    # same float; the value, about e^-1.1e7, underflows to 0.0
     args = _sweep_args(113.21, 1.306e-4, 3.34e-4, 0.01592, 87_735.0, OptionKind.PUT, 8000)
-    assert sum(_line_events(args, cap=100_000).values()) < 100_000  # 25,498 here
+    assert sum(_line_events(args, cap=100_000).values()) < 100  # 39 here
     value, boundary = oracle._perpetual_sweep(*args)
-    assert (value.hex(), boundary.hex()) == ("0x0.0000000000008p-1022", "0x1.04d544e9b94adp-6")
-
-
-@pytest.mark.parametrize(
-    "draw, walks, rebuilds",
-    [
-        # (draw, pass-1 walks as (start is 0.0, top >= 1), rebuilds the transient)
-        pytest.param(_REBUILT[0], [(False, True)], True, id="rebuilt-call"),
-        pytest.param(_REBUILT[1], [(False, True)], True, id="rebuilt-put"),
-        pytest.param(_NEAR_DOUBLE_ROOT[0], [(False, True)], True, id="double-root-lands"),
-        pytest.param(_NEAR_DOUBLE_ROOT[1], [(False, False), (True, False)], True, id="double-root-walks"),
-    ],
-)
-def test_sweep_examples_take_the_paths_they_cover(draw, walks, rebuilds, monkeypatch):
-    # the property test's examples of the rebuild and of the double root
-    first_pass, seen = oracle._first_pass, []
-
-    def recorded(to_exercise, to_continuation, first, ratio):
-        top, fixed = first_pass(to_exercise, to_continuation, first, ratio)
-        seen.append((ratio == 0.0, top >= 1))
-        return top, fixed
-
-    monkeypatch.setattr(oracle, "_first_pass", recorded)
-    lines = _line_events(_sweep_args(**draw))
-    assert seen == walks
-    assert (lines["transient"] > 0) == rebuilds
-
-
-@pytest.mark.parametrize(
-    "draw",
-    [
-        # 1/u - B is about 1e-11, so the exercise test's error bound spans many
-        # nodes; every node is held and the lattice refuses
-        pytest.param(dict(spot=100.0, rate=0.0, vol=3.0, strike=100.0, q=1e-8, kind=OptionKind.CALL,
-                          steps=4000), id="call-slope-near-zero"),
-        # dx is about 1.3e-13, below the test's rounding at the boundary
-        pytest.param(dict(spot=100.0, rate=0.0, vol=1e-9, strike=100.0, q=1e5, kind=OptionKind.PUT,
-                          steps=8000), id="put-spacing-below-rounding"),
-    ],
-)
-def test_sweep_bisects_where_the_exercise_condition_cannot_place_the_flip(draw, monkeypatch):
-    bisect, bisections = oracle._bisect_flip, []
-
-    def recorded(payoff, ratio, top):
-        bisections.append(top)
-        return bisect(payoff, ratio, top)
-
-    monkeypatch.setattr(oracle, "_bisect_flip", recorded)
-    args = _sweep_args(**draw)
-    try:
-        got = oracle._perpetual_sweep(*args)
-    except AmpoError as exc:
-        got = type(exc), str(exc)
-    monkeypatch.undo()
-    assert len(bisections) == 1
-    try:
-        want = _linear_sweep(*args)
-    except AmpoError as exc:
-        want = type(exc), str(exc)
-    assert got == want
-
-
-@pytest.mark.parametrize("shift", [-1, 1])
-@pytest.mark.parametrize("kind", list(OptionKind))
-def test_sweep_bisects_where_the_float_test_refutes_the_guess(market_a, kind, shift, monkeypatch):
-    # a guess one node off fails the float test on one side; the bisection
-    # then finds the node, with the same floats as a walk
-    e = to_equivalent_perpetual(ContractParams(100.0, 0.1, kind), market_a)
-    args = (e.payoff_kind, market_a.spot, e.strike, e.rate_eff - e.dividend_eff, e.rate_eff, market_a.vol, 4000)
-    flip_node, bisect, bisections = oracle._flip_node, oracle._bisect_flip, []
-
-    def recorded(payoff, ratio, top):
-        bisections.append(top)
-        return bisect(payoff, ratio, top)
-
-    monkeypatch.setattr(oracle, "_flip_node", lambda *a: flip_node(*a) + shift)
-    monkeypatch.setattr(oracle, "_bisect_flip", recorded)
-    got = oracle._perpetual_sweep(*args)
-    monkeypatch.undo()
-    assert len(bisections) == 1
-    assert got == _linear_sweep(*args)
-
-
-def test_sweep_below_float_resolution_of_dx_keeps_the_walks_price():
-    # at dx of about 1e-15 the float exercise test flips more than once, so
-    # the bisection and a walk over every node stop at different nodes a few
-    # ulps apart: the price is the walk's bit for bit, the boundary within
-    # 1e-13 (a documented limit of _perpetual_sweep)
-    args = (OptionKind.CALL, 100.00000001000001, 100.0, 0.0, 1e5, 1e-11, 8000)
-    value, boundary = oracle._perpetual_sweep(*args)
-    want_value, want_boundary = _linear_sweep(*args)
-    assert value == want_value
-    assert abs(boundary - want_boundary) <= 1e-13 * want_boundary
-
-
-def test_fixed_point_start_refuses_where_its_bounds_do_not_hold():
-    # the double root itself, 1 - 4*tc*te below 2^-28, and a slope below 1/2
-    for to_exercise, to_continuation in [(0.5, 0.5), (0.5, 0.5 - 2.0**-40), (0.9, 0.05)]:
-        assert oracle._fixed_point_start(to_exercise, to_continuation) == (0, 0.0)
+    assert (value.hex(), boundary.hex()) == ("0x0.0p+0", "0x1.04d544e9b94adp-6")
 
 
 @pytest.mark.parametrize("field", ["rate_eff", "dividend_eff", "strike"])

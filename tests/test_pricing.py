@@ -882,12 +882,51 @@ def test_a_bad_argument_raises_a_validation_error_naming_it(function, argument, 
             "amort must be a real number, got Decimal('0.1')",
             id="exponents-q",
         ),
+        # raised decimal.InvalidOperation from the range check's comparison
+        pytest.param(
+            lambda: ampo.compute_exponents(_M, decimal.Decimal("nan")),
+            "amort must be a real number, got Decimal('NaN')",
+            id="exponents-q-nan",
+        ),
     ],
 )
 def test_a_decimal_is_refused_where_float_arithmetic_would_fail(call, message):
     with pytest.raises(ValidationError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "kind, spot, strike, message",
+    [
+        # leaked OverflowError, leaked TypeError, returned nan, returned 0.0
+        (OptionKind.CALL, 10**400, 1.0, f"spot must be finite, got {10**400}"),
+        (OptionKind.CALL, "1.0", 1.0, "spot must be a real number, got '1.0'"),
+        (OptionKind.CALL, math.nan, 1.0, "spot must be finite, got nan"),
+        (OptionKind.CALL, -5.0, 1.0, "spot must be > 0, got -5.0"),
+        # returned 0.0 and 1.0
+        (OptionKind.PUT, 1.0, 0.0, "strike must be > 0, got 0.0"),
+        ("straddle", 1.0, 2.0, "kind must be one of call, put"),
+    ],
+)
+def test_intrinsic_value_refuses_a_bad_input_by_name(kind, spot, strike, message):
+    with pytest.raises(ValidationError) as exc:
+        intrinsic_value(kind, spot, strike)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "kind, spot, strike, value",
+    [
+        (OptionKind.CALL, 120, 100, 20),
+        ("put", Fraction(1, 2), 1.0, 0.5),
+        (OptionKind.PUT, 5e-324, 1.0, 1.0),
+    ],
+)
+def test_intrinsic_value_accepts_what_the_records_accept(kind, spot, strike, value):
+    # an int, a Fraction, a subnormal spot and a kind by its value, as
+    # MarketParams and ContractParams accept them
+    assert intrinsic_value(kind, spot, strike) == value
 
 
 @pytest.mark.parametrize(
