@@ -134,13 +134,15 @@ def _perpetual_sweep(
     are numbered k = 0..n-1 from the deep-exercise end, so a call is the
     put's picture mirrored, with c the probability of a step toward
     continuation (k+1). The payoff is g_k = -/+K*expm1(log(S_k/K)), finite
-    wherever the grid is. From the far end, where V = 0, the continuation
-    value is V_k = B_k*V_{k-1} with B_k = te/(1 - tc*B_{k+1}), te = b(1-c),
-    tc = bc, and from node 0, where V = g, nodes are exercised up to the
-    first k with g_k < B_k*g_{k-1}. That recurrence has constant coefficients, so it is solved
-    in closed form: with r1 = 2te/(1 + s) the smaller root of
-    tc*B^2 - B + te = 0, s^2 = 1 - 4*tc*te and rho = r1/r2 = 4*tc*te/(1 + s)^2,
-    B_k = r1*(1 - rho^m)/(1 - rho^(m+1)) at m = n - k nodes from the far end.
+    where S_k passes the largest float but S_k - K does not. From the far
+    end, where V = 0, the continuation value is V_k = B_k*V_{k-1} with
+    B_k = te/(1 - tc*B_{k+1}), te = b(1-c), tc = bc, and from node 0,
+    where V = g, nodes are exercised up to the first k with
+    g_k < B_k*g_{k-1}. That recurrence has constant coefficients, so it is
+    solved in closed form: with r1 = 2te/(1 + s) the smaller root of
+    tc*B^2 - B + te = 0, s^2 = 1 - 4*tc*te and
+    rho = r1/r2 = 4*tc*te/(1 + s)^2, B_k = r1*(1 - rho^m)/(1 - rho^(m+1))
+    at m = n - k nodes from the far end.
 
     Where B_k is r1, node k is exercised iff (u - r1)*S_{k-1} <= K(1 - r1)
     for the put, (1/u - r1)*S_{k-1} >= K(1 - r1) for the call: so the

@@ -4,7 +4,6 @@ import decimal
 import math
 import random
 import sys
-import tracemalloc
 
 import pytest
 
@@ -670,8 +669,8 @@ _EPS = sys.float_info.epsilon
 def _walk_tolerance(args, want, c=4.0):
     """The allowed |closed form - walk| in value, at the walk's (V, boundary) = want.
 
-    c*eps*((k + 1)/(1 - rho) + |log V| + |log K|)*V, k the nodes from want's boundary
-    to the spot: each of the walk's k factors B_k is off by up to about
+    c*eps*((k + 1)/(1 - rho) + |log V| + |log K|)*V, k the nodes from
+    want's boundary to the spot: each of the walk's k factors B_k is off by up to about
     1.5*eps/(1 - rho) and rounds once more as it is multiplied in, and the
     closed form's r1^k and its exp of a sum of logs add about eps per node
     and eps*(|log V| + |log K|). Plus c/(2(1 - r1)) subnormal ulps: the walk's
@@ -697,7 +696,10 @@ def _walk_tolerance(args, want, c=4.0):
 
 
 def _near_walk(args, got, want):
-    """The sweep's (value, boundary) got against the walk's want: the same boundary, values within _walk_tolerance."""
+    """got, the sweep's (value, boundary), against the walk's want.
+
+    The same boundary, and values within _walk_tolerance.
+    """
     return got[1] == want[1] and abs(got[0] - want[0]) <= _walk_tolerance(args, want)
 
 

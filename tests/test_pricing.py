@@ -900,13 +900,13 @@ def test_a_decimal_is_refused_where_float_arithmetic_would_fail(call, message):
     "kind, spot, strike, message",
     [
         # leaked OverflowError, leaked TypeError, returned nan, returned 0.0
-        (OptionKind.CALL, 10**400, 1.0, f"spot must be finite, got {10**400}"),
-        (OptionKind.CALL, "1.0", 1.0, "spot must be a real number, got '1.0'"),
-        (OptionKind.CALL, math.nan, 1.0, "spot must be finite, got nan"),
-        (OptionKind.CALL, -5.0, 1.0, "spot must be > 0, got -5.0"),
+        pytest.param(OptionKind.CALL, 10**400, 1.0, f"spot must be finite, got {10**400}", id="int-spot"),
+        pytest.param(OptionKind.CALL, "1.0", 1.0, "spot must be a real number, got '1.0'", id="str-spot"),
+        pytest.param(OptionKind.CALL, math.nan, 1.0, "spot must be finite, got nan", id="nan-spot"),
+        pytest.param(OptionKind.CALL, -5.0, 1.0, "spot must be > 0, got -5.0", id="negative-spot"),
         # returned 0.0 and 1.0
-        (OptionKind.PUT, 1.0, 0.0, "strike must be > 0, got 0.0"),
-        ("straddle", 1.0, 2.0, "kind must be one of call, put"),
+        pytest.param(OptionKind.PUT, 1.0, 0.0, "strike must be > 0, got 0.0", id="zero-strike"),
+        pytest.param("straddle", 1.0, 2.0, "kind must be one of call, put", id="kind"),
     ],
 )
 def test_intrinsic_value_refuses_a_bad_input_by_name(kind, spot, strike, message):
@@ -918,9 +918,9 @@ def test_intrinsic_value_refuses_a_bad_input_by_name(kind, spot, strike, message
 @pytest.mark.parametrize(
     "kind, spot, strike, value",
     [
-        (OptionKind.CALL, 120, 100, 20),
-        ("put", Fraction(1, 2), 1.0, 0.5),
-        (OptionKind.PUT, 5e-324, 1.0, 1.0),
+        pytest.param(OptionKind.CALL, 120, 100, 20, id="ints"),
+        pytest.param("put", Fraction(1, 2), 1.0, 0.5, id="fraction-spot"),
+        pytest.param(OptionKind.PUT, 5e-324, 1.0, 1.0, id="subnormal-spot"),
     ],
 )
 def test_intrinsic_value_accepts_what_the_records_accept(kind, spot, strike, value):
