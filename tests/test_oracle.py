@@ -829,6 +829,23 @@ def test_sweep_at_an_up_probability_of_one_matches_the_walk(kind, spot):
     assert _near_walk(args, got, want) if isinstance(want[0], float) else got == want
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (OptionKind.PUT, 100.0, 9.20491891927379, 0.20675914889040745, 0.0012096703947725399, 1.0, 3),
+        (OptionKind.PUT, 100.0, 32613.708459571088, 0.20554337363556371, 0.000437654362452829, 1.0, 3),
+    ],
+    ids=["spot-held", "spot-exercised"],
+)
+def test_sweep_tests_the_far_end_nodes_against_the_exact_ratio(args):
+    # a growth above the discount rate, which lattice_price never passes, puts
+    # c near 1/2 and rho near 0.67 and 0.79 on these 8- and 9-node grids: B_k near the
+    # far end is well below r1 and exercises nodes the condition at r1 holds,
+    # so without the one-by-one test the boundary is one or more nodes short
+    got, want = _run_sweep(oracle._perpetual_sweep, args), _run_sweep(_linear_sweep, args)
+    assert _near_walk(args, got, want)
+
+
 @pytest.mark.parametrize("kind", list(OptionKind))
 def test_sweep_work_is_the_same_at_any_steps(market_a, kind, monkeypatch):
     # a walk makes one exp per node, about 5,600 calls on the 4000-step grid
