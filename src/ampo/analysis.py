@@ -23,7 +23,8 @@ from enum import Enum
 
 from .greeks import _dated_call, _gamma
 from .params import MarketParams, NoSolutionError, OptionKind, ValidationError
-from .params import _check_strike, _check_terms, _member, _record, _require_iterable, _require_positive
+from .params import _check_strike, _check_terms, _member, _record, _require_finite
+from .params import _require_iterable, _require_positive, _store
 from .pricing import _CALL, _INF, _NOTHING, _closed_form, _exponents, _kernel, _out_of_range
 
 
@@ -42,9 +43,9 @@ class StrategySpec:
     budget: float
 
     def __post_init__(self):
-        _require_positive(("budget", self.budget))
+        _store(self, budget=_require_positive(("budget", self.budget))[0])
         if not isinstance(self.kind, StrategyKind):
-            object.__setattr__(self, "kind", _member(StrategyKind, self.kind))
+            _store(self, kind=_member(StrategyKind, self.kind))
 
 
 @_record
@@ -220,7 +221,7 @@ def _maturity_points(m: MarketParams, strike: float, q_grid):
     nothing is stored.
     """
     global _maturities
-    _check_strike(strike)
+    strike = _check_strike(strike)
     it = _require_iterable("q_grid", q_grid)
     qs, failed = [], None
     try:
@@ -234,7 +235,7 @@ def _maturity_points(m: MarketParams, strike: float, q_grid):
         return
     points, dated = [], _dated_call(m, strike)
     for q in qs:
-        _check_terms(strike, q)
+        _, q = _check_terms(strike, q)
         f = _closed_form(m, _CALL, strike, q, _exponents(m, q))
         point = q, f, _solve_maturity(m, dated, q, f.premium)
         points.append(point)
@@ -260,7 +261,7 @@ def ratio_study(m: MarketParams, strike: float, q_grid) -> list[RatioPoint]:
     Theta underflows to 0, or the Gamma ratio overflows, the ratio is
     refused by name (NoSolutionError).
     """
-    _check_strike(strike)  # before the evaluator reads it; _maturity_points checks it too
+    strike = _check_strike(strike)  # before the evaluator reads it
     out, dated = [], _dated_call(m, strike)
     for q, f, res in _maturity_points(m, strike, q_grid):
         t = res.effective_maturity
@@ -319,7 +320,7 @@ def positional_vega(m: MarketParams, strike: float, s: StrategySpec, q: float) -
     kinds, budget = _STRATEGY_KINDS[s.kind], s.budget
     last_m, last_strike, last_q, ex, legs = _point
     if not (m is last_m and strike is last_strike and q is last_q):
-        _check_terms(strike, q)
+        strike, q = _check_terms(strike, q)
         ex, legs = _exponents(m, q), {}
         _point = (m, strike, q, ex, legs)
     prem, veg, floor = 0.0, 0.0, _premium_floor(strike)
@@ -360,7 +361,7 @@ def _positional_vega_curve(m: MarketParams, strike: float, kinds, budget: float,
     held = _held(_scan, m, strike, key)
     if held is None:  # a new grid: no leg is stored either
         qs = tuple([lo + (hi - lo) * i / (n - 1) for i in range(n)])
-        _check_terms(strike, qs[0])
+        strike, _ = _check_terms(strike, qs[0])
         exs, stored = [], {}
     else:
         qs, exs, stored = held
@@ -441,10 +442,9 @@ def optimize_q(
     times Vega past the float range) raises NoSolutionError.
     """
     try:
-        lo, hi = q_range
-        # + 0.0 refuses what float arithmetic refuses, such as a decimal.Decimal
-        in_range = 0.0 < lo + 0.0 < hi + 0.0 < math.inf
-    except (TypeError, ValueError, OverflowError):
+        lo, hi = (_require_finite("q_range", q) for q in q_range)
+        in_range = 0.0 < lo < hi
+    except (TypeError, ValueError):  # a ValidationError is a ValueError
         in_range = False
     if not in_range:
         raise ValidationError(f"q_range must satisfy 0 < lo < hi < inf, got {q_range}")

@@ -132,8 +132,8 @@ def dated_bs_call(m: MarketParams, strike: float, maturity: float) -> DatedGreek
     ValidationError names the dated call where a field is not a finite
     float (at a vol whose sigma^2 overflows, every field is nan).
     """
-    _require_positive(("maturity", maturity))
-    _check_strike(strike)
+    (maturity,) = _require_positive(("maturity", maturity))
+    strike = _check_strike(strike)
     terms = _dated_call(m, strike)(maturity)
     for name, value in zip(DatedGreeksReport.__slots__, terms):
         if not abs(value) < math.inf:
@@ -166,8 +166,7 @@ def _dated_call(m: MarketParams, strike: float):
     (sigma*sqrt(t) underflowing to 0), ValidationError names the dated call.
     """
     s, k, r, sig = m.spot, strike, m.rate, m.vol
-    moneyness = float(s) / float(k)  # of the floats: Fraction / Fraction stays exact
-    log_m = math.log(moneyness) if 0.0 < moneyness < math.inf else math.log(s) - math.log(k)
+    log_m = math.log(s / k) if 0.0 < s / k < math.inf else math.log(s) - math.log(k)
     try:
         drift = r + 0.5 * sig**2
     except OverflowError:

@@ -42,6 +42,7 @@ from .params import (
     _require_finite,
     _require_iterable,
     _require_positive,
+    _store,
 )
 from .greeks import delta, gamma, vega
 from .pricing import (
@@ -72,8 +73,8 @@ class LatticeConfig:
     halving `steps` moves the price by more than that relative amount.
     `horizon` is validated but not used, since the lattice is perpetual;
     it stays so that callers which still set it (perfbench/workloads.py)
-    keep working. `horizon` and `convergence` are positive inputs, and
-    `steps` an int (not a bool).
+    keep working. `horizon` and `convergence` are positive inputs, held
+    as their floats, and `steps` an int (not a bool).
     """
 
     horizon: float = 200.0
@@ -81,13 +82,13 @@ class LatticeConfig:
     convergence: float | None = None
 
     def __post_init__(self):
-        _require_positive(("horizon", self.horizon))
+        _store(self, horizon=_require_positive(("horizon", self.horizon))[0])
         if not isinstance(self.steps, int) or isinstance(self.steps, bool):
             raise ValidationError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValidationError(f"steps must be >= 2, got {self.steps}")
         if self.convergence is not None:
-            _require_positive(("convergence tolerance", self.convergence))
+            _store(self, convergence=_require_positive(("convergence tolerance", self.convergence))[0])
 
 
 @_record
@@ -173,9 +174,7 @@ def _perpetual_sweep(
     b = math.exp(-discount_rate * dt)
     # node j is the spot times e^(j*dx), |j*dx| <= |x| + reach + dx, so that
     # factor must be a float; a ratio that over- or underflows refuses too
-    # (of the floats: a Fraction spot over a Fraction strike would stay exact)
-    moneyness = float(spot) / float(strike)
-    x = math.log(moneyness) if 0.0 < moneyness < math.inf else math.inf
+    x = math.log(spot / strike) if 0.0 < spot / strike < math.inf else math.inf
     if not abs(x) + reach + dx < _LOG_MAX:
         raise ValidationError(
             f"spot-to-strike ratio {spot!r}/{strike!r} out of the lattice's range: "
@@ -243,33 +242,28 @@ def lattice_price(
     the relative price change exceeds it. A spot-to-strike ratio whose
     grid would leave the float range raises ValidationError.
     """
-    if not (type(e.rate_eff) is type(e.dividend_eff) is type(e.strike) is float
-            and abs(e.rate_eff) < _INF and abs(e.dividend_eff) < _INF and abs(e.strike) < _INF):
-        for name in ("rate_eff", "dividend_eff", "strike"):
-            _require_finite(name, getattr(e, name))
-    rate = e.rate_eff - e.dividend_eff
+    rate_eff, dividend_eff, strike = e.rate_eff, e.dividend_eff, e.strike
+    if not (type(rate_eff) is type(dividend_eff) is type(strike) is float
+            and abs(rate_eff) < _INF and abs(dividend_eff) < _INF and abs(strike) < _INF):
+        rate_eff, dividend_eff, strike = (
+            _require_finite(name, getattr(e, name)) for name in ("rate_eff", "dividend_eff", "strike")
+        )
+    rate = rate_eff - dividend_eff
     # 2r+q and r+q round by half an ulp each: the rate is off by up to an ulp of rate_eff
-    if abs(rate - m.rate) > 1e-12 * max(1.0, abs(m.rate)) + 2.0 * math.ulp(e.rate_eff):
+    if abs(rate - m.rate) > 1e-12 * max(1.0, abs(m.rate)) + 2.0 * math.ulp(rate_eff):
         raise ValidationError(
             f"market rate {m.rate} inconsistent with effective rates "
             f"({e.rate_eff}, {e.dividend_eff})"
         )
-    amort = e.dividend_eff - rate
+    amort = dividend_eff - rate
     if amort <= 0:
         raise ValidationError(f"implied amort must be > 0, got {amort}")
-    # the terms as ContractParams checks them: an int or Fraction amort may overflow a float
-    _check_terms(e.strike, amort)
+    strike, amort = _check_terms(strike, amort)
     kind = e.payoff_kind if isinstance(e.payoff_kind, OptionKind) else _member(OptionKind, e.payoff_kind)
-    analytic = _closed_form(m, kind, e.strike, amort).premium
-
-    def solve(steps: int) -> tuple[float, float]:
-        return _perpetual_sweep(
-            e.payoff_kind, m.spot, e.strike, rate, e.rate_eff, m.vol, steps
-        )
-
-    oracle, boundary = solve(cfg.steps)
+    analytic = _closed_form(m, kind, strike, amort).premium
+    oracle, boundary = _perpetual_sweep(kind, m.spot, strike, rate, rate_eff, m.vol, cfg.steps)
     if cfg.convergence is not None:
-        half, _ = solve(cfg.steps // 2)
+        half, _ = _perpetual_sweep(kind, m.spot, strike, rate, rate_eff, m.vol, cfg.steps // 2)
         drift = abs(oracle - half) / max(abs(oracle), 1e-12)
         if drift > cfg.convergence:
             raise ConvergenceError(
@@ -302,7 +296,7 @@ def pde_residual(
     value only; scaling it by 1.01 should surface a relative residual near
     0.01, a sanity check that the checker is live.
     """
-    _require_finite("premium_scale", premium_scale)
+    premium_scale = _require_finite("premium_scale", premium_scale)
     drift, discount = m.rate, 2.0 * m.rate + c.amort
     kind, strike = c.kind, c.strike
     q, ex = c.amort, _solved(m, c.amort)
@@ -311,12 +305,10 @@ def pde_residual(
     for s in _require_iterable("spots", spots):
         spot = s
         if not (type(s) is float and 0.0 < s < _INF):
-            _require_finite("spot", s)
-            spot = float(s)
-            _require_positive(("spot", spot))
+            (spot,) = _require_positive(("spot", _require_finite("spot", s)))
         _, sign, alpha, gap, _, regime, premium, _, _ = _kernel(m, kind, strike, q, ex, spot)
         if regime is not _CONTINUATION:
-            raise RegionError(f"spot {s} is outside the continuation region")
+            raise RegionError(f"spot {spot} is outside the continuation region")
         v = premium_scale * premium
         dv = sign * alpha * premium / spot
         d2v = alpha * gap * (premium / spot) / spot
@@ -346,14 +338,14 @@ def finite_difference(
     if mode not in ("central", "forward"):
         raise ValidationError(f"mode must be 'central' or 'forward', got {mode!r}")
     if not (type(x) is float and abs(x) < _INF):
-        _require_finite("x", x)
+        x = _require_finite("x", x)
     try:
-        in_range = 0.0 < step < math.inf
-    except (TypeError, ArithmeticError):  # ArithmeticError: a Decimal nan
-        in_range = False
-    if not in_range:
+        h = step if type(step) is float else _require_finite("step", step)
+    except ValidationError:
+        h = math.nan
+    if not 0.0 < h < _INF:
         raise ValidationError(f"step must be finite and > 0, got {step!r}")
-    h = step * (abs(x) if x != 0.0 else 1.0)
+    h *= abs(x) if x != 0.0 else 1.0
     den = 2.0 * h if order == 1 else h * h
     if not 0.0 < den < math.inf:
         raise ValidationError(
@@ -374,8 +366,10 @@ def validate_checks(
     """Check the closed form against the lattice, the ODE and finite differences.
 
     One {"check", "value", "limit", "passed"} record per check: lattice_price
-    (relative error, limit 5e-3) and lattice_boundary (0.02) on cfg, or one
-    failed lattice_convergence record holding the ConvergenceError's message.
+    (relative error, limit 5e-3) and lattice_boundary (0.02; where the closed
+    form's boundary alpha*K/gap overflows, |estimate/K*(gap/alpha) - 1|) on
+    cfg, or one failed lattice_convergence record holding the
+    ConvergenceError's message.
     In the continuation region: pde_residual (the worst of ten spots up to the
     boundary, premium times `perturb`; 1e-8), then fd_delta, fd_gamma and
     fd_vega (central first differences against delta, gamma and vega,
@@ -383,14 +377,15 @@ def validate_checks(
     size V/S, V/S^2 or V/sigma; 1e-5). fd_delta and fd_vega difference
     price(...).premium at a bumped spot or vol; fd_gamma differences the
     analytic delta at a bumped spot, which keeps its digits where
-    Gamma*S^2/V is tiny and needs no (h*S)^2 denominator. The residual reads the contract's solve, and price and
-    delta re-price a bumped spot from the contract's exponents
-    (pricing._evaluate), so the exponents are solved four times in all:
-    for the contract, the lattice's analytic price and the two vols. A
-    bumped spot or vol is a MarketParams, checked as any other; a put
-    whose boundary underflows to 0 raises ValidationError.
+    Gamma*S^2/V is tiny and needs no (h*S)^2 denominator. The residual
+    reads the contract's solve, and price and delta re-price a bumped spot
+    from the contract's exponents (pricing._evaluate), so the exponents are
+    solved four times in all: for the contract, the lattice's analytic
+    price and the two vols. A bumped spot or vol is a MarketParams, checked
+    as any other; a put whose boundary underflows to 0 raises
+    ValidationError.
     """
-    _require_finite("perturb", perturb)
+    perturb = _require_finite("perturb", perturb)
     f = _evaluate(m, c)
     checks = []
 
@@ -403,7 +398,9 @@ def validate_checks(
         if not f.boundary > 0.0:
             raise ValidationError(f"the {c.kind.value} boundary at strike {c.strike!r} "
                                   "underflows to 0: lattice_boundary is undefined")
-        check("lattice_boundary", abs(rep.boundary_estimate - f.boundary) / f.boundary, 0.02)
+        err = (abs(rep.boundary_estimate - f.boundary) / f.boundary if f.boundary < _INF
+               else abs(rep.boundary_estimate / c.strike * (f.gap / f.alpha) - 1.0))
+        check("lattice_boundary", err, 0.02)
     except ConvergenceError as exc:
         checks.append({"check": "lattice_convergence", "value": str(exc),
                        "limit": cfg.convergence, "passed": False})

@@ -3,10 +3,17 @@
 Every record of the package, here and in the other modules, is a
 frozen, slotted dataclass made by _record.
 
-A positive input is one whose float is positive, since the closed forms
-compute with the float: Fraction(1, 10**400) is refused like 0. Every
-input that must be > 0 is checked by _require_positive, and any other is
-refused by name.
+An accepted number is held as its float from its check on. An exact
+float is held as the object given, so its identity (and -0.0) survives;
+any other number (an int, a bool, a Fraction, a float subclass) as the
+float of value + 0.0, the arithmetic that accepts it. Each check returns
+that float and each record stores it (_store, only where it is not the
+object given), so no code past the checks handles anything but floats, and
+every number a record holds or a function returns is a float. A positive
+input is one whose float is positive,
+since the closed forms compute with the float: Fraction(1, 10**400) is
+refused like 0. Every input that must be > 0 is checked by
+_require_positive, and any other is refused by name.
 
 The input checks on hot paths (MarketParams, _check_terms, _check_strike,
 and oracle's per-spot, effective-term and point checks) accept their
@@ -58,33 +65,42 @@ class Regime(str, Enum):
 _INF = math.inf
 
 
-def _require_finite(name: str, value: float) -> None:
-    # + 0.0 refuses what float arithmetic refuses, such as a decimal.Decimal
+def _require_finite(name: str, value: float) -> float:
+    """The float `value` is held as; ValidationError where that is not finite.
+
+    That float is `value` itself where it is an exact float, and else the
+    float of value + 0.0, which refuses what float arithmetic refuses, such
+    as a decimal.Decimal or a str.
+    """
     try:
-        finite = math.isfinite(value + 0.0)
+        x = value if type(value) is float else float(value + 0.0)
     except TypeError:
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None
     except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
+        x = _INF
+    if not math.isfinite(x):
         raise ValidationError(f"{name} must be finite, got {value!r}")
+    return x
 
 
-def _require_positive(*named: tuple[str, float]) -> None:
-    """Each (name, value) finite, then each value > 0 as a float, in the order given."""
-    for name, value in named:
-        _require_finite(name, value)
-    for name, value in named:
+def _require_positive(*named: tuple[str, float]) -> list[float]:
+    """Each (name, value) finite, then each value > 0 as a float, in the order
+    given; the values as their floats."""
+    floats = [_require_finite(name, value) for name, value in named]
+    for (name, value), x in zip(named, floats):
         # an exact value <= 0 rounds to a float <= 0, so this is also the exact test
-        if not value + 0.0 > 0.0:
+        if not x > 0.0:
             raise ValidationError(f"{name} must be > 0, got {value}")
+    return floats
 
 
-def _require_nonnegative(name: str, value: float) -> None:
-    """`value` finite and >= 0; a negative value whose float is -0.0 is refused."""
-    _require_finite(name, value)
+def _require_nonnegative(name: str, value: float) -> float:
+    """`value` as its float, finite and >= 0; a negative value whose float is
+    -0.0 is refused."""
+    x = _require_finite(name, value)
     if value < 0:
         raise ValidationError(f"{name} must be >= 0, got {value}")
+    return x
 
 
 def _require_iterable(name: str, values):
@@ -136,16 +152,24 @@ def _record(cls):
     return cls
 
 
-def _check_strike(strike: float) -> None:
-    """A strike as ContractParams checks it, as a positive input."""
+def _store(record, **checked: float) -> None:
+    """Store each checked field of a frozen record in place of the value given."""
+    for name, value in checked.items():
+        object.__setattr__(record, name, value)
+
+
+def _check_strike(strike: float) -> float:
+    """A strike as ContractParams checks it, as a positive input; its float."""
     if not (type(strike) is float and 0.0 < strike < _INF):
-        _require_positive(("strike", strike))
+        (strike,) = _require_positive(("strike", strike))
+    return strike
 
 
-def _check_terms(strike: float, amort: float) -> None:
-    """Contract terms: strike and amortization rate, each a positive input."""
+def _check_terms(strike: float, amort: float) -> tuple[float, float]:
+    """Contract terms: strike and amortization rate, each a positive input; their floats."""
     if not (type(strike) is type(amort) is float and 0.0 < strike < _INF and 0.0 < amort < _INF):
-        _require_positive(("strike", strike), ("amort", amort))
+        strike, amort = _require_positive(("strike", strike), ("amort", amort))
+    return strike, amort
 
 
 @_record
@@ -167,8 +191,8 @@ class MarketParams:
             # finite in the order spot, rate, vol; then spot, vol and rate in range
             _require_finite("spot", spot)
             _require_finite("rate", rate)
-            _require_positive(("spot", spot), ("vol", vol))
-            _require_nonnegative("rate", rate)
+            spot, vol = _require_positive(("spot", spot), ("vol", vol))
+            _store(self, spot=spot, rate=_require_nonnegative("rate", rate), vol=vol)
 
 
 @_record
@@ -180,9 +204,11 @@ class ContractParams:
     kind: OptionKind
 
     def __post_init__(self):
-        _check_terms(self.strike, self.amort)
+        strike, amort = _check_terms(self.strike, self.amort)
+        if strike is not self.strike or amort is not self.amort:
+            _store(self, strike=strike, amort=amort)
         if not isinstance(self.kind, OptionKind):
-            object.__setattr__(self, "kind", _member(OptionKind, self.kind))
+            _store(self, kind=_member(OptionKind, self.kind))
 
 
 @_record
@@ -234,7 +260,8 @@ class AmortizationSchedule:
     amort: float
 
     def __post_init__(self):
-        _require_positive(("initial_notional", self.initial_notional), ("amort", self.amort))
+        n0, q = _require_positive(("initial_notional", self.initial_notional), ("amort", self.amort))
+        _store(self, initial_notional=n0, amort=q)
 
 
 def intrinsic_value(kind: OptionKind, spot: float, strike: float) -> float:
@@ -244,7 +271,7 @@ def intrinsic_value(kind: OptionKind, spot: float, strike: float) -> float:
     value, checked as MarketParams and ContractParams check them.
     """
     if not (type(spot) is type(strike) is float and 0.0 < spot < _INF and 0.0 < strike < _INF):
-        _require_positive(("spot", spot), ("strike", strike))
+        spot, strike = _require_positive(("spot", spot), ("strike", strike))
     return _intrinsic(_member(OptionKind, kind), spot, strike)
 
 

@@ -27,7 +27,6 @@ from .params import (
     ValidationError,
     _INF,
     _intrinsic,
-    _require_finite,
     _require_nonnegative,
 )
 
@@ -57,7 +56,7 @@ def compute_exponents(m: MarketParams, q: float) -> Exponents:
     to alpha_c = 1, alpha_p = 0 and is not valid for pricing.
     The solve of the last _evaluate is reused when m and q are its objects.
     """
-    return Exponents(*_solved(m, q))
+    return Exponents(*_solved(m, q if type(q) is float else _require_nonnegative("amort", q)))
 
 
 def _solved(m: MarketParams, q: float) -> tuple[float, float, float]:
@@ -69,12 +68,8 @@ def _solved(m: MarketParams, q: float) -> tuple[float, float, float]:
 
 
 def _exponents(m: MarketParams, q: float) -> tuple[float, float, float]:
-    """compute_exponents as a plain (alpha_c, alpha_p, alpha_bar) tuple."""
-    try:
-        in_range = 0.0 <= q < _INF
-    except (TypeError, ArithmeticError):  # ArithmeticError: a Decimal nan
-        in_range = False
-    if not in_range:  # q is negative or not a finite real
+    """compute_exponents as a plain (alpha_c, alpha_p, alpha_bar) tuple, at a float q."""
+    if not 0.0 <= q < _INF:  # q is negative, nan or infinite
         _require_nonnegative("amort", q)
     try:
         s2 = m.vol**2
@@ -82,9 +77,6 @@ def _exponents(m: MarketParams, q: float) -> tuple[float, float, float]:
         radical = math.sqrt((x + 0.5) ** 2 + 2.0 * (m.rate + q) / s2)
     except (OverflowError, ZeroDivisionError):
         raise _out_of_range(m, "the exponent solve") from None
-    except TypeError:  # a q that compares but does not mix with floats, such as a Decimal
-        _require_finite("amort", q)
-        raise
     product = 2.0 * (2.0 * m.rate + q) / s2
     if x >= 0.5:
         alpha_p = radical + x - 0.5
@@ -281,5 +273,4 @@ def to_equivalent_perpetual(c: ContractParams, m: MarketParams) -> EquivalentPer
 
 def notional_at(s: AmortizationSchedule, t: float) -> float:
     """Notional at time t under exponential decay: N0 * e^{-q t}."""
-    _require_nonnegative("t", t)
-    return s.initial_notional * math.exp(-s.amort * t)
+    return s.initial_notional * math.exp(-s.amort * _require_nonnegative("t", t))

@@ -772,3 +772,17 @@ def test_package_names_resolve_on_first_use():
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_cli_output_matches_the_golden_corpus(cli):
+    # stdout and the exit code of each invocation in tests/golden/index.json,
+    # byte for byte; tools/golden.py regenerates the corpus
+    index = json.loads((GOLDEN / "index.json").read_text(encoding="utf-8"))
+    assert len(index) == 19
+    for name, entry in index.items():
+        run = cli(*entry["argv"])
+        want = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+        assert (run.returncode, run.stdout) == (entry["exit"], want), name

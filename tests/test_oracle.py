@@ -500,6 +500,22 @@ def test_validate_checks_residual_spots_stay_in_range_past_2e307(monkeypatch):
     assert boundary * 0.998 < spots[-1] <= boundary * 0.999
 
 
+def test_validate_checks_lattice_boundary_is_a_number_where_the_boundary_overflows():
+    # the call's boundary alpha*K/gap = 2*9e307 overflows to inf, and
+    # |estimate - inf|/inf recorded nan, a failed check; the ratio
+    # estimate/K*(gap/alpha) is taken there. fd_delta, fd_gamma and fd_vega
+    # fail at this contract too: that is the accuracy of the closed forms
+    # and their differences at the edge of the float range, and stays open
+    m = MarketParams(spot=1e150, rate=0.0, vol=1.0)
+    c = ContractParams(strike=9e307, amort=1.0, kind=OptionKind.CALL)
+    f = ampo.pricing._evaluate(m, c)
+    checks = {r["check"]: r for r in validate_checks(m, c, _CFG)}
+    estimate = lattice_price(to_equivalent_perpetual(c, m), m, _CFG).boundary_estimate
+    value = checks["lattice_boundary"]["value"]
+    assert value == abs(estimate / c.strike * (f.gap / f.alpha) - 1.0)
+    assert 2.7e-3 < value < 2.8e-3 and checks["lattice_boundary"]["passed"]
+
+
 @pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
 def test_validate_checks_solve_the_exponents_four_times(market_a, kind, monkeypatch):
     # _evaluate, lattice_price and fd_vega's two vols; pde_residual reads

@@ -481,31 +481,32 @@ def _terms_rule(strike, amort):
 
 
 def _spot_rule(s):
-    # pde_residual's per-spot check; the spot is evaluated as a float
-    _require_finite("spot", s)
-    spot = float(s)
+    # pde_residual's per-spot check; the spot is evaluated as its float
+    spot = _require_finite("spot", s)
     if spot <= 0:
         raise ValidationError(f"spot must be > 0, got {spot}")
     return spot
 
 
 def _lattice_by_rule(e, m, cfg):
-    # lattice_price as it was: its term checks, then a ContractParams of the
-    # strike, the implied amort and the kind, then the closed form and sweep
-    for name in ("rate_eff", "dividend_eff", "strike"):
-        _require_finite(name, getattr(e, name))
-    rate = e.rate_eff - e.dividend_eff
-    if abs(rate - m.rate) > 1e-12 * max(1.0, abs(m.rate)) + 2.0 * math.ulp(e.rate_eff):
+    # lattice_price as it was: its term checks, which hold each term as its
+    # float, then a ContractParams of the strike, the implied amort and the
+    # kind, then the closed form and sweep
+    rate_eff, dividend_eff, strike = (
+        _require_finite(name, getattr(e, name)) for name in ("rate_eff", "dividend_eff", "strike")
+    )
+    rate = rate_eff - dividend_eff
+    if abs(rate - m.rate) > 1e-12 * max(1.0, abs(m.rate)) + 2.0 * math.ulp(rate_eff):
         raise ValidationError(
             f"market rate {m.rate} inconsistent with effective rates ({e.rate_eff}, {e.dividend_eff})"
         )
-    amort = e.dividend_eff - rate
+    amort = dividend_eff - rate
     if amort <= 0:
         raise ValidationError(f"implied amort must be > 0, got {amort}")
-    _terms_rule(e.strike, amort)
-    analytic = oracle._closed_form(m, _member(OptionKind, e.payoff_kind), e.strike, amort).premium
-    return analytic, oracle._perpetual_sweep(e.payoff_kind, m.spot, e.strike, rate, e.rate_eff,
-                                             m.vol, cfg.steps)
+    _terms_rule(strike, amort)
+    kind = _member(OptionKind, e.payoff_kind)
+    analytic = oracle._closed_form(m, kind, strike, amort).premium
+    return analytic, oracle._perpetual_sweep(kind, m.spot, strike, rate, rate_eff, m.vol, cfg.steps)
 
 
 def _lattice_now(e, m, cfg):

@@ -1,11 +1,16 @@
-"""tools/code_lines.py, the count of code lines that ROADMAP and CHANGES.md cite."""
+"""The committed tools: tools/code_lines.py, the count of code lines that
+ROADMAP and CHANGES.md cite, and tools/outcomes.py, the seeded outcome
+table of every public function."""
 
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "code_lines.py"
+OUTCOMES = ROOT / "tools" / "outcomes.py"
 
 
 def _run(*args):
@@ -29,3 +34,33 @@ def test_code_lines_leaves_out_docstrings_comments_and_blanks(tmp_path):
     assert [name for name, _ in rows[:-1]] == modules
     assert rows[-1][0] == "total"
     assert int(rows[-1][1].replace(",", "")) == sum(int(n.replace(",", "")) for _, n in rows[:-1])
+
+
+def _outcomes(*args, hash_seed="0"):
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+    run = subprocess.run([sys.executable, str(OUTCOMES), *args], capture_output=True, text=True,
+                         timeout=60, env=env)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
+
+
+def test_outcome_digests_are_the_same_under_any_hash_seed():
+    start = time.perf_counter()
+    first = _outcomes("--seed", "3", "--draws", "8", hash_seed="0")
+    second = _outcomes("--seed", "3", "--draws", "8", hash_seed="12345")
+    assert time.perf_counter() - start < 3.0
+    assert first == second
+    # one sha256 per function, then one over all rows
+    names = [line.split()[1] for line in first]
+    assert names[-1] == "all" and len(names) == len(set(names)) > 30
+    assert {"price", "MarketParams", "lattice_price", "optimize_q", "validate_checks"} <= set(names)
+    assert all(len(line.split()[0]) == 64 for line in first)
+    # another seed draws other rows
+    assert _outcomes("--seed", "4", "--draws", "8")[-1] != first[-1]
+
+
+def test_outcomes_against_the_same_tree_list_no_row():
+    src = str(ROOT / "src")
+    assert _outcomes("--seed", "3", "--draws", "4", "--src", src, "--against", src)[-1].split()[:3] == [
+        "0", "rows", "differ"
+    ]
