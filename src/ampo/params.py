@@ -10,10 +10,9 @@ float of value + 0.0, the arithmetic that accepts it. Each check returns
 that float and each record stores it (_store, only where it is not the
 object given), so no code past the checks handles anything but floats, and
 every number a record holds or a function returns is a float. A positive
-input is one whose float is positive,
-since the closed forms compute with the float: Fraction(1, 10**400) is
-refused like 0. Every input that must be > 0 is checked by
-_require_positive, and any other is refused by name.
+input is one whose float is positive, since the closed forms compute with
+the float: Fraction(1, 10**400) is refused like 0. Every input that must
+be > 0 is checked by _require_positive, and any other is refused by name.
 
 The input checks on hot paths (MarketParams, _check_terms, _check_strike,
 and oracle's per-spot, effective-term and point checks) accept their

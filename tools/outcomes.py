@@ -280,7 +280,10 @@ def as_floats(encoded: str) -> str:
             value = Fraction(*map(int, text[9:-1].split(", ")))
         else:
             value = text == "True" if kind == "bool" else int(text)
-        return f"float:{float(value).hex()}"
+        try:
+            return f"float:{float(value).hex()}"
+        except OverflowError:  # no float holds it
+            return match.group()
     return _TYPED.sub(to_float, encoded)
 
 
