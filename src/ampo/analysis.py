@@ -215,33 +215,24 @@ def _maturity_points(m: MarketParams, strike: float, q_grid):
     so a maturity that several q's solves ask for, such as a bracket end,
     is evaluated once; the entry is replaced once the last point is
     consumed, so a call that raises, or is not consumed, stores nothing;
-    racing threads lose sharing, never values. The grid is copied into a
-    tuple first, so a list changed in place misses; if iterating it
-    raises, the points before come first, as a lazy loop gives them, and
-    nothing is stored.
+    racing threads lose sharing, never values. The grid is read into a
+    tuple first, so a list changed in place misses, and a grid whose
+    iteration raises raises its own error before any point is solved.
     """
     global _maturities
     strike = _check_strike(strike)
-    it = _require_iterable("q_grid", q_grid)
-    qs, failed = [], None
-    try:
-        qs.extend(it)
-    except Exception as exc:
-        failed = exc
-    qs = tuple(qs)
-    points = None if failed is not None else _held(_maturities, m, strike, qs)
+    qs = tuple(_require_iterable("q_grid", q_grid))
+    points = _held(_maturities, m, strike, qs)
     if points is not None:
         yield from points
         return
     points, dated = [], _dated_call(m, strike)
     for q in qs:
         _, q = _check_terms(strike, q)
-        f = _closed_form(m, _CALL, strike, q, _exponents(m, q))
+        f = _closed_form(m, _CALL, strike, q)
         point = q, f, _solve_maturity(m, dated, q, f.premium)
         points.append(point)
         yield point
-    if failed is not None:
-        raise failed
     _maturities = (m, strike, qs, points)
 
 

@@ -326,17 +326,18 @@ def pde_residual(
 def finite_difference(
     f, x: float, order: int = 1, mode: str = "central", step: float = 1e-6
 ) -> float:
-    """Second-order-accurate finite difference of a scalar function.
+    """Central finite difference of a scalar function, order 1 or 2.
 
-    `step` is relative to |x| (absolute when x == 0) and must be finite and
-    > 0, as must the stencil's denominator (2h or h^2); x must be finite.
-    `mode="forward"` keeps the whole stencil on [x, +inf), useful near a
-    kink to the left.
+    Both stencils are second-order accurate. `step` is relative to |x|
+    (absolute when x == 0) and must be finite and > 0, as must the
+    stencil's denominator (2h or h^2); x must be finite. `mode` accepts
+    only "central"; it stays so that callers which pass it positionally
+    (perfbench/workloads.py) keep working.
     """
     if order not in (1, 2):
         raise ValidationError(f"order must be 1 or 2, got {order}")
-    if mode not in ("central", "forward"):
-        raise ValidationError(f"mode must be 'central' or 'forward', got {mode!r}")
+    if mode != "central":
+        raise ValidationError(f"mode must be 'central', got {mode!r}")
     if not (type(x) is float and abs(x) < _INF):
         x = _require_finite("x", x)
     try:
@@ -351,13 +352,9 @@ def finite_difference(
         raise ValidationError(
             f"step {step!r} at x = {x!r} gives a difference denominator of {den!r}"
         )
-    if mode == "central":
-        if order == 1:
-            return (f(x + h) - f(x - h)) / den
-        return (f(x + h) - 2.0 * f(x) + f(x - h)) / den
     if order == 1:
-        return (-3.0 * f(x) + 4.0 * f(x + h) - f(x + 2.0 * h)) / den
-    return (2.0 * f(x) - 5.0 * f(x + h) + 4.0 * f(x + 2.0 * h) - f(x + 3.0 * h)) / den
+        return (f(x + h) - f(x - h)) / den
+    return (f(x + h) - 2.0 * f(x) + f(x - h)) / den
 
 
 def validate_checks(
@@ -427,10 +424,9 @@ def validate_checks(
     # with each Greek its natural size, so the error's floor scales with the contract
     v = f.premium
     fd_checks = (
-        ("fd_delta", delta(m, c), finite_difference(prem_of_spot, m.spot, 1, "central", h), v / m.spot),
-        ("fd_gamma", gamma(m, c), finite_difference(delta_of_spot, m.spot, 1, "central", h),
-         v / m.spot / m.spot),
-        ("fd_vega", vega(m, c), finite_difference(prem_of_vol, m.vol, 1, "central", 1e-4), v / m.vol),
+        ("fd_delta", delta(m, c), finite_difference(prem_of_spot, m.spot, step=h), v / m.spot),
+        ("fd_gamma", gamma(m, c), finite_difference(delta_of_spot, m.spot, step=h), v / m.spot / m.spot),
+        ("fd_vega", vega(m, c), finite_difference(prem_of_vol, m.vol, step=1e-4), v / m.vol),
     )
     for name, analytic, fd, size in fd_checks:
         # 5e-324 where the premium, and with it the Greek, underflows to 0

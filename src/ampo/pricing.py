@@ -190,12 +190,10 @@ def _split_log(spot: float, strike: float, gap: float, alpha: float) -> float:
     return math.log(spot) - math.log(strike) + log_ratio
 
 
-def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float, ex=None):
-    """_kernel at m.spot as a _ClosedForm; ex is _exponents(m, q) when the caller has it."""
-    if ex is None:
-        ex = _exponents(m, q)
+def _closed_form(m: MarketParams, kind: OptionKind, strike: float, q: float):
+    """_kernel at m.spot as a _ClosedForm, on its own solve of the exponents."""
     # what _ClosedForm._make does, without its method call and length check
-    return _TUPLE_NEW(_ClosedForm, _kernel(m, kind, strike, q, ex, m.spot))
+    return _TUPLE_NEW(_ClosedForm, _kernel(m, kind, strike, q, _exponents(m, q), m.spot))
 
 
 # (market, contract, contract.amort, exponents, closed form) of the last
@@ -212,23 +210,21 @@ def _evaluate(m: MarketParams, c: ContractParams) -> _ClosedForm:
     and the entry holds them, so the same objects mean the same values
     (mutating one through object.__setattr__ is unsupported), while equal
     values in distinct objects miss and are evaluated afresh. On the same
-    objects the entry is read whole. On the same contract object and a
-    market holding the entry's rate and vol objects, such as
-    replace(m, spot=s), only the spot differs, so the entry's exponents are
-    reused and _kernel alone runs at m.spot. The entry is read once and
-    replaced whole, so a thread never mixes two entries, and an evaluation
-    that raises leaves it as it was.
+    objects the entry is read whole. A miss makes one _kernel call at
+    m.spot: on the same contract object and a market holding the entry's
+    rate and vol objects, such as replace(m, spot=s), only the spot
+    differs, so it reuses the entry's exponents, and otherwise it solves
+    them. The entry is read once and replaced whole, so a thread never
+    mixes two entries, and an evaluation that raises leaves it as it was.
     """
     global _last
     last_m, last_c, q, ex, f = _last
-    if c is last_c and (m is last_m or m.rate is last_m.rate and m.vol is last_m.vol):
-        if m is not last_m:
-            f = _TUPLE_NEW(_ClosedForm, _kernel(m, c.kind, c.strike, q, ex, m.spot))
-            _last = (m, c, q, ex, f)
+    if c is last_c and m is last_m:
         return f
-    kind, strike, q = c.kind, c.strike, c.amort
-    ex = _exponents(m, q)
-    f = _closed_form(m, kind, strike, q, ex)
+    if not (c is last_c and m.rate is last_m.rate and m.vol is last_m.vol):
+        q = c.amort
+        ex = _exponents(m, q)
+    f = _TUPLE_NEW(_ClosedForm, _kernel(m, c.kind, c.strike, q, ex, m.spot))
     _last = (m, c, q, ex, f)
     return f
 
@@ -261,10 +257,15 @@ def to_equivalent_perpetual(c: ContractParams, m: MarketParams) -> EquivalentPer
     while leaving the risk-neutral drift at r. The matching vanilla
     perpetual therefore carries effective rate 2r+q and dividend yield
     r+q; their difference is the original rate r, so the drift of the
-    underlying is unchanged.
+    underlying is unchanged. Where 2r+q overflows a float the mapping is
+    refused with ValidationError; r+q is then finite too, since
+    r+q <= 2r+q.
     """
+    rate_eff = 2.0 * m.rate + c.amort
+    if not rate_eff < _INF:
+        raise ValidationError(f"effective rate 2*rate + amort overflows a float at rate {m.rate!r}")
     return EquivalentPerpetual(
-        rate_eff=2.0 * m.rate + c.amort,
+        rate_eff=rate_eff,
         dividend_eff=m.rate + c.amort,
         payoff_kind=c.kind,
         strike=c.strike,

@@ -160,17 +160,30 @@ def test_pde_residual_perturbed(market_a, put_a):
     assert res[0].hex() == "0x1.446f86562d9fbp-7"
 
 
+def _count_markets(monkeypatch) -> list:
+    """(spot, rate, vol) of each MarketParams built from here on.
+
+    The class's __init__ is patched, not __post_init__: params._record's
+    generated __init__ bound __post_init__ when the class was made, so a
+    patched __post_init__ is never called.
+    """
+    built, init = [], MarketParams.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self.spot, self.rate, self.vol))
+
+    monkeypatch.setattr(MarketParams, "__init__", counted)
+    return built
+
+
 def test_pde_residual_builds_no_market_per_spot(market_a, put_a, monkeypatch):
-    built = []
-    post_init = MarketParams.__post_init__
-
-    def counted(self):
-        built.append(self.spot)
-        post_init(self)
-
-    monkeypatch.setattr(MarketParams, "__post_init__", counted)
+    built = _count_markets(monkeypatch)
     pde_residual(market_a, put_a, [60.0 + 10.0 * i for i in range(10)])
     assert built == []
+    # the counter is live: a market built here is seen
+    MarketParams(60.0, market_a.rate, market_a.vol)
+    assert built == [(60.0, 0.05, 0.5)]
 
 
 @pytest.mark.parametrize(
@@ -368,17 +381,15 @@ def test_validate_checks_record_an_unconverged_lattice(market_a, put_a):
     assert [r["check"] for r in checks[1:]] == _CHECKS[2:]
 
 
-def test_validate_checks_build_no_market_per_evaluation(market_a, put_a, monkeypatch):
-    built = []
-    post_init = MarketParams.__post_init__
-
-    def counted(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(MarketParams, "__post_init__", counted)
+def test_validate_checks_build_one_market_per_bumped_spot_or_vol(market_a, put_a, monkeypatch):
+    built = _count_markets(monkeypatch)
     assert all(r["passed"] for r in validate_checks(market_a, put_a, _CFG))
-    assert built == []
+    # fd_delta's and fd_gamma's spots 100 +- 0.01, then fd_vega's vols
+    # 0.5 +- 5e-5; the residual's ten spots build none
+    assert built == [
+        (100.01, 0.05, 0.5), (99.99, 0.05, 0.5), (100.01, 0.05, 0.5), (99.99, 0.05, 0.5),
+        (100.0, 0.05, 0.50005), (100.0, 0.05, 0.49995),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -550,12 +561,6 @@ def test_finite_difference_polynomials():
     assert finite_difference(lambda x: x**3, 2.0, 2, step=1e-3) == pytest.approx(
         12.0, abs=1e-6
     )
-    assert finite_difference(math.exp, 1.0, 1, "forward", 1e-5) == pytest.approx(
-        math.e, rel=1e-8
-    )
-    assert finite_difference(math.exp, 1.0, 2, "forward", 1e-4) == pytest.approx(
-        math.e, rel=1e-5
-    )
 
 
 def test_finite_difference_cross_module(market_a, call_a):
@@ -571,6 +576,11 @@ def test_finite_difference_validation():
         finite_difference(math.sin, 0.0, 3)
     with pytest.raises(ValidationError):
         finite_difference(math.sin, 0.0, 1, "backward")
+
+
+def test_finite_difference_refuses_the_forward_mode_by_name():
+    with pytest.raises(ValidationError, match=r"^mode must be 'central', got 'forward'$"):
+        finite_difference(math.exp, 1.0, 1, "forward", 1e-5)
 
 
 def test_lattice_config_validation():
@@ -605,11 +615,10 @@ def test_lattice_config_refuses_non_finite_and_fractional_input():
     ],
 )
 @pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("mode", ["central", "forward"])
+@pytest.mark.parametrize("mode", ["central"])
 def test_finite_difference_refuses_a_bad_step_or_point(x, step, order, mode):
-    # step 0 used to raise ZeroDivisionError, a negative step put the forward
-    # stencil left of x, a nan step or an infinite x returned nan, and a
-    # Decimal nan step raised decimal.InvalidOperation
+    # step 0 used to raise ZeroDivisionError, a nan step or an infinite x
+    # returned nan, and a Decimal nan step raised decimal.InvalidOperation
     with pytest.raises(ValidationError, match=r"^(step|x) must be finite"):
         finite_difference(math.sin, x, order, mode, step)
 

@@ -232,6 +232,29 @@ def test_equivalent_perpetual_mapping(market_a, put_a):
     assert e.strike == put_a.strike
 
 
+def test_equivalent_perpetual_refuses_an_effective_rate_that_overflows():
+    # both records accept 1e308, but 2*rate + amort is inf: the mapping
+    # returned rate_eff = dividend_eff = inf
+    m, c = MarketParams(100.0, 1e308, 0.5), ContractParams(100.0, 1e308, "call")
+    message = r"^effective rate 2\*rate \+ amort overflows a float at rate 1e\+308$"
+    with pytest.raises(ValidationError, match=message):
+        to_equivalent_perpetual(c, m)
+    # at rate and amort 1e307, 2*rate + amort is finite, and so are both fields
+    e = to_equivalent_perpetual(ContractParams(100.0, 1e307, "call"), MarketParams(100.0, 1e307, 0.5))
+    assert (e.rate_eff, e.dividend_eff) == (3e307, 2e307)
+
+
+def test_the_boundary_is_the_one_float_field_that_can_be_inf():
+    # alpha*K/gap passes the largest float while the premium is a float, as
+    # README states; making the boundary finite is ROADMAP item 10's work
+    m, c = MarketParams(1e150, 0.0, 1.0), ContractParams(9e307, 1.0, "call")
+    q = price(m, c)
+    assert q.boundary == exercise_boundary(m, c) == math.inf
+    assert q.premium == pytest.approx(2.78e-9, rel=1e-3)
+    assert q.regime is Regime.CONTINUATION
+    assert all(math.isfinite(v) for v in dataclasses.astuple(greeks_report(m, c)))
+
+
 def test_notional_decay():
     s = AmortizationSchedule(initial_notional=1.0, amort=0.1)
     assert notional_at(s, 0.0) == 1.0

@@ -3,6 +3,7 @@ ROADMAP and CHANGES.md cite, and tools/outcomes.py, the seeded outcome
 table of every public function."""
 
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -36,11 +37,11 @@ def test_code_lines_leaves_out_docstrings_comments_and_blanks(tmp_path):
     assert int(rows[-1][1].replace(",", "")) == sum(int(n.replace(",", "")) for _, n in rows[:-1])
 
 
-def _outcomes(*args, hash_seed="0"):
+def _outcomes(*args, hash_seed="0", code=0):
     env = {**os.environ, "PYTHONHASHSEED": hash_seed}
     run = subprocess.run([sys.executable, str(OUTCOMES), *args], capture_output=True, text=True,
                          timeout=60, env=env)
-    assert run.returncode == 0, run.stderr
+    assert run.returncode == code, run.stderr
     return run.stdout.splitlines()
 
 
@@ -64,3 +65,20 @@ def test_outcomes_against_the_same_tree_list_no_row():
     assert _outcomes("--seed", "3", "--draws", "4", "--src", src, "--against", src)[-1].split()[:3] == [
         "0", "rows", "differ"
     ]
+
+
+def test_outcomes_against_a_perturbed_formula_exits_1(tmp_path):
+    # --against is the bit-identity gate: an exact-float row that differs exits 1
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    pricing = src / "ampo" / "pricing.py"
+    formula = "math.exp(-s.amort * "
+    text = pricing.read_text()
+    assert text.count(formula) == 1
+    pricing.write_text(text.replace(formula, "math.exp(-1.000001 * s.amort * "))
+    lines = _outcomes("--seed", "3", "--draws", "4", "--src", str(src), "--against",
+                      str(ROOT / "src"), code=1)
+    # the counts per function and kind, then the total: only notional_at moved
+    counts = [line.split(None, 1)[1] for line in lines if line[:7].strip().isdigit()]
+    assert "notional_at: exact-float row" in counts
+    assert all(kind.startswith("notional_at: ") for kind in counts[:-1])

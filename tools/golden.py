@@ -30,6 +30,14 @@ INVOCATIONS = {
     "examples3-budget-100": ["examples", "3", "--budget", "100"],
     "examples3-budget-1e308": ["examples", "3", "--budget", "1e308"],
     **{f"optimize-{kind}": ["optimize", "--kind", kind] for kind in ("put", "call", "straddle")},
+    **{
+        f"greeks-put-{output}": ["greeks", "--kind", "put", "--amort", "0.1", "--output", output]
+        for output in ("table", "json")
+    },
+    **{
+        f"price-call-{output}": ["price", "--kind", "call", "--amort", "0.1", "--output", output]
+        for output in ("table", "json")
+    },
     "statics": ["statics", "--kind", "put", "--amort", "0.1"],
     "validate": ["validate", "--kind", "put", "--amort", "0.1"],
     **{

@@ -15,7 +15,8 @@ as float.hex, and an error as its type and message.
         prints one sha256 per function and one over all rows
     python tools/outcomes.py --seed S --draws N [--src DIR] --against DIR
         lists the rows whose outcome differs between the two source trees,
-        each with its kind, then the count of each kind
+        each with its kind, then the count of each kind; exits 1 when an
+        exact-float row differs (the bit-identity gate), else 0
     python tools/outcomes.py --seed S --draws N [--src DIR] --rows
         prints the rows themselves, one JSON list per line
 
@@ -333,7 +334,7 @@ def main(argv: list[str]) -> int:
         for (name, kind), n in sorted(counts.items()):
             print(f"{n:>7}  {name}: {kind}")
         print(f"{sum(counts.values()):>7}  rows differ of {len(ours)}")
-        return 0
+        return int(any(kind == "exact-float row" for _, kind in counts))
     sys.path.insert(0, str(Path(args.src).resolve()))
     import ampo
 
