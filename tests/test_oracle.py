@@ -615,11 +615,17 @@ def test_lattice_config_refuses_non_finite_and_fractional_input():
     ],
 )
 @pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("mode", ["central"])
-def test_finite_difference_refuses_a_bad_step_or_point(x, step, order, mode):
+@pytest.mark.parametrize(
+    "mode, refused",
+    [("central", r"^(step|x) must be finite"), ("forward", r"^mode must be 'central', got 'forward'$")],
+    ids=["central", "forward"],
+)
+def test_finite_difference_refuses_a_bad_step_or_point(x, step, order, mode, refused):
     # step 0 used to raise ZeroDivisionError, a nan step or an infinite x
-    # returned nan, and a Decimal nan step raised decimal.InvalidOperation
-    with pytest.raises(ValidationError, match=r"^(step|x) must be finite"):
+    # returned nan, and a Decimal nan step raised decimal.InvalidOperation;
+    # the forward stencils are gone, so "forward" is refused by name before
+    # the step or the point is read
+    with pytest.raises(ValidationError, match=refused):
         finite_difference(math.sin, x, order, mode, step)
 
 
