@@ -781,7 +781,7 @@ def test_cli_output_matches_the_golden_corpus(cli):
     # stdout and the exit code of each invocation in tests/golden/index.json,
     # byte for byte; tools/golden.py regenerates the corpus
     index = json.loads((GOLDEN / "index.json").read_text(encoding="utf-8"))
-    assert len(index) == 23
+    assert len(index) == 25
     for name, entry in index.items():
         run = cli(*entry["argv"])
         want = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")

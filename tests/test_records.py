@@ -1,8 +1,10 @@
 """The record contract: every exported record is a frozen, slotted dataclass
 whose generated __init__ behaves as a dataclass's own."""
 
+import copy
 import dataclasses
 import inspect
+import pickle
 
 import pytest
 
@@ -104,6 +106,13 @@ def test_record_round_trips_and_rebuilds_equal(rec):
     required = {f.name: values[f.name] for f in fields if f.default is dataclasses.MISSING}
     defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
     assert cls(**required) == cls(**required, **defaults)
+
+
+@pytest.mark.parametrize("rec", SAMPLES, ids=lambda rec: type(rec).__name__)
+def test_record_pickles_and_copies_equal(rec):
+    pickled = [pickle.loads(pickle.dumps(rec, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (*pickled, copy.copy(rec), copy.deepcopy(rec)):
+        assert type(twin) is type(rec) and twin == rec
 
 
 def test_lattice_config_defaults():

@@ -39,7 +39,9 @@ INVOCATIONS = {
         for output in ("table", "json")
     },
     "statics": ["statics", "--kind", "put", "--amort", "0.1"],
+    "statics-json": ["statics", "--kind", "put", "--amort", "0.1", "--output", "json"],
     "validate": ["validate", "--kind", "put", "--amort", "0.1"],
+    "validate-json": ["validate", "--kind", "put", "--amort", "0.1", "--output", "json"],
     **{
         f"price-spot-1e-12-{kind}": ["price", "--kind", kind, "--amort", "0.1", "--spot", "1e-12"]
         for kind in ("put", "call")
