@@ -25,7 +25,6 @@ AMPO_OUTPUT, is one `error:` line on stderr and exit 2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -119,28 +118,34 @@ def _inputs(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
     return {k: getattr(args, k) for k in keys}
 
 
+def _asdict(record) -> dict:
+    """A record's fields, in order, as a dict: dataclasses.asdict's keys and
+    values for a record that holds no other record."""
+    return {name: getattr(record, name) for name in record.__match_args__}
+
+
 _QUOTE_KEYS = ("kind", "spot", "strike", "rate", "vol", "amort")
 
 
 def _cmd_price(args) -> dict:
     from .pricing import compute_exponents, price
     m, c = _market_contract(args)
-    record = {**_inputs(args, _QUOTE_KEYS), **dataclasses.asdict(price(m, c))}
+    record = {**_inputs(args, _QUOTE_KEYS), **_asdict(price(m, c))}
     record["regime"] = record["regime"].value
-    return {**record, **dataclasses.asdict(compute_exponents(m, c.amort))}
+    return {**record, **_asdict(compute_exponents(m, c.amort))}
 
 
 def _cmd_greeks(args) -> dict:
     from .greeks import greeks_report
     m, c = _market_contract(args)
-    return {**_inputs(args, _QUOTE_KEYS), **dataclasses.asdict(greeks_report(m, c))}
+    return {**_inputs(args, _QUOTE_KEYS), **_asdict(greeks_report(m, c))}
 
 
 def _cmd_statics(args) -> dict:
     from .statics import statics_report
     m, c = _market_contract(args)
-    record = {**_inputs(args, _QUOTE_KEYS), **dataclasses.asdict(statics_report(m, c))}
-    record.update(record.pop("intermediates"))
+    record = {**_inputs(args, _QUOTE_KEYS), **_asdict(statics_report(m, c))}
+    record.update(_asdict(record.pop("intermediates")))
     return record
 
 
@@ -164,7 +169,7 @@ def _cmd_examples(args) -> list[dict]:
     m, strike = _market(args), args.strike
     if args.example < 3:
         study = effective_notional_curve if args.example == 1 else ratio_study
-        return [dataclasses.asdict(pt) for pt in study(m, strike, _q_grid(args, 0.05, 20))]
+        return [_asdict(pt) for pt in study(m, strike, _q_grid(args, 0.05, 20))]
     grid = _q_grid(args, 0.01, 100)
     specs = [StrategySpec(kind=kind, budget=args.budget) for kind in StrategyKind]
     return [
@@ -181,7 +186,7 @@ def _cmd_optimize(args) -> dict:
     spec = StrategySpec(kind=StrategyKind(args.kind), budget=args.budget)
     res = optimize_q(m, args.strike, spec, (args.q_min, args.q_max), grid_points=args.q_steps)
     keys = ("kind", "spot", "strike", "rate", "vol", "budget", "q_min", "q_max")
-    record = {**_inputs(args, keys), **dataclasses.asdict(res)}
+    record = {**_inputs(args, keys), **_asdict(res)}
     del record["curve"]
     return record
 

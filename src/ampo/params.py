@@ -1,7 +1,11 @@
 """Core parameter types, result records, and error hierarchy.
 
-Every record of the package, here and in the other modules, is a
-frozen, slotted dataclass made by _record.
+Every record of the package, here and in the other modules, is made by
+_record: a frozen, slotted class whose methods behave as those
+dataclass(frozen=True, slots=True) generates, and which keeps the
+dataclass protocol (dataclasses.fields, replace, asdict, astuple,
+is_dataclass). Defining a record imports no dataclasses; its metadata is
+built when one of those functions first reads it.
 
 An accepted number is held as its float from its check on. An exact
 float is held as the object given, so its identity (and -0.0) survives;
@@ -27,7 +31,7 @@ message in its order, are the full checks' alone.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from reprlib import recursive_repr
 from enum import Enum
 
 
@@ -119,28 +123,97 @@ def _member(kind_enum: type[Enum], kind) -> Enum:
         raise ValidationError(f"kind must be one of {names}") from None
 
 
-def _record(cls):
-    """`cls` as a frozen, slotted dataclass whose __init__ sets each slot directly.
+class _Record:
+    """The methods every record shares, each as dataclass(frozen=True, slots=True)
+    generates it; a record's __match_args__ names its fields in order. Any
+    assignment or deletion is refused, not only a field's."""
 
-    dataclass(frozen=True) stores each field through object.__setattr__,
-    which costs about a microsecond per record. The __init__ written here
-    takes the same arguments and defaults, stores each field with its slot
-    descriptor's __set__, bound once per class, and then calls
-    __post_init__ where the class has one. Like dataclasses, it writes the
-    function's source and execs it. Fields with a default_factory are not
-    supported.
+    __slots__ = ()
+
+    def __getstate__(self):
+        return [getattr(self, name) for name in self.__match_args__]
+
+    def __setstate__(self, state):
+        _store(self, **dict(zip(self.__match_args__, state)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__getstate__() == other.__getstate__()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__getstate__()))
+
+    @recursive_repr()
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Metadata:
+    """A record's __dataclass_fields__ or __dataclass_params__, built on first read.
+
+    Both are taken from a dataclass(frozen=True, slots=True, init=False)
+    with the record's annotations and defaults, and stored on the record
+    class in place of this descriptor, so dataclasses is imported only when
+    something first reads them. Two threads that race here store equal values.
     """
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, record, owner):
+        from dataclasses import dataclass
+        cls = next(c for c in owner.__mro__ if vars(c).get(self.name) is self)
+        names, defaults = cls.__match_args__, cls.__init__.__defaults__ or ()
+        namespace = dict(zip(names[len(names) - len(defaults):], defaults), __annotations__=cls.__annotations__)
+        twin = dataclass(frozen=True, slots=True, init=False)(type(cls.__name__, (), namespace))
+        cls.__dataclass_fields__, cls.__dataclass_params__ = twin.__dataclass_fields__, twin.__dataclass_params__
+        return getattr(cls, self.name)
+
+
+_METADATA = {name: _Metadata(name) for name in ("__dataclass_fields__", "__dataclass_params__")}
+
+
+def _record(cls):
+    """`cls` as a frozen, slotted record class that keeps the dataclass protocol.
+
+    Its fields are its own annotations, in order, and a class attribute of
+    a field's name is that field's default. The record class has one slot
+    per field, __match_args__ naming them, and _Record's methods. Its
+    __dataclass_fields__ and __dataclass_params__ are built on first read
+    (_Metadata), so dataclasses.fields, replace, asdict, astuple and
+    is_dataclass work on records while defining one imports no dataclasses.
+
+    The __init__ written here takes the fields as arguments, with their
+    defaults, stores each with its slot descriptor's __set__, bound once
+    per class, and then calls __post_init__ where the class has one: about
+    half the cost of dataclass(frozen=True)'s, which stores each field
+    through object.__setattr__. Like dataclasses, it writes the function's
+    source and execs it.
+    """
+    names = tuple(vars(cls).get("__annotations__", {}))
+    namespace = dict(vars(cls), **_METADATA, __qualname__=cls.__qualname__, __slots__=names, __match_args__=names)
+    del namespace["__dict__"], namespace["__weakref__"]
+    defaults = {name: namespace.pop(name) for name in names if name in namespace}
+    cls = type(cls.__name__, (_Record,), namespace)
     scope, params, body = {}, [], []
-    for f in fields(cls):
-        name = f.name
+    for name in names:
         scope[f"_set_{name}"] = getattr(cls, name).__set__
         body.append(f"_set_{name}(self, {name})")
-        if f.default is MISSING:
-            params.append(name)
-        else:
-            scope[f"_default_{name}"] = f.default
+        if name in defaults:
+            scope[f"_default_{name}"] = defaults[name]
             params.append(f"{name}=_default_{name}")
+        else:
+            params.append(name)
     if hasattr(cls, "__post_init__"):
         scope["_post_init"] = cls.__post_init__
         body.append("_post_init(self)")

@@ -717,7 +717,8 @@ def test_import_loads_neither_scipy_nor_numpy():
 
 
 def _loaded_after(argv):
-    """The ampo submodules, and json, that main(argv) loads in a fresh interpreter."""
+    """The ampo submodules, and json, dataclasses and inspect, that main(argv)
+    loads in a fresh interpreter."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -725,7 +726,7 @@ def _loaded_after(argv):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert ampo.cli.main({argv!r}) == 0\n"
         "loaded = set(sys.modules) - before\n"
-        "print(' '.join(sorted(m for m in loaded if m == 'json' or m.startswith('ampo.'))))\n"
+        "print(' '.join(sorted(m for m in loaded if m in ('json', 'dataclasses', 'inspect') or m.startswith('ampo.'))))\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -745,7 +746,40 @@ def _loaded_after(argv):
 )
 def test_each_subcommand_loads_only_the_modules_it_runs(argv, modules):
     want = {"ampo.cli", "ampo.params"} | {f"ampo.{name}" for name in modules}
-    assert _loaded_after(argv) == want
+    loaded = _loaded_after(argv)
+    # records keep the dataclass protocol without importing dataclasses (or inspect, which it imports)
+    assert not loaded & {"dataclasses", "inspect"}
+    assert loaded == want
+
+
+def test_records_keep_the_dataclass_protocol_when_dataclasses_comes_after_them():
+    code = (
+        "import sys, ampo\n"
+        "m = ampo.MarketParams(spot=100.0, rate=0.05, vol=0.5)\n"
+        "rep = ampo.statics_report(m, ampo.ContractParams(strike=100.0, amort=0.1, kind='put'))\n"
+        "assert not {'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "import dataclasses\n"
+        "assert all(dataclasses.is_dataclass(r) and dataclasses.is_dataclass(type(r)) for r in (m, rep))\n"
+        "assert [f.name for f in dataclasses.fields(m)] == ['spot', 'rate', 'vol']\n"
+        "assert type(vars(ampo.MarketParams)['__dataclass_fields__']) is dict\n"
+        "assert [f.name for f in dataclasses.fields(rep)][-1] == 'intermediates'\n"
+        "assert dataclasses.replace(m, spot=90.0) == ampo.MarketParams(90.0, 0.05, 0.5)\n"
+        "assert dataclasses.replace(rep) == rep\n"
+        "assert dataclasses.asdict(m) == {'spot': 100.0, 'rate': 0.05, 'vol': 0.5}\n"
+        "assert dataclasses.astuple(m) == (100.0, 0.05, 0.5)\n"
+        "f = rep.intermediates\n"
+        "assert dataclasses.asdict(rep)['intermediates'] == {k: getattr(f, k) for k in f.__match_args__}\n"
+        "assert dataclasses.astuple(rep)[-1] == tuple(getattr(f, k) for k in f.__match_args__)\n"
+        "assert ampo.MarketParams.__dataclass_params__.frozen\n"
+        "try:\n"
+        "    m.spot = 1.0\n"
+        "except dataclasses.FrozenInstanceError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('assignment accepted')\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_package_names_resolve_on_first_use():
