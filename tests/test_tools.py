@@ -1,7 +1,10 @@
 """The committed tools: tools/code_lines.py, the count of code lines that
-ROADMAP and CHANGES.md cite, and tools/outcomes.py, the seeded outcome
-table of every public function."""
+ROADMAP and CHANGES.md cite, tools/outcomes.py, the seeded outcome
+table of every public function, and the summary of tools/pairs.py, the
+paired benchmark (tier-1 runs no benchmark)."""
 
+import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -12,6 +15,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "code_lines.py"
 OUTCOMES = ROOT / "tools" / "outcomes.py"
+_PAIRS = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+pairs = importlib.util.module_from_spec(_PAIRS)
+_PAIRS.loader.exec_module(pairs)
 
 
 def _run(*args):
@@ -82,3 +88,38 @@ def test_outcomes_against_a_perturbed_formula_exits_1(tmp_path):
     counts = [line.split(None, 1)[1] for line in lines if line[:7].strip().isdigit()]
     assert "notional_at: exact-float row" in counts
     assert all(kind.startswith("notional_at: ") for kind in counts[:-1])
+
+
+def test_pairs_summary_on_fixed_numbers():
+    parent = [10.0, 12.0, 11.0, 13.0, 10.0]
+    change = [9.0, 12.0, 10.0, 10.0, 11.0]
+    s = pairs.summarize(parent, change, "lower", 0.2)
+    assert s["parent"] == {"median": 11.0, "q1": 10.0, "q3": 12.0}
+    assert s["change"] == {"median": 10.0, "q1": 10.0, "q3": 11.0}
+    # pair 2 ties and pair 5 reads worse
+    assert (s["change_better_pairs"], s["pairs"]) == (3, 5)
+    assert s["median_change_rel"] == -1.0 / 11.0
+    assert s["parent_quartile_spread_rel"] == 2.0 / 11.0
+    assert (s["bound"], s["within_bound"], s["unresolved"], s["shows_gain"]) == (0.2, True, False, False)
+    # where higher is better the same numbers read the other way
+    s = pairs.summarize(parent, change, "higher", 0.05)
+    assert s["change_better_pairs"] == 1
+    assert (s["within_bound"], s["unresolved"], s["shows_gain"]) == (False, True, False)
+    # a gain: better in at least 9 of 10 pairs, by more than the parent's quartile spread
+    parent = [100.0 + k for k in range(10)]
+    s = pairs.summarize(parent, [p - 10.0 for p in parent[:9]] + [parent[9]], "lower", 0.2)
+    assert (s["change_better_pairs"], s["shows_gain"]) == (9, True)
+    s = pairs.summarize(parent, [p - 4.0 for p in parent], "lower", 0.2)
+    assert (s["change_better_pairs"], s["shows_gain"]) == (10, False)
+
+
+def test_pairs_summary_reproduces_a_committed_bench_record():
+    bench = json.loads((ROOT / "BENCH_32.json").read_text(encoding="utf-8"))
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    for group in bench["groups"]:
+        for m in metrics:
+            values = [[run[side]["result"]["metrics"][m["name"]]["value"] for run in group["pairs"]]
+                      for side in ("parent", "change")]
+            s = pairs.summarize(*values, m["better"], m["bound"])
+            del s["shows_gain"]
+            assert s == group["summary"][m["name"]], (group["workload"], group["seed"], m["name"])
