@@ -811,12 +811,15 @@ def test_package_names_resolve_on_first_use():
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def test_cli_output_matches_the_golden_corpus(cli):
-    # stdout and the exit code of each invocation in tests/golden/index.json,
-    # byte for byte; tools/golden.py regenerates the corpus
+def test_cli_output_matches_the_golden_corpus(cli, monkeypatch):
+    # stdout, stderr and the exit code of each invocation in
+    # tests/golden/index.json, byte for byte, run from the root of the
+    # checkout as config paths are relative to it; tools/golden.py
+    # regenerates the corpus
+    monkeypatch.chdir(GOLDEN.parents[1])
     index = json.loads((GOLDEN / "index.json").read_text(encoding="utf-8"))
-    assert len(index) == 25
+    assert len(index) == 35
     for name, entry in index.items():
         run = cli(*entry["argv"])
         want = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
-        assert (run.returncode, run.stdout) == (entry["exit"], want), name
+        assert (run.returncode, run.stdout, run.stderr) == (entry["exit"], want, entry["stderr"]), name

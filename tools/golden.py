@@ -1,11 +1,13 @@
 """Regenerate the golden CLI corpus under tests/golden/.
 
 For each invocation below it runs ampo.cli.main in this process, with
-AMPO_OUTPUT unset, and stores its stdout as tests/golden/<name>.out; the
-argument lists and exit codes go to tests/golden/index.json. The tier-1
-test test_cli.py::test_cli_output_matches_the_golden_corpus replays each
-invocation and compares stdout and the exit code byte for byte, so a
-change to the corpus is a change to what the CLI prints.
+AMPO_OUTPUT unset and the root of the checkout as the working directory
+(config paths are relative to it), and stores its stdout as
+tests/golden/<name>.out; the argument lists, exit codes and stderr go to
+tests/golden/index.json. The tier-1 test
+test_cli.py::test_cli_output_matches_the_golden_corpus replays each
+invocation and compares stdout, stderr and the exit code byte for byte,
+so a change to the corpus is a change to what the CLI prints.
 
 Run from anywhere: python tools/golden.py
 """
@@ -47,6 +49,18 @@ INVOCATIONS = {
         for kind in ("put", "call")
     },
     "examples1-spot-1e-200-strike-1e200": ["examples", "1", "--spot", "1e-200", "--strike", "1e200"],
+    # argv that argparse alone reads: an abbreviation, a positional after a
+    # flag, and each kind of argument error
+    "price-abbreviated-strike": ["price", "--kind", "put", "--amort", "0.1", "--str", "90"],
+    "examples1-after-a-flag": ["examples", "--rate", "0.05", "1", "--q-steps", "2"],
+    "price-rate-negative-exponent": ["price", "--kind", "put", "--amort", "0.1", "--rate", "-1e-3"],
+    "price-output-xml": ["price", "--kind", "put", "--amort", "0.1", "--output", "xml"],
+    "price-spot-equals-x": ["price", "--kind", "put", "--amort", "0.1", "--spot=x"],
+    "examples1-q-steps-3.0": ["examples", "1", "--q-steps", "3.0"],
+    "price-amort-without-value": ["price", "--kind", "put", "--amort"],
+    "price-bogus-flag": ["price", "--kind", "put", "--amort", "0.1", "--bogus", "1"],
+    "examples4": ["examples", "4"],
+    "price-config-help": ["price", "--kind", "put", "--amort", "0.1", "--config", "tests/golden/help.cfg"],
 }
 
 
@@ -55,14 +69,15 @@ def main() -> int:
     from ampo.cli import main as cli_main
 
     os.environ.pop("AMPO_OUTPUT", None)
+    os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
     index = {}
     for name, argv in INVOCATIONS.items():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_main(argv)
         (GOLDEN / f"{name}.out").write_text(out.getvalue(), encoding="utf-8")
-        index[name] = {"argv": argv, "exit": code}
+        index[name] = {"argv": argv, "exit": code, "stderr": err.getvalue()}
         print(f"{code}  {name}")
     (GOLDEN / "index.json").write_text(json.dumps(index, indent=1) + "\n", encoding="utf-8")
     return 0
