@@ -20,13 +20,17 @@ the command line's own. The last value of a flag wins, so defaults <
 AMPO_OUTPUT < config < flags. A config key must be a flag of the chosen
 subcommand. Every argument error, whether from a flag, a config key or
 AMPO_OUTPUT, is one `error:` line on stderr and exit 2.
+
+_parse reads a well-formed command line from _COMMANDS alone; argparse
+is imported only to read any other, so it alone prints --help and every
+argument error.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .params import AmpoError, ContractParams, MarketParams, OptionKind, RegionError
 from .params import ValidationError
@@ -71,8 +75,9 @@ def _emit_rows(rows: list[dict], output: str) -> None:
             print("  ".join(v.ljust(w) for v, w in zip(c, widths)))
 
 
-def _read_config(path: str, sub: argparse.ArgumentParser) -> list[str]:
-    """The file's `key = value` lines as `--key=value` flags of `sub`, in file order."""
+def _read_config(path: str, command: str) -> list[str]:
+    """The file's `key = value` lines as `--key=value` flags of `command`, in file order."""
+    known = {flag for flag, _ in _COMMANDS[command][2]} | {"--help"}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -90,13 +95,13 @@ def _read_config(path: str, sub: argparse.ArgumentParser) -> list[str]:
             raise ValidationError(f"{path}:{lineno}: a config file cannot name another")
         flag = "--" + key.replace("_", "-")
         # refused here, as argparse takes an unknown flag holding a space for a positional
-        if flag not in sub._option_string_actions:
+        if flag not in known:
             raise ValidationError(f"unrecognized arguments: {flag}={val}")
         tokens.append(f"{flag}={val}")
     return tokens
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
+def _require(args, *names: str) -> None:
     """kind and amort have no default, and argparse cannot require them
     because a config file may supply them."""
     for name in names:
@@ -104,17 +109,17 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise ValidationError(f"missing required parameter: {name}")
 
 
-def _market(args: argparse.Namespace) -> MarketParams:
+def _market(args) -> MarketParams:
     return MarketParams(spot=args.spot, rate=args.rate, vol=args.vol)
 
 
-def _market_contract(args: argparse.Namespace) -> tuple[MarketParams, ContractParams]:
+def _market_contract(args) -> tuple[MarketParams, ContractParams]:
     _require(args, "kind", "amort")
     m = _market(args)
     return m, ContractParams(strike=args.strike, amort=args.amort, kind=OptionKind(args.kind))
 
 
-def _inputs(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
+def _inputs(args, keys: tuple[str, ...]) -> dict:
     return {k: getattr(args, k) for k in keys}
 
 
@@ -198,13 +203,6 @@ def _cmd_validate(args) -> list[dict]:
     return validate_checks(m, c, cfg, args.perturb)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises every argument error as a ValidationError: one `error:` line, exit 2."""
-
-    def error(self, message):
-        raise ValidationError(message)
-
-
 # (flag, add_argument keywords), in the order --help lists them
 _MARKET = (
     ("--spot", {"type": float, "default": 100.0}),
@@ -242,10 +240,17 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Raises every argument error as a ValidationError: one `error:` line, exit 2."""
+
+        def error(self, message):
+            raise ValidationError(message)
+
     parser = _Parser(prog="ampo", description="Amortizing perpetual option analytics")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
     for name, (help_text, _, flags, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in flags:
@@ -254,19 +259,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]):
+    """argv's namespace: argparse's attributes, in argparse's order.
+
+    The table reads the subcommand, then examples' number as the second
+    token, then exact long flags as `--flag value` or `--flag=value`,
+    each value not starting with "-", of its type and in its choices; the
+    last value of a flag wins over its default. Any other argv goes to
+    argparse unchanged.
+    """
+    if argv and argv[0] in _COMMANDS:
+        _, _, flags, defaults = _COMMANDS[argv[0]]
+        kwargs, rest = dict(flags), argv[1:]
+        ns = {"command": argv[0], **{f.lstrip("-").replace("-", "_"): kw.get("default")
+                                     for f, kw in flags}, **defaults}
+        # (flag, value) pairs; a missing value reads as "-", which is declined
+        pairs = [("example", rest.pop(0) if rest else "-")] if "example" in kwargs else []
+        while rest:
+            flag, eq, value = rest.pop(0).partition("=")
+            if not eq:
+                value = rest.pop(0) if rest else "-"
+            pairs.append((flag if flag.startswith("--") else "", value))
+        try:
+            for flag, value in pairs:
+                kw = kwargs[flag]
+                ns[flag.lstrip("-").replace("-", "_")] = x = kw.get("type", str)(value)
+                if value.startswith("-") or x not in kw.get("choices", (x,)):
+                    raise ValueError(value)
+        except (KeyError, ValueError):
+            pass
+        else:
+            return SimpleNamespace(**ns)
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         # AMPO_OUTPUT and the config file are read as flags placed before
         # the command line's own, so the last value wins
         env_output = os.environ.get("AMPO_OUTPUT")
         if env_output or args.config:
             before = [f"--output={env_output}"] if env_output else []
             if args.config:
-                before += _read_config(args.config, parser.commands[args.command])
-            args = parser.parse_args([argv[0], *before, *argv[1:]])
+                before += _read_config(args.config, args.command)
+            args = _parse([argv[0], *before, *argv[1:]])
         out = _COMMANDS[args.command][1](args)
     except (ValidationError, RegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

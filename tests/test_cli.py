@@ -6,9 +6,12 @@ criterion 12 in test_acceptance.py."""
 
 import ast
 import collections
+import importlib.util
 import json
 import math
 import os
+import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +19,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ampo import ContractParams, LatticeConfig, MarketParams, validate_checks
+from ampo import ContractParams, LatticeConfig, MarketParams, ValidationError, validate_checks
 import ampo.cli
 from ampo.cli import main
 
@@ -700,6 +703,128 @@ def test_parser_defaults_are_pinned(argv, defaults):
     assert list(vars(args).items()) == [("command", argv[0]), *defaults]
 
 
+class _Declined(Exception):
+    pass
+
+
+def _declined():
+    raise _Declined
+
+
+@pytest.fixture
+def table(monkeypatch):
+    """`read` is ampo.cli._parse with argparse taken away: vars of the
+    namespace the table reads from argv, or None where the table declines
+    argv. `parser` is build_parser()."""
+    parser = ampo.cli.build_parser()
+    monkeypatch.setattr(ampo.cli, "build_parser", _declined)
+
+    def read(argv):
+        try:
+            return vars(ampo.cli._parse(argv))
+        except _Declined:
+            return None
+
+    return SimpleNamespace(read=read, parser=parser)
+
+
+# values drawn for flags of each type (str: choices, config, the example number)
+_VALUES = {
+    float: ["100", "0.05", "1e-12", "1e308", "7", "-1e-3", "-0.5", "-1", "", "nan", "inf", "-inf",
+            " 1.5 ", "1_000", "abc", "1e999", "0x10", "0.1=2"],
+    int: ["3", "201", "1", "3.0", " 4 ", "1_0", "-2", "", "x", "+5", "0"],
+    str: ["put", "call", "straddle", "json", "csv", "table", "xml", "PUT", "", "-x", "a.cfg",
+          "a=b", " put", "1", "2", "3", "4", " 2", "-1"],
+}
+
+
+def _random_argv(rng):
+    commands = ampo.cli._COMMANDS
+    every = sorted({f for spec in commands.values() for f, _ in spec[2] if f.startswith("--")})
+    command = rng.choice([*commands, "examples", "pricing", "-h", "--help"])
+    if command not in commands:
+        return [command, *rng.choice([[], ["--kind", "put"], ["1"]])]
+    kwargs = dict(commands[command][2])
+    own = [f for f in kwargs if f.startswith("--")]
+    argv = [command]
+    if "example" in kwargs and rng.random() < 0.9:
+        argv.append(rng.choice(["1", "2", "3", *_VALUES[str]]))
+    for _ in range(rng.randrange(7)):
+        r = rng.random()
+        if r < 0.8:
+            flag = rng.choice(own)
+        elif r < 0.88:  # an abbreviation
+            flag = rng.choice(own)
+            flag = flag[:rng.randrange(3, len(flag))]
+        elif r < 0.95:
+            flag = rng.choice([*sorted(set(every) - set(own)), "--bogus"])
+        else:
+            flag = rng.choice(["--", "-h", "--help", "1", "put"])
+        value = rng.choice(_VALUES[kwargs.get(flag, {}).get("type", str)])
+        form = rng.random()
+        if form < 0.4:
+            argv.append(f"{flag}={value}")
+        elif form < 0.94:
+            argv += [flag, value]
+        else:  # a bare flag
+            argv.append(flag)
+    return argv
+
+
+def test_the_table_reads_every_argv_it_accepts_as_argparse_does(table):
+    # seeded argv over every subcommand's flags: both forms, repeats, bare
+    # flags, bad and edge values, abbreviations and unknown flags
+    rng = random.Random(35)
+    accepted, differ = 0, []
+    for _ in range(20000):
+        argv = _random_argv(rng)
+        ours = table.read(argv)
+        if ours is None:
+            continue
+        accepted += 1
+        try:
+            theirs = repr(vars(table.parser.parse_args(argv)))
+        except ValidationError as exc:
+            theirs = f"error: {exc}"
+        if repr(ours) != theirs:
+            differ.append((argv, ours, theirs))
+    assert differ == []
+    # the draw keeps its power: a good share of argv is accepted, and most is not
+    assert 2000 < accepted < 12000, accepted
+
+
+def test_the_table_declines_what_argparse_alone_reads(table):
+    base = ["price", "--kind", "put", "--amort", "0.1"]
+    assert table.read(base) is not None
+    for argv in (
+        [*base, "--str", "90"],  # an abbreviation
+        ["examples", "--rate", "0.05", "1"],  # a positional after a flag
+        [*base, "--rate", "-1e-3"], [*base, "--rate=-0.01"],  # a value starting with "-"
+        [*base, "--output", "xml"], [*base, "--spot=x"], ["examples", "1", "--q-steps", "3.0"],
+        [*base, "--amort"], [*base, "--bogus", "1"], ["examples", "4"], ["examples"],
+        [*base, "--"], [*base, "--help"], [*base, "-h"], [*base, "1"], ["--help"], [],
+    ):
+        assert table.read(argv) is None, argv
+
+
+def test_the_table_reads_the_readme_and_benchmark_invocations(table, monkeypatch):
+    # the README's CLI section and the eight argv shapes of perfbench's cli workload
+    root = Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text(encoding="utf-8").split("## CLI\n\n```\n", 1)[1]
+    argvs = [shlex.split(line)[1:] for line in block.split("```", 1)[0].splitlines()]
+    assert len(argvs) == 7
+    spec = importlib.util.spec_from_file_location("bench_inputs", root / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclass looks itself up there
+    spec.loader.exec_module(inputs)
+    shapes = [argv for seed in (1, 2, 3, 4) for _, cycle in inputs.cli_cycles(seed, 3) for _, argv in cycle]
+    assert len(shapes) == 96
+    for argv in argvs + shapes:
+        ours = table.read(argv)
+        assert ours is not None, argv
+        assert repr(ours) == repr(vars(table.parser.parse_args(argv))), argv
+
+
 def test_import_loads_neither_scipy_nor_numpy():
     # the package has no runtime dependency: neither importing it nor
     # running the lattice loads numpy or scipy
@@ -717,8 +842,8 @@ def test_import_loads_neither_scipy_nor_numpy():
 
 
 def _loaded_after(argv):
-    """The ampo submodules, and json, dataclasses and inspect, that main(argv)
-    loads in a fresh interpreter."""
+    """The ampo submodules, and json, dataclasses, inspect, argparse and
+    gettext, that main(argv) loads in a fresh interpreter."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -726,7 +851,7 @@ def _loaded_after(argv):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert ampo.cli.main({argv!r}) == 0\n"
         "loaded = set(sys.modules) - before\n"
-        "print(' '.join(sorted(m for m in loaded if m in ('json', 'dataclasses', 'inspect') or m.startswith('ampo.'))))\n"
+        "print(' '.join(sorted(m for m in loaded if m in ('json', 'dataclasses', 'inspect', 'argparse', 'gettext') or m.startswith('ampo.'))))\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -747,8 +872,10 @@ def _loaded_after(argv):
 def test_each_subcommand_loads_only_the_modules_it_runs(argv, modules):
     want = {"ampo.cli", "ampo.params"} | {f"ampo.{name}" for name in modules}
     loaded = _loaded_after(argv)
-    # records keep the dataclass protocol without importing dataclasses (or inspect, which it imports)
-    assert not loaded & {"dataclasses", "inspect"}
+    # records keep the dataclass protocol without importing dataclasses (or
+    # inspect, which it imports), and the table reads a well-formed argv
+    # without argparse (or gettext, which it imports)
+    assert not loaded & {"dataclasses", "inspect", "argparse", "gettext"}
     assert loaded == want
 
 
