@@ -123,3 +123,45 @@ def test_pairs_summary_reproduces_a_committed_bench_record():
             s = pairs.summarize(*values, m["better"], m["bound"])
             del s["shows_gain"]
             assert s == group["summary"][m["name"]], (group["workload"], group["seed"], m["name"])
+
+
+def _canned_run(p50: float) -> dict:
+    return pairs.read_run(0, f"provenance {{}}\n" + json.dumps(
+        {"correct": True, "failed": 0, "metrics": {"p50_ms": {"value": p50, "unit": "ms"}}}), "")
+
+
+def test_pairs_keeps_each_runs_provenance_record():
+    prov = {"workload": "cli", "seed": 4, "seconds": 20.0, "trace": 0, "git_sha": "unknown",
+            "src_sha256": "ab" * 32, "samples": {"ops": 352, "raw_p50_ms": 70.1}}
+    result = {"correct": True, "attempted": 353, "failed": 0,
+              "metrics": {"p50_ms": {"value": 62.5, "unit": "ms"}}}
+    stdout = ("workload  cli\np50_ms    62.500000 ms\n"
+              f"provenance {json.dumps(prov)}\n{json.dumps(result)}\n")
+    assert pairs.read_run(0, stdout, "ignored") == {"provenance": prov, "exit": 0, "result": result}
+    # a failed run keeps what it printed of its provenance and the tail of its stderr
+    run = pairs.read_run(1, f"provenance {json.dumps(prov)}\n", "x" * 3000 + "Traceback")
+    assert (run["provenance"], run["result"], run["exit"]) == (prov, None, 1)
+    assert run["stderr"] == ("x" * 3000 + "Traceback")[-2000:]
+
+
+def test_pairs_summarises_the_change_against_a_baseline():
+    # the change reads 1.4% worse than its parent, inside a 2% bound, and
+    # 5.5% worse than the baseline two steps back, outside it
+    metrics = [{"name": "p50_ms", "better": "lower", "bound": 0.02}]
+    base = [100.0, 101.0, 99.0, 100.5, 100.0]
+    runs = [{side: _canned_run(b * scale) for side, scale in
+             (("baseline", 1.0), ("parent", 1.04), ("change", 1.055))} for b in base]
+    vs_parent = pairs.summaries(runs, metrics, "parent")["p50_ms"]
+    vs_baseline = pairs.summaries(runs, metrics, "baseline")["p50_ms"]
+    parent, change = [b * 1.04 for b in base], [b * 1.055 for b in base]
+    assert vs_parent == pairs.summarize(parent, change, "lower", 0.02)
+    assert vs_baseline == pairs.summarize(base, change, "lower", 0.02)
+    assert vs_parent["median_change_rel"] == (100.0 * 1.055 - 100.0 * 1.04) / (100.0 * 1.04)
+    assert (vs_parent["within_bound"], vs_baseline["within_bound"]) == (True, False)
+    assert vs_baseline["parent"]["median"] == 100.0
+    assert vs_baseline["change_better_pairs"] == 0
+    # pairs where either side has no result are left out, and fewer than two give no summary
+    runs[0]["baseline"] = pairs.read_run(1, "", "boom")
+    assert pairs.summaries(runs, metrics, "baseline")["p50_ms"]["pairs"] == 4
+    assert pairs.summaries(runs, metrics, "parent")["p50_ms"]["pairs"] == 5
+    assert pairs.summaries(runs[:2], metrics, "baseline") == {}

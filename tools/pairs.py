@@ -6,9 +6,14 @@ directory. For each workload and seed, each pair runs
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
 once in each tree, one run at a time, with PYTHONDONTWRITEBYTECODE=1;
-the side that runs first alternates from pair to pair, starting with the
+the order of the sides reverses from pair to pair, starting with the
 parent. A run keeps its exit status, its last stdout line (the result)
-and the src_sha256 of the provenance line before it.
+and the record of the provenance line before it.
+
+With --baseline REV a third tree, a fixed older commit, runs in the same
+alternation (parent, change, baseline, then the reverse), and each group
+also summarises the change against it, so creep that stays under each
+step's bound shows.
 
 The output is a BENCH_<n>.json record: the commits, the host, and one
 group per workload and seed holding its pairs and, per end-to-end metric
@@ -17,8 +22,8 @@ rewritten after every group, so a cut run keeps its finished groups.
 
 Run from the root of a checkout:
 
-    python3 tools/pairs.py --parent REV --change REV --workload W [W ...] \\
-        --seed S [S ...] --pairs N --seconds T --out BENCH_<n>.json
+    python3 tools/pairs.py --parent REV --change REV [--baseline REV] \\
+        --workload W [W ...] --seed S [S ...] --pairs N --seconds T --out BENCH_<n>.json
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ RULES = (
     "where the parent's own quartile spread, relative to its median, is wider than the "
     "metric's bound and the change does not read better in every pair. shows_gain: the change "
     "reads better in at least nine of ten pairs and its median differs from the parent's by "
-    "more than the parent's quartile spread."
+    "more than the parent's quartile spread. baseline_summary, where a baseline ran, is the "
+    "same summary with the baseline in the parent's place."
 )
 
 
@@ -77,45 +83,61 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
+def read_run(returncode: int, stdout: str, stderr: str) -> dict:
+    """One run of run.py: its exit status, its provenance record, and its
+    result (the last stdout line), or the tail of its stderr if it failed."""
+    lines = stdout.splitlines()
+    run = {"provenance": None, "exit": returncode, "result": None}
+    for line in lines:
+        if line.startswith("provenance "):
+            run["provenance"] = json.loads(line[len("provenance "):])
+    if returncode == 0 and lines:
+        run["result"] = json.loads(lines[-1])
+    else:
+        run["stderr"] = stderr[-2000:]
+    return run
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
-    lines = done.stdout.splitlines()
-    run = {"src_sha256": None, "exit": done.returncode, "result": None}
-    for line in lines:
-        if line.startswith("provenance "):
-            run["src_sha256"] = json.loads(line[len("provenance "):])["src_sha256"]
-    if done.returncode == 0 and lines:
-        run["result"] = json.loads(lines[-1])
-    else:
-        run["stderr"] = done.stderr[-2000:]
-    return run
+    return read_run(done.returncode, done.stdout, done.stderr)
+
+
+def summaries(runs: list[dict], metrics: list[dict], against: str) -> dict:
+    """Per metric, `summarize` of the change against side `against` (its
+    "parent"), over the pairs where both sides have a result."""
+    complete = [r for r in runs if r[against]["result"] and r["change"]["result"]]
+    if len(complete) < 2:
+        return {}
+    out = {}
+    for m in metrics:
+        values = [[r[side]["result"]["metrics"][m["name"]]["value"] for r in complete]
+                  for side in (against, "change")]
+        out[m["name"]] = summarize(*values, m["better"], m["bound"])
+    return out
 
 
 def _group(trees: dict, workload: str, seed: int, pairs: int, seconds: float, metrics: list) -> dict:
+    sides = list(trees)
     runs = []
     for k in range(pairs):
-        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        order = sides if k % 2 == 0 else sides[::-1]
         pair = {"workload": workload, "seed": seed, "pair": k + 1, "first": order[0]}
         for side in order:
             pair[side] = _run(trees[side], workload, seed, seconds)
         runs.append(pair)
         print(f"{workload} seed {seed} pair {k + 1}: " + ", ".join(
-            f"{side} exit {pair[side]['exit']}" for side in SIDES), file=sys.stderr)
-    complete = [r for r in runs if all(r[side]["result"] for side in SIDES)]
-    summary = {}
-    for m in metrics:
-        values = {side: [r[side]["result"]["metrics"][m["name"]]["value"] for r in complete] for side in SIDES}
-        if len(complete) >= 2:
-            summary[m["name"]] = summarize(values["parent"], values["change"], m["better"], m["bound"])
+            f"{side} exit {pair[side]['exit']}" for side in sides), file=sys.stderr)
+    group = {"workload": workload, "seed": seed, "summary": summaries(runs, metrics, "parent")}
+    if "baseline" in trees:
+        group["baseline_summary"] = summaries(runs, metrics, "baseline")
     return {
-        "workload": workload,
-        "seed": seed,
-        "summary": summary,
-        "all_correct": all(r[side]["result"] and r[side]["result"]["correct"] for r in runs for side in SIDES),
-        "failed": {side: sum(r[side]["result"]["failed"] for r in complete) for side in SIDES},
+        **group,
+        "all_correct": all(r[side]["result"] and r[side]["result"]["correct"] for r in runs for side in sides),
+        "failed": {side: sum(r[side]["result"]["failed"] for r in runs if r[side]["result"]) for side in sides},
         "pairs": runs,
     }
 
@@ -133,6 +155,7 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
+    ap.add_argument("--baseline", help="a fixed older commit, also run and summarised against")
     ap.add_argument("--workload", nargs="+", required=True, choices=["book", "studies", "validate", "cli"])
     ap.add_argument("--seed", nargs="+", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
@@ -142,20 +165,21 @@ def main(argv: list[str]) -> int:
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     with tempfile.TemporaryDirectory(prefix="ampo-pairs-") as tmp:
-        trees = {side: Path(tmp) / side for side in SIDES}
-        shas = {side: _export(getattr(args, side), trees[side]) for side in SIDES}
+        sides = SIDES + (("baseline",) if args.baseline else ())
+        trees = {side: Path(tmp) / side for side in sides}
+        shas = {side: _export(getattr(args, side), trees[side]) for side in sides}
         record = {
             "description": (
                 f"ampo benchmark: {args.pairs} pairs of {args.seconds:g} s runs of the parent commit and "
-                f"of the change for {', '.join(args.workload)} at seeds "
-                f"{', '.join(map(str, args.seed))}, made by tools/pairs.py. Runs go one at a time "
-                "and alternate which side runs first, each from its own tree exported by git archive, "
-                "with PYTHONDONTWRITEBYTECODE=1; each run keeps its exit status, the last stdout line "
-                "(result) and src_sha256 from the provenance line before it. " + RULES
+                f"of the change{' and of a baseline commit' if args.baseline else ''} for "
+                f"{', '.join(args.workload)} at seeds {', '.join(map(str, args.seed))}, made by "
+                "tools/pairs.py. Runs go one at a time and reverse the order of the sides from pair to "
+                "pair, each from its own tree exported by git archive, with PYTHONDONTWRITEBYTECODE=1; "
+                "each run keeps its exit status, the last stdout line (result) and the provenance "
+                "record before it. " + RULES
             ),
             "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
-            "parent": shas["parent"],
-            "change": shas["change"],
+            **shas,
             "host": (f"{platform.machine()}, {len(os.sched_getaffinity(0))} usable CPUs, Python "
                      f"{platform.python_version()}, PYTHONDONTWRITEBYTECODE=1"),
             "groups": [],
