@@ -759,7 +759,7 @@ def _random_argv(rng):
         elif r < 0.95:
             flag = rng.choice([*sorted(set(every) - set(own)), "--bogus"])
         else:
-            flag = rng.choice(["--", "-h", "--help", "1", "put"])
+            flag = rng.choice(["--", "-h", "--help", "1", "put", "example"])
         value = rng.choice(_VALUES[kwargs.get(flag, {}).get("type", str)])
         form = rng.random()
         if form < 0.4:
