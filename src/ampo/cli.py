@@ -159,7 +159,7 @@ def _q_grid(args, lo: float, steps: int) -> list[float]:
     q_min = lo if args.q_min is None else args.q_min
     n = steps if args.q_steps is None else args.q_steps
     q_max = args.q_max
-    if not (0.0 < q_min <= q_max) or n < 1:
+    if not (0.0 < q_min <= q_max < float("inf")) or n < 1:
         raise ValidationError(
             f"bad q grid: q-min {q_min}, q-max {q_max}, q-steps {n}"
         )

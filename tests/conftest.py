@@ -3,18 +3,13 @@ import random
 import pytest
 
 from ampo import ContractParams, MarketParams, OptionKind, exercise_boundary, price
-
-# Sampling box over which the sign claims and oracle tolerances were
-# verified: rate 2%-15%, vol 10%-60%, amortization 5%-150%, with spots
-# drawn inside the continuation region near the boundary.
-RATE_RANGE = (0.02, 0.15)
-VOL_RANGE = (0.1, 0.6)
-AMORT_RANGE = (0.05, 1.5)
-STRIKE = 100.0
+from domains import BOX, BOX_STRIKE as STRIKE
 
 
 def sample_set(rng: random.Random, kind=None, spot_margin=0.0, premium_floor=0.0):
-    """Random (MarketParams, ContractParams) with a continuation-region spot.
+    """Random (MarketParams, ContractParams) from the box of tools/domains.py,
+    over which the sign claims and oracle tolerances were verified, with a
+    spot drawn inside the continuation region near the boundary.
 
     spot_margin keeps the spot a relative distance away from the
     boundary (needed by finite-difference stencils); premium_floor
@@ -22,9 +17,7 @@ def sample_set(rng: random.Random, kind=None, spot_margin=0.0, premium_floor=0.0
     tolerances).
     """
     while True:
-        r = rng.uniform(*RATE_RANGE)
-        sig = rng.uniform(*VOL_RANGE)
-        q = rng.uniform(*AMORT_RANGE)
+        r, sig, q = (rng.uniform(*BOX[name]) for name in ("rate", "vol", "q"))
         k = kind if kind is not None else rng.choice(list(OptionKind))
         c = ContractParams(strike=STRIKE, amort=q, kind=k)
         probe = MarketParams(spot=STRIKE, rate=r, vol=sig)

@@ -30,7 +30,7 @@ from ampo import (
     ratio_study,
     vega,
 )
-from conftest import AMORT_RANGE, RATE_RANGE, STRIKE, VOL_RANGE
+from domains import BOX, BOX_STRIKE as STRIKE, FULL, ZERO_RATE, log_uniform
 
 STRATEGY_KINDS = {
     StrategyKind.CALL_ONLY: (OptionKind.CALL,),
@@ -42,7 +42,7 @@ STRATEGY_KINDS = {
 def _box_markets(n, seed):
     rng = random.Random(seed)
     return [
-        MarketParams(spot=STRIKE, rate=rng.uniform(*RATE_RANGE), vol=rng.uniform(*VOL_RANGE))
+        MarketParams(spot=STRIKE, rate=rng.uniform(*BOX["rate"]), vol=rng.uniform(*BOX["vol"]))
         for _ in range(n)
     ]
 
@@ -280,7 +280,7 @@ def test_positional_vega_equals_public_views(kind):
     spec = StrategySpec(kind=kind, budget=100.0)
     rng = random.Random(11)
     for m in _box_markets(20, seed=7):
-        for q in [rng.uniform(*AMORT_RANGE) for _ in range(5)] + [0.001, 0.14]:
+        for q in [rng.uniform(*BOX["q"]) for _ in range(5)] + [0.001, 0.14]:
             assert positional_vega(m, STRIKE, spec, q) == _positional_vega_from_views(m, spec, q)
 
 
@@ -693,19 +693,16 @@ def test_positional_vega_equals_the_optimize_q_scan_bit_for_bit(market_a, domain
     # the scan and the point path take each leg from pricing._kernel, so every
     # scan value is the point's at its q, and a refined maximum is the point's at q_star
     rng = random.Random(27)
-
-    def log_uniform(lo, hi):
-        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
     if domain == "box":
         cases = [(m, STRIKE, (0.001, 1.0)) for m in [market_a, *_box_markets(8, 24)]]
-    else:  # spot, rate, vol and strike as in test_reference, and a q range
+    else:  # spot, rate, vol and strike from the full domain, and a q range
         cases = []
         for _ in range(24):
-            rate = 0.0 if rng.random() < 0.1 else log_uniform(1e-6, 2.0)
-            m = MarketParams(spot=log_uniform(1e-3, 1e5), rate=rate, vol=log_uniform(1e-4, 5.0))
-            lo, k = log_uniform(1e-8, 1e3), log_uniform(1e-2, 1e4)
-            cases.append((m, k, (lo, lo * log_uniform(1.5, 1e4))))
+            rate = 0.0 if rng.random() < ZERO_RATE else log_uniform(rng, *FULL["rate"])
+            spot, vol = log_uniform(rng, *FULL["spot"]), log_uniform(rng, *FULL["vol"])
+            m = MarketParams(spot=spot, rate=rate, vol=vol)
+            lo, k = log_uniform(rng, 1e-8, 1e3), log_uniform(rng, *FULL["strike"])
+            cases.append((m, k, (lo, lo * log_uniform(rng, 1.5, 1e4))))
     scans = refined = 0
     for m, k, q_range in cases:
         for kind in StrategyKind:

@@ -22,6 +22,7 @@ import pytest
 from ampo import ContractParams, LatticeConfig, MarketParams, ValidationError, validate_checks
 import ampo.cli
 from ampo.cli import main
+import golden
 
 BASE = ["--spot", "100", "--strike", "100", "--rate", "0.05", "--vol", "0.5"]
 
@@ -181,6 +182,22 @@ def test_examples_3_csv(cli):
         "q,call_positional_vega,put_positional_vega,straddle_positional_vega"
     )
     assert len(lines) == 31
+
+
+@pytest.mark.parametrize(
+    "args, grid",
+    [
+        (("--q-min", "2", "--q-max", "1"), "q-min 2.0, q-max 1.0, q-steps 20"),
+        (("--q-steps", "0"), "q-min 0.05, q-max 1.0, q-steps 0"),
+        # the first point q-min + (inf - q-min)*0 is nan, which was refused
+        # as "amort must be finite, got nan", a value never given
+        (("--q-max", "inf"), "q-min 0.05, q-max inf, q-steps 20"),
+    ],
+    ids=["q-min-above-q-max", "q-steps-0", "q-max-inf"],
+)
+def test_examples_refuse_a_bad_q_grid(cli, args, grid):
+    res = cli("examples", "1", *args)
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: bad q grid: {grid}\n")
 
 
 def test_optimize_put(cli):
@@ -942,10 +959,12 @@ def test_cli_output_matches_the_golden_corpus(cli, monkeypatch):
     # stdout, stderr and the exit code of each invocation in
     # tests/golden/index.json, byte for byte, run from the root of the
     # checkout as config paths are relative to it; tools/golden.py
-    # regenerates the corpus
+    # regenerates the corpus, so the index holds its invocations, and
+    # every .out file is one of them
     monkeypatch.chdir(GOLDEN.parents[1])
     index = json.loads((GOLDEN / "index.json").read_text(encoding="utf-8"))
-    assert len(index) == 35
+    assert [(name, entry["argv"]) for name, entry in index.items()] == list(golden.INVOCATIONS.items())
+    assert sorted(path.stem for path in GOLDEN.glob("*.out")) == sorted(index)
     for name, entry in index.items():
         run = cli(*entry["argv"])
         want = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")

@@ -21,10 +21,7 @@ from ampo import (
     StrategySpec,
     ValidationError,
 )
-
-
-class _SubFloat(float):
-    """A float subclass: equal to its float, but not an exact float."""
+from domains import SubFloat, box, full
 
 
 def _market(a):
@@ -78,16 +75,10 @@ _NOT_NUMBERS = ("kind", "strategy", "steps")
 
 
 def _draw(rng: random.Random) -> dict:
-    """Exact floats from the conftest box or the full domain; a third of the
-    draws round the spot, strike, budget, notional, maturity and t to
-    integers, so that ints and bools are drawn as well."""
-    if rng.random() < 0.5:
-        rate, vol, q = rng.uniform(0.02, 0.15), rng.uniform(0.1, 0.6), rng.uniform(0.05, 1.5)
-        spot, strike = rng.uniform(50.0, 200.0), 100.0
-    else:
-        rate = 0.0 if rng.random() < 0.1 else math.exp(rng.uniform(math.log(1e-6), math.log(2.0)))
-        vol, q = (math.exp(rng.uniform(math.log(lo), math.log(hi))) for lo, hi in ((1e-4, 5.0), (1e-8, 1e5)))
-        spot, strike = (math.exp(rng.uniform(math.log(lo), math.log(hi))) for lo, hi in ((1e-3, 1e5), (1e-2, 1e4)))
+    """Exact floats from the box or the full domain of tools/domains.py; a
+    third of the draws round the spot, strike, budget, notional, maturity
+    and t to integers, so that ints and bools are drawn as well."""
+    rate, vol, q, spot, strike = (box if rng.random() < 0.5 else full)(rng)
     a = {
         "spot": spot, "rate": rate, "vol": rng.choice((vol, vol, 1.0)), "strike": strike, "q": q,
         "kind": rng.choice(("call", "put")), "strategy": rng.choice(("call", "put", "straddle")),
@@ -112,7 +103,7 @@ def _given_as(rng: random.Random, x):
         return [_given_as(rng, v) for v in x]
     if x is None:
         return x
-    options = [x, Fraction(x), _SubFloat(x)]
+    options = [x, Fraction(x), SubFloat(x)]
     if x.is_integer():
         options.append(int(x))
     if x in (0.0, 1.0):
@@ -168,7 +159,7 @@ def test_every_accepted_number_gives_the_outcome_of_its_float():
 
 
 def test_records_hold_the_float_of_each_accepted_number():
-    m = MarketParams(Fraction(300), True, _SubFloat(0.5))
+    m = MarketParams(Fraction(300), True, SubFloat(0.5))
     assert (m.spot, m.rate, m.vol) == (300.0, 1.0, 0.5)
     assert all(type(v) is float for v in (m.spot, m.rate, m.vol))
     c = ContractParams(100, Fraction(1, 10), "call")

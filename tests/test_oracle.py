@@ -32,6 +32,7 @@ from ampo import (
 import ampo
 from ampo import oracle
 from conftest import sample_set
+from domains import BOX, FULL, ZERO_RATE, log_uniform
 
 
 def test_lattice_params_a(market_a, call_a, put_a):
@@ -288,22 +289,18 @@ def _pde_outcome(m, c, spots, premium_scale=1.0):
         return type(exc), str(exc)
 
 
-def _log_uniform(rng, lo, hi):
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-
 @pytest.mark.parametrize("seed", [1, 2])
 def test_pde_residual_equals_the_public_views_over_the_full_domain(seed):
-    # the property tests' ranges; spots on either side of the boundary,
-    # now and then a bad, an out-of-region or no spot at all
+    # the full domain's rate, vol, strike and q; spots on either side of the
+    # boundary, now and then a bad, an out-of-region or no spot at all
     rng = random.Random(seed)
     outcomes = collections.Counter()
     for _ in range(300):
-        rate = 0.0 if rng.random() < 0.1 else _log_uniform(rng, 1e-6, 2.0)
-        m = MarketParams(spot=100.0, rate=rate, vol=_log_uniform(rng, 1e-4, 5.0))
+        rate = 0.0 if rng.random() < ZERO_RATE else log_uniform(rng, *FULL["rate"])
+        m = MarketParams(spot=100.0, rate=rate, vol=log_uniform(rng, *FULL["vol"]))
         kind = rng.choice(list(OptionKind))
         c = ContractParams(
-            strike=_log_uniform(rng, 1e-2, 1e4), amort=_log_uniform(rng, 1e-8, 1e5), kind=kind
+            strike=log_uniform(rng, *FULL["strike"]), amort=log_uniform(rng, *FULL["q"]), kind=kind
         )
         try:
             bd = exercise_boundary(m, c)
@@ -455,8 +452,8 @@ def test_fd_gamma_still_catches_a_wrong_gamma(wrong, kind, monkeypatch):
     monkeypatch.setattr(oracle, "gamma", wrong)
     checked = 0
     for _ in range(6):
-        m = MarketParams(100.0, rng.uniform(0.02, 0.15), rng.uniform(0.1, 0.6))
-        c = ContractParams(100.0, rng.uniform(0.05, 1.5), kind)
+        m = MarketParams(100.0, rng.uniform(*BOX["rate"]), rng.uniform(*BOX["vol"]))
+        c = ContractParams(100.0, rng.uniform(*BOX["q"]), kind)
         if price(m, c).regime is not Regime.CONTINUATION:
             continue
         checks = validate_checks(m, c, _CFG)
@@ -790,15 +787,11 @@ def _sweep_cases(market_a):
                     m = MarketParams(100.0, rate, vol)
                     cases.append((m, ContractParams(100.0, q, kind), 4000))
     rng = random.Random(10)
-
-    def log_uniform(lo, hi):
-        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
     for _ in range(300):
-        spot = 100.0 * log_uniform(0.05, 20.0)
-        rate = rng.choice([0.0, log_uniform(1e-4, 1.0)])
-        m = MarketParams(spot, rate, log_uniform(1e-3, 5.0))
-        c = ContractParams(100.0, log_uniform(1e-4, 1e3), rng.choice(list(OptionKind)))
+        spot = 100.0 * log_uniform(rng, 0.05, 20.0)
+        rate = rng.choice([0.0, log_uniform(rng, 1e-4, 1.0)])
+        m = MarketParams(spot, rate, log_uniform(rng, 1e-3, 5.0))
+        c = ContractParams(100.0, log_uniform(rng, 1e-4, 1e3), rng.choice(list(OptionKind)))
         cases.append((m, c, rng.choice([2, 3, 5, 50, 4000])))
     for spot, rate, vol, strike, q, kind, steps in _ABOVE_TOP:
         cases.append((MarketParams(spot, rate, vol), ContractParams(strike, q, kind), steps))

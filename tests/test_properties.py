@@ -1,6 +1,6 @@
 """Property tests over the whole valid input domain, far beyond the
-conftest box: rate 0 or 1e-6..2, vol 1e-4..5, amort 1e-8..1e5, spot
-1e-3..1e5 and strike 1e-2..1e4, each drawn log-uniformly."""
+conftest box: the full domain and the whole accepted range of
+tools/domains.py, each value drawn log-uniformly."""
 
 import dataclasses
 import itertools
@@ -61,6 +61,8 @@ from ampo import (
 )
 from ampo import oracle
 from ampo.params import _check_strike, _check_terms, _member, _require_finite
+import domains
+from domains import SubFloat
 from test_oracle import _NEAR_DOUBLE_ROOT, _REBUILT, _linear_sweep, _near_walk, _run_sweep
 from test_pricing import _views
 
@@ -69,6 +71,29 @@ EPS = sys.float_info.epsilon
 
 def log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def _as_mixed(floats):
+    # each value as a float, an int (rounded up, so still > 0) or a Fraction,
+    # or 1/10**k, whose float is subnormal or 0.0 although the value is > 0
+    return st.one_of(
+        floats, floats.map(math.ceil), floats.map(Fraction),
+        st.integers(300, 400).map(lambda k: Fraction(1, 10**k)),
+    )
+
+
+# every positive finite float, the subnormals and the largest float included
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FULL = {name: log_uniform(*bounds) for name, bounds in domains.FULL.items()}
+_WHOLE = {name: log_uniform(*bounds) for name, bounds in domains.WHOLE.items()}
+# rate, vol, q, spot and strike over the full domain, rate 0 included
+FULL = {**_FULL, "rate": st.one_of(st.just(0.0), _FULL["rate"])}
+# over the whole accepted range, or any positive float
+WHOLE = {name: st.one_of(_POSITIVE, values) for name, values in _WHOLE.items()}
+WHOLE["rate"] = st.one_of(st.just(0.0), _POSITIVE, _WHOLE["rate"])
+# over the whole accepted range, each but the rate also as an int or a Fraction
+WHOLE_MIXED = {name: _as_mixed(values) for name, values in _WHOLE.items()}
+WHOLE_MIXED["rate"] = st.one_of(st.just(0.0), _WHOLE["rate"])
 
 
 def _floats(values):
@@ -80,14 +105,7 @@ def _floats(values):
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
-@given(
-    rate=st.one_of(st.just(0.0), log_uniform(1e-6, 2.0)),
-    vol=log_uniform(1e-4, 5.0),
-    q=log_uniform(1e-8, 1e5),
-    spot=log_uniform(1e-3, 1e5),
-    strike=log_uniform(1e-2, 1e4),
-    kind=st.sampled_from(OptionKind),
-)
+@given(**FULL, kind=st.sampled_from(OptionKind))
 def test_closed_forms_over_full_domain(rate, vol, q, spot, strike, kind):
     m = MarketParams(spot=spot, rate=rate, vol=vol)
     c = ContractParams(strike=strike, amort=q, kind=kind)
@@ -136,18 +154,12 @@ def test_closed_forms_over_full_domain(rate, vol, q, spot, strike, kind):
     assert abs(delta(on, c) - target) <= tol
 
 
-# every positive finite float, the subnormals and the largest float included
-_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _CFG = LatticeConfig(steps=50)
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(
-    rate=st.one_of(st.just(0.0), _POSITIVE, log_uniform(1e-300, 1e10)),
-    vol=st.one_of(_POSITIVE, log_uniform(1e-80, 1e60)),
-    q=st.one_of(_POSITIVE, log_uniform(1e-300, 1e300)),
-    spot=st.one_of(_POSITIVE, log_uniform(1e-300, 1e300)),
-    strike=st.one_of(_POSITIVE, log_uniform(1e-300, 1e300)),
+    **WHOLE,
     kind=st.sampled_from(OptionKind),
     # or a spot on the boundary, or an ulp or two off it, at a vol below 1e-8,
     # where the log-moneyness rounds and alpha*L can pass exp's range
@@ -209,24 +221,11 @@ def test_every_accepted_input_prices_or_is_refused_by_name(rate, vol, q, spot, s
         assert call not in finite or math.isfinite(value), value
 
 
-def _as_mixed(floats):
-    # each value as a float, an int (rounded up, so still > 0) or a Fraction,
-    # or 1/10**k, whose float is subnormal or 0.0 although the value is > 0
-    return st.one_of(
-        floats, floats.map(math.ceil), floats.map(Fraction),
-        st.integers(300, 400).map(lambda k: Fraction(1, 10**k)),
-    )
-
-
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(
-    rate=st.one_of(st.just(0.0), log_uniform(1e-300, 1e10)),
-    vol=_as_mixed(log_uniform(1e-80, 1e60)),
-    q=_as_mixed(log_uniform(1e-300, 1e300)),
-    spot=_as_mixed(log_uniform(1e-300, 1e300)),
-    strike=_as_mixed(log_uniform(1e-300, 1e300)),
-    budget=_as_mixed(log_uniform(1e-300, 1e300)),
-    maturity=_as_mixed(log_uniform(1e-300, 1e300)),
+    **WHOLE_MIXED,
+    budget=_as_mixed(log_uniform(*domains.WIDE)),
+    maturity=_as_mixed(log_uniform(*domains.WIDE)),
     kind=st.sampled_from(OptionKind),
 )
 def test_every_accepted_mixed_type_input_prices_or_is_refused_by_name(
@@ -256,11 +255,7 @@ def test_every_accepted_mixed_type_input_prices_or_is_refused_by_name(
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(
-    rate=st.one_of(st.just(0.0), log_uniform(1e-6, 2.0)),
-    vol=log_uniform(1e-4, 5.0),
-    q=log_uniform(1e-8, 1e5),
-    spot=log_uniform(1e-3, 1e5),
-    strike=log_uniform(1e-2, 1e4),
+    **FULL,
     kind=st.sampled_from(OptionKind),
     # a factor on the spot, or None for the spot on the boundary
     bump=st.one_of(st.none(), log_uniform(1e-2, 1e2)),
@@ -283,13 +278,7 @@ def test_a_bumped_spot_reprices_as_a_fresh_evaluation_over_full_domain(
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
-@given(
-    rate=st.one_of(st.just(0.0), log_uniform(1e-6, 2.0)),
-    vol=log_uniform(1e-4, 5.0),
-    q=log_uniform(1e-8, 1e5),
-    spot=log_uniform(1e-3, 1e5),
-    strike=log_uniform(1e-2, 1e4),
-)
+@given(**FULL)
 def test_effective_maturity_over_full_domain(rate, vol, q, spot, strike):
     # either NoSolutionError or a positive maturity whose dated call
     # matches the AmPO premium to 1e-10, and to 1e-7 relative where the
@@ -337,11 +326,7 @@ def _outcome(fn, *args):
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(
-    rate=st.one_of(st.just(0.0), log_uniform(1e-6, 2.0)),
-    vol=log_uniform(1e-4, 5.0),
-    q=log_uniform(1e-8, 1e5),
-    spot=log_uniform(1e-3, 1e5),
-    strike=log_uniform(1e-2, 1e4),
+    **FULL,
     # budgets of 1e305-1e307 make budget * vega overflow where the ratio is finite
     budget=st.one_of(log_uniform(1e-3, 1e3), log_uniform(1e305, 1e307)),
 )
@@ -356,14 +341,7 @@ def test_positional_vega_over_full_domain(rate, vol, q, spot, strike, budget):
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
-@given(
-    rate=st.one_of(st.just(0.0), log_uniform(1e-6, 2.0)),
-    vol=log_uniform(1e-4, 5.0),
-    q=log_uniform(1e-8, 1e5),
-    spot=log_uniform(1e-3, 1e5),
-    strike=log_uniform(1e-2, 1e4),
-    kind=st.sampled_from(OptionKind),
-)
+@given(**FULL, kind=st.sampled_from(OptionKind))
 def test_pde_residual_over_full_domain(rate, vol, q, spot, strike, kind):
     # at a continuation spot the closed form solves the valuation ODE to
     # 1e-8 relative, or the checker raises an AmpoError; nothing else escapes
@@ -387,11 +365,7 @@ def _grid_nodes(spot, strike, discount_rate, vol, steps):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(
-    rate=st.one_of(st.just(0.0), log_uniform(1e-6, 2.0)),
-    vol=log_uniform(1e-4, 5.0),
-    q=log_uniform(1e-8, 1e5),
-    spot=log_uniform(1e-3, 1e5),
-    strike=log_uniform(1e-2, 1e4),
+    **FULL,
     kind=st.sampled_from(OptionKind),
     steps=st.sampled_from([2, 3, 5, 50, 500, 2000, 4000, 8000]),
 )
@@ -428,10 +402,6 @@ def test_sweep_equals_linear_sweep_over_full_domain(rate, vol, q, spot, strike, 
 # must accept and refuse as its rule does, with the same message.
 
 
-class _SubFloat(float):
-    """A float subclass: equal to its float, but not an exact float."""
-
-
 # the values each check must treat as its full checks do, one per type and edge
 _EDGES = (
     0.0, -0.0, 5e-324, -5e-324, 0.05, 100.0, sys.float_info.max, -sys.float_info.max,
@@ -439,17 +409,17 @@ _EDGES = (
     0, 1, -1, 10**400, True, False,
     Fraction(1, 10**400), Fraction(-1, 10**400), Fraction(1, 3),
     Decimal("1.5"), Decimal(0), Decimal("nan"), Decimal("inf"),
-    _SubFloat(0.5), _SubFloat(-0.0), _SubFloat(math.inf), _SubFloat(math.nan),
+    SubFloat(0.5), SubFloat(-0.0), SubFloat(math.inf), SubFloat(math.nan),
     "1.0",
 )
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _MIXED = st.one_of(
     st.sampled_from(_EDGES),
     st.floats(),
-    log_uniform(1e-300, 1e300),
+    log_uniform(*domains.WIDE),
     st.integers(-(10**400), 10**400),
     _FINITE.map(Fraction),
-    _FINITE.map(_SubFloat),
+    _FINITE.map(SubFloat),
 )
 
 
@@ -529,7 +499,7 @@ def _refusal(check, *args):
 
 
 # the types lattice_price's effective rates are given in, and its kinds
-_RATE_EFF_TYPES = (float, _SubFloat, Fraction, Decimal, lambda x: int(x) if math.isfinite(x) else x)
+_RATE_EFF_TYPES = (float, SubFloat, Fraction, Decimal, lambda x: int(x) if math.isfinite(x) else x)
 _KINDS = (OptionKind.CALL, OptionKind.PUT, "call", "put", "straddle")
 
 

@@ -1,6 +1,5 @@
 """The closed forms against a 60-digit mpmath reference over a seeded table
-of the full domain: rate 0 (one draw in ten) or 1e-6..2, vol 1e-4..5,
-amort 1e-8..1e5, spot 1e-3..1e5 and strike 1e-2..1e4, each log-uniform.
+of the full domain of tools/domains.py.
 
 The reference evaluates the same power law V = K/gap * (gap*S/(alpha*K))^(s*alpha)
 from the radical at 60 digits. Premium, Delta, Gamma, dV/dq and dS_bar/dq
@@ -28,6 +27,7 @@ from ampo import (
     price,
     statics_report,
 )
+from domains import full
 
 # worst relative error allowed on the table, per quantity; measured worst
 # values are 2.2e-12 for the first six and 8.0e-16 for dS_bar/dq
@@ -43,12 +43,7 @@ WORST = {
 
 
 def _draw(rng):
-    def log_uniform(lo, hi):
-        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-    rate = 0.0 if rng.random() < 0.1 else log_uniform(1e-6, 2.0)
-    vol, q = log_uniform(1e-4, 5.0), log_uniform(1e-8, 1e5)
-    spot, strike = log_uniform(1e-3, 1e5), log_uniform(1e-2, 1e4)
+    rate, vol, q, spot, strike = full(rng)
     kind = rng.choice(list(OptionKind))
     return MarketParams(spot, rate, vol), ContractParams(strike, q, kind)
 

@@ -24,6 +24,7 @@ from ampo import (
 )
 from ampo.statics import LARGE_Q
 from conftest import sample_set
+from domains import full
 
 
 def test_d_premium_dq_params_a(market_a, call_a, put_a):
@@ -145,15 +146,9 @@ def test_mixed_partial_sign_follows_the_criterion_over_full_domain():
     # notes): it is > 0 exactly where c^2 > 4*alpha*gap and u lies strictly
     # between the roots of B. Results below the normal range carry no sign.
     rng = random.Random(9)
-
-    def log_uniform(lo, hi):
-        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
     counts = {"positive": 0, "no root": 0, "outside the roots": 0}
     for _ in range(40000):
-        rate = 0.0 if rng.random() < 0.1 else log_uniform(1e-6, 2.0)
-        vol, q = log_uniform(1e-4, 5.0), log_uniform(1e-8, 1e5)
-        spot, strike = log_uniform(1e-3, 1e5), log_uniform(1e-2, 1e4)
+        rate, vol, q, spot, strike = full(rng)
         m, c = MarketParams(spot, rate, vol), ContractParams(strike, q, rng.choice(list(OptionKind)))
         try:
             got = d2_premium_dsigma_dq(m, c)

@@ -1,16 +1,20 @@
 """The committed tools: tools/code_lines.py, the count of code lines that
-ROADMAP and CHANGES.md cite, tools/outcomes.py, the seeded outcome
-table of every public function, and the summary of tools/pairs.py, the
-paired benchmark (tier-1 runs no benchmark)."""
+ROADMAP and CHANGES.md cite, tools/domains.py, the seeded input domains,
+tools/outcomes.py, the seeded outcome table of every public function,
+and the summary of tools/pairs.py, the paired benchmark (tier-1 runs no
+benchmark)."""
 
 import importlib.util
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import domains
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "code_lines.py"
@@ -41,6 +45,37 @@ def test_code_lines_leaves_out_docstrings_comments_and_blanks(tmp_path):
     assert [name for name, _ in rows[:-1]] == modules
     assert rows[-1][0] == "total"
     assert int(rows[-1][1].replace(",", "")) == sum(int(n.replace(",", "")) for _, n in rows[:-1])
+
+
+# each domain's first draw at seed 1 as float.hex: rate, vol, q, spot, strike
+_FIRST = {
+    "box": ["0x1.32eebb4bc5bd4p-5", "0x1.0c249e0cdf5afp-1", "0x1.285029d954021p+0", "0x1.610a9a33d80a0p+6",
+            "0x1.9000000000000p+6"],
+    "full": ["0x1.bfbfef595b4a4p-3", "0x1.8d6c84bc6deb9p-2", "0x1.5b3ae0c47d86dp-16", "0x1.26311ec20d341p+3",
+             "0x1.3e832d857dcd3p+2"],
+    "whole": ["0x1.3c95465fe57cdp-534", "0x1.d41ac859e4e80p-148", "0x1.accf0986d5b04p+525",
+              "0x1.2c5e238660409p-729", "0x1.67858f30e0473p+692"],
+}
+_ZERO_RATES = {"box": 0, "full": 192, "whole": 190}
+_BOUNDS = {"box": {**domains.BOX, "strike": (domains.BOX_STRIKE,) * 2}, "full": domains.FULL, "whole": domains.WHOLE}
+
+
+def test_each_domain_draws_the_same_floats_inside_its_bounds():
+    # the seeded tests and outcomes' digests rest on these draws: a change to
+    # a bound or to the order of the draws moves the first one, and a change
+    # to the share of rate 0 moves the count of zero rates in 2,000 draws
+    for name, draw in domains.DRAWS.items():
+        assert [x.hex() for x in draw(random.Random(1))] == _FIRST[name], name
+        one, other = random.Random(5), random.Random(5)
+        points = [draw(one) for _ in range(2000)]
+        assert points == [draw(other) for _ in range(2000)], name
+        # about a tenth of the rates are 0, outside the box
+        assert [point.rate for point in points].count(0.0) == _ZERO_RATES[name], name
+        for point in points:
+            for field, value in point._asdict().items():
+                lo, hi = _BOUNDS[name][field]
+                # log_uniform's logs round, so its edges hold to 1e-12
+                assert (field, value) == ("rate", 0.0) or lo * (1 - 1e-12) <= value <= hi * (1 + 1e-12), name
 
 
 def _outcomes(*args, hash_seed="0", code=0):

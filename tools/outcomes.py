@@ -1,13 +1,11 @@
 """Seeded outcome table of every public ampo function and input record.
 
 Each function gets N seeded draws of its arguments, in turn from four
-domains: the conftest box (rate 2-15%, vol 10-60%, q 5-150%, strike 100),
-the full domain (rate 0 or 1e-6-2, vol 1e-4-5, q 1e-8-1e5, spot 1e-3-1e5,
-strike 1e-2-1e4), the whole accepted range (spot, strike and q
-1e-300-1e300, vol 1e-80-1e60, rate 0 or 1e-300-1e10), and mixed types and
-edges (box values, each number kept, or given as an int, a bool, a
-Fraction, a float subclass, a Decimal or a str, or replaced by an edge
-value such as -0.0, 5e-324, inf, nan, 10**400 or Fraction(1, 10**400)).
+domains: the box, the full domain and the whole accepted range of
+tools/domains.py, and mixed types and edges (box values, each number
+kept, or given as an int, a bool, a Fraction, a float subclass, a Decimal
+or a str, or replaced by an edge value such as -0.0, 5e-324, inf, nan,
+10**400 or Fraction(1, 10**400)).
 A row is the arguments and the outcome: every value with its type, floats
 as float.hex, and an error as its type and message.
 
@@ -42,12 +40,11 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import domains
+from domains import SubFloat, log_uniform
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 INF, NAN, MAX = math.inf, math.nan, sys.float_info.max
-
-
-class SubFloat(float):
-    """A float subclass: equal to its float, but not an exact float."""
 
 
 EDGES = (
@@ -60,27 +57,14 @@ EDGES = (
 NOT_NUMBERS = {"kind", "strategy", "steps", "order", "mode"}
 
 
-def log_uniform(rng: random.Random, lo: float, hi: float) -> float:
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+# per domain, the range of maturity, t, notional, budget and horizon
+SPANS = {"box": (1e-2, 1e2), "full": (1e-3, 1e3), "whole": domains.WIDE}
 
 
 def base(rng: random.Random, domain: str) -> dict:
     """One draw of every argument, as exact floats, from `domain`."""
-    if domain == "whole":
-        spot, strike, q = (log_uniform(rng, 1e-300, 1e300) for _ in range(3))
-        vol = log_uniform(rng, 1e-80, 1e60)
-        rate = 0.0 if rng.random() < 0.1 else log_uniform(rng, 1e-300, 1e10)
-        wide = (1e-300, 1e300)
-    elif domain == "full":
-        rate = 0.0 if rng.random() < 0.1 else log_uniform(rng, 1e-6, 2.0)
-        vol, q = log_uniform(rng, 1e-4, 5.0), log_uniform(rng, 1e-8, 1e5)
-        spot, strike = log_uniform(rng, 1e-3, 1e5), log_uniform(rng, 1e-2, 1e4)
-        wide = (1e-3, 1e3)
-    else:
-        rate, vol, q = rng.uniform(0.02, 0.15), rng.uniform(0.1, 0.6), rng.uniform(0.05, 1.5)
-        strike = 100.0
-        spot = rng.uniform(50.0, 200.0)
-        wide = (1e-2, 1e2)
+    rate, vol, q, spot, strike = domains.DRAWS[domain](rng)
+    wide = SPANS[domain]
     q_lo = q * rng.uniform(0.01, 1.0)
     return {
         "spot": spot, "rate": rate, "vol": vol, "strike": strike, "amort": q,
