@@ -189,6 +189,8 @@ def _cmd_optimize(args) -> dict:
     _require(args, "kind")
     m = _market(args)
     spec = StrategySpec(kind=StrategyKind(args.kind), budget=args.budget)
+    if args.q_steps < 1:
+        raise ValidationError(f"bad q grid: q-min {args.q_min}, q-max {args.q_max}, q-steps {args.q_steps}")
     res = optimize_q(m, args.strike, spec, (args.q_min, args.q_max), grid_points=args.q_steps)
     keys = ("kind", "spot", "strike", "rate", "vol", "budget", "q_min", "q_max")
     record = {**_inputs(args, keys), **_asdict(res)}

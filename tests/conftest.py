@@ -4,6 +4,11 @@ import pytest
 
 from ampo import ContractParams, MarketParams, OptionKind, exercise_boundary, price
 from domains import BOX, BOX_STRIKE as STRIKE
+# hypothesis draws some floats from the literals of every imported non-test
+# module, so each tools/ module a test imports is imported here too: the
+# properties then draw the same examples alone and in the whole suite
+import golden  # noqa: F401
+import outcomes  # noqa: F401
 
 
 def sample_set(rng: random.Random, kind=None, spot_margin=0.0, premium_floor=0.0):

@@ -333,31 +333,6 @@ def test_sources_parse_as_the_oldest_python_pyproject_allows():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
-def test_csv_golden_stability():
-    a = run_cli("examples", "1", "--q-steps", "8", "--output", "csv")
-    b = run_cli("examples", "1", "--q-steps", "8", "--output", "csv")
-    assert a.stdout == b.stdout
-    assert a.stdout.endswith("\n")
-
-
-def test_json_round_trip():
-    first = run_cli(
-        "price", "--kind", "put", "--amort", "0.1", *BASE, "--output", "json"
-    )
-    out = json.loads(first.stdout)
-    second = run_cli(
-        "price",
-        "--kind", out["kind"],
-        "--spot", repr(out["spot"]),
-        "--strike", repr(out["strike"]),
-        "--rate", repr(out["rate"]),
-        "--vol", repr(out["vol"]),
-        "--amort", repr(out["amort"]),
-        "--output", "json",
-    )
-    assert second.stdout == first.stdout
-
-
 def test_config_file_merging(cli, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -402,19 +402,10 @@ def test_sweep_equals_linear_sweep_over_full_domain(rate, vol, q, spot, strike, 
 # must accept and refuse as its rule does, with the same message.
 
 
-# the values each check must treat as its full checks do, one per type and edge
-_EDGES = (
-    0.0, -0.0, 5e-324, -5e-324, 0.05, 100.0, sys.float_info.max, -sys.float_info.max,
-    math.inf, -math.inf, math.nan,
-    0, 1, -1, 10**400, True, False,
-    Fraction(1, 10**400), Fraction(-1, 10**400), Fraction(1, 3),
-    Decimal("1.5"), Decimal(0), Decimal("nan"), Decimal("inf"),
-    SubFloat(0.5), SubFloat(-0.0), SubFloat(math.inf), SubFloat(math.nan),
-    "1.0",
-)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# domains.EDGES holds the values each check must treat as its full checks do
 _MIXED = st.one_of(
-    st.sampled_from(_EDGES),
+    st.sampled_from(domains.EDGES),
     st.floats(),
     log_uniform(*domains.WIDE),
     st.integers(-(10**400), 10**400),
@@ -557,13 +548,13 @@ def test_comparison_chains_agree_with_the_full_checks_at_every_edge():
     # every triple of edges for MarketParams and every pair for the terms
     typical = {"spot": 100.0, "rate": 0.05, "vol": 0.5, "strike": 100.0, "amort": 0.1}
     for name in typical:
-        for i, value in enumerate(_EDGES):
+        for i, value in enumerate(domains.EDGES):
             args = {**typical, name: value}
             _assert_chains_agree_with_the_rules(*args.values(), _RATE_EFF_TYPES[i % len(_RATE_EFF_TYPES)],
                                                 _KINDS[i % len(_KINDS)])
-    for spot, rate, vol in itertools.product(_EDGES, repeat=3):
+    for spot, rate, vol in itertools.product(domains.EDGES, repeat=3):
         assert _refusal(MarketParams, spot, rate, vol) == _refusal(_market_rule, spot, rate, vol)
-    for strike, amort in itertools.product(_EDGES, repeat=2):
+    for strike, amort in itertools.product(domains.EDGES, repeat=2):
         assert _refusal(_check_terms, strike, amort) == _refusal(_terms_rule, strike, amort)
 
 

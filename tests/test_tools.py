@@ -1,10 +1,12 @@
 """The committed tools: tools/code_lines.py, the count of code lines that
 ROADMAP and CHANGES.md cite, tools/domains.py, the seeded input domains,
 tools/outcomes.py, the seeded outcome table of every public function,
-and the summary of tools/pairs.py, the paired benchmark (tier-1 runs no
-benchmark)."""
+which test_floats draws through, and the summary of tools/pairs.py, the
+paired benchmark (tier-1 runs no benchmark)."""
 
+import ast
 import importlib.util
+import inspect
 import json
 import os
 import random
@@ -14,7 +16,9 @@ import sys
 import time
 from pathlib import Path
 
+import ampo
 import domains
+import outcomes
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "code_lines.py"
@@ -99,6 +103,34 @@ def test_outcome_digests_are_the_same_under_any_hash_seed():
     assert all(len(line.split()[0]) == 64 for line in first)
     # another seed draws other rows
     assert _outcomes("--seed", "4", "--draws", "8")[-1] != first[-1]
+
+
+def test_the_outcome_table_calls_every_public_function_and_input_record():
+    # test_floats' cross-type and refusal rules run over this table, so a
+    # public function without a row would escape both
+    public = {name for name in ampo.__all__ if inspect.isfunction(getattr(ampo, name))}
+    records = {"MarketParams", "ContractParams", "AmortizationSchedule", "StrategySpec", "LatticeConfig"}
+    assert set(outcomes.functions(ampo)) == public | records
+
+
+def _tools_imported(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names & {p.stem for p in (ROOT / "tools").glob("*.py")}
+
+
+def test_conftest_imports_every_tools_module_a_test_imports():
+    # hypothesis draws some floats from the literals of every imported
+    # non-test module, so a tools/ module imported by one test file alone
+    # would give the properties other examples alone than in the whole suite
+    tests = ROOT / "tests"
+    wanted = set().union(*map(_tools_imported, tests.glob("*.py")))
+    assert {"domains", "golden", "outcomes"} <= wanted
+    assert wanted - _tools_imported(tests / "conftest.py") == set()
 
 
 def test_outcomes_against_the_same_tree_list_no_row():

@@ -15,17 +15,28 @@ A draw function per domain takes a `random.Random` and nothing else. The
 order in which it draws is part of its contract: the seeded tests and
 tools/outcomes.py's digests depend on it, and tests/test_tools.py pins
 each domain's first draw. Hypothesis strategies over the same bounds are
-built in tests/test_properties.py. Hypothesis also draws some floats from
-the literals of the non-test modules a run imports, this one included, so
-a new literal here moves the properties' examples though no strategy
-changed.
+built in tests/test_properties.py.
+
+`EDGES` holds the values every input check must treat as its full checks
+do, one per type and edge: +-0.0, the subnormals, +-the largest float,
++-inf and nan, ints and bools, an int and Fractions past the float range,
+Decimals, float subclasses and a str. tools/outcomes.py draws from them
+for its mixed-type domain, and tests/test_properties.py for its
+comparison-chain properties.
+
+Hypothesis also draws some floats from the literals of the non-test
+modules a run imports, this one included, so a new literal here moves the
+properties' examples though no strategy changed.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import namedtuple
+from decimal import Decimal
+from fractions import Fraction
 
 # the share of full-domain and whole-range draws at rate 0
 ZERO_RATE = 0.1
@@ -39,6 +50,17 @@ WHOLE = dict(rate=(1e-300, 1e10), vol=(1e-80, 1e60), q=WIDE, spot=WIDE, strike=W
 
 class SubFloat(float):
     """A float subclass: equal to its float, but not an exact float."""
+
+
+EDGES = (
+    0.0, -0.0, 5e-324, -5e-324, 0.05, 100.0, sys.float_info.max, -sys.float_info.max,
+    math.inf, -math.inf, math.nan,
+    0, 1, -1, 10**400, True, False,
+    Fraction(1, 10**400), Fraction(-1, 10**400), Fraction(1, 3),
+    Decimal("1.5"), Decimal(0), Decimal("NaN"), Decimal("Infinity"), Decimal("-Infinity"),
+    SubFloat(0.5), SubFloat(-0.0), SubFloat(math.inf), SubFloat(math.nan),
+    "1.0",
+)
 
 
 # one draw of every input, whatever the order of the domain's draws

@@ -32,6 +32,7 @@ INVOCATIONS = {
     "examples3-budget-100": ["examples", "3", "--budget", "100"],
     "examples3-budget-1e308": ["examples", "3", "--budget", "1e308"],
     **{f"optimize-{kind}": ["optimize", "--kind", kind] for kind in ("put", "call", "straddle")},
+    "optimize-q-steps-0": ["optimize", "--kind", "put", "--q-steps", "0"],
     **{
         f"greeks-put-{output}": ["greeks", "--kind", "put", "--amort", "0.1", "--output", output]
         for output in ("table", "json")

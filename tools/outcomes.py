@@ -4,8 +4,7 @@ Each function gets N seeded draws of its arguments, in turn from four
 domains: the box, the full domain and the whole accepted range of
 tools/domains.py, and mixed types and edges (box values, each number
 kept, or given as an int, a bool, a Fraction, a float subclass, a Decimal
-or a str, or replaced by an edge value such as -0.0, 5e-324, inf, nan,
-10**400 or Fraction(1, 10**400)).
+or a str, or replaced by one of domains.EDGES).
 A row is the arguments and the outcome: every value with its type, floats
 as float.hex, and an error as its type and message.
 
@@ -41,18 +40,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import domains
-from domains import SubFloat, log_uniform
+from domains import EDGES, SubFloat, log_uniform
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-INF, NAN, MAX = math.inf, math.nan, sys.float_info.max
 
-
-EDGES = (
-    0.0, -0.0, 5e-324, -5e-324, MAX, INF, -INF, NAN, 0, 1, -1, 10**400, True, False,
-    Fraction(1, 10**400), Fraction(-1, 10**400), Fraction(1, 3),
-    Decimal("1.5"), Decimal(0), Decimal("NaN"), Decimal("Infinity"), Decimal("-Infinity"),
-    SubFloat(0.5), SubFloat(-0.0), SubFloat(INF), SubFloat(NAN), "1.0",
-)
 # arguments that are not numbers, or are meant as ints
 NOT_NUMBERS = {"kind", "strategy", "steps", "order", "mode"}
 
